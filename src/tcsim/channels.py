@@ -121,13 +121,14 @@ def _physical_window(sim: Simulator, domain: str, cache: CacheState,
 def _probe(cache: CacheState, domain: str, window: list[list[int]],
            kind: str = "read") -> tuple[int, int]:
     """Re-access every window line; returns (total latency, miss count)."""
+    hit_cycles = cache.params.hit_cycles
     latency = 0
     misses = 0
     for way in window:
         for addr in way:
-            res = cache.access(domain, addr, addr, kind)
-            latency += res.latency
-            misses += 0 if res.hit else 1
+            cycles = cache.access(domain, addr, addr, kind)
+            latency += cycles
+            misses += cycles != hit_cycles
     return latency, misses
 
 

@@ -6,7 +6,7 @@ Verbs:
   profiles                list built-in platform profiles
   switch-cost P S         print the switch-cost table for profile P, scenario S
 
-Exit codes: 0 success, 2 configuration error, 3 pad overrun.
+Exit codes: 0 success, 2 configuration or input error, 3 pad overrun.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ from tcsim.harness import (_jsonable, measure_switch_costs, profile_summary,
 from tcsim.kernel import PadOverrun
 from tcsim.profiles import BUILTIN_PROFILES, get_profile
 from tcsim.scenarios import SCENARIOS
-from tcsim.stats import leak_verdict, report_record
+from tcsim.stats import (DegenerateAlphabet, TooFewSamples, leak_verdict,
+                         report_record)
 
 
 def builtin_config_names() -> list[str]:
@@ -60,10 +61,16 @@ def cmd_run(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    samples = SampleSet.from_csv(args.samples)
-    verdict = leak_verdict(samples.inputs, samples.outputs,
-                           shuffles=args.shuffles, seed=args.seed,
-                           grid_points=args.grid_points)
+    try:
+        samples = SampleSet.from_csv(args.samples)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {args.samples}: {exc.strerror}") from None
+    try:
+        verdict = leak_verdict(samples.inputs, samples.outputs,
+                               shuffles=args.shuffles, seed=args.seed,
+                               grid_points=args.grid_points)
+    except (DegenerateAlphabet, TooFewSamples) as exc:
+        raise ConfigError(f"{args.samples}: {exc}") from None
     record = report_record(verdict)
     record["source"] = str(args.samples)
     text = json.dumps(_jsonable(record), indent=2, sort_keys=True)
@@ -87,7 +94,10 @@ def cmd_profiles(_args) -> int:
 
 
 def cmd_switch_cost(args) -> int:
-    profile = get_profile(args.profile)
+    try:
+        profile = get_profile(args.profile)
+    except KeyError as exc:
+        raise ConfigError(exc.args[0]) from None
     table = measure_switch_costs(profile, args.scenario)
     print(f"switch-away cost (cycles), profile={args.profile}, scenario={args.scenario}")
     for workload, cost in table.items():

@@ -125,12 +125,6 @@ class ColourPartition:
             pool = self.reserve if domain is None else self.pools[domain]
             pool.setdefault(f.colour, []).append(f)
 
-    def all_frames(self) -> list[Frame]:
-        out = self.reserve_frames()
-        for d in self.pools:
-            out.extend(self.pool_frames(d))
-        return out
-
 
 def partition_pool(frames: list[Frame], assignment: dict[str, set[int]]) -> ColourPartition:
     """Route every frame to the unique domain owning its colour; frames with

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
+from tcsim.profiles import get_profile
+
 CHANNEL_NAMES = ("kernel", "l1d", "l1i", "l2", "tlb", "btb", "bhb",
                  "flush_latency", "interrupt", "llc_side")
 SCENARIO_NAMES = ("raw", "full_flush", "protected")
@@ -168,6 +170,10 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
 
 
 def _validate(cfg: RunConfig, source: str):
+    try:
+        get_profile(cfg.profile)
+    except KeyError as exc:
+        raise ConfigError(f"{source}: {exc.args[0]}") from None
     unknown = set(cfg.channels) - set(CHANNEL_NAMES)
     if unknown:
         raise ConfigError(

@@ -92,7 +92,6 @@ class KernelImage:
     shared: SharedKernelData
     owned_irqs: set[int] = field(default_factory=set)
     is_initial: bool = False
-    running_cores: set[int] = field(default_factory=set)
 
 
 @dataclass
@@ -177,7 +176,6 @@ class SwitchTrace:
 class IrqState:
     owner_image: int | None = None
     masked: bool = True
-    armed_period: int = 0
 
 
 class IrqController:
@@ -225,7 +223,10 @@ class Simulator:
         self.images: dict[int, KernelImage] = {}
         self._next_image_id = 0
         self.irqs = IrqController(switch_cfg.partition_irqs)
-        self.irq_check_log: list[bool] = []
+        # IRQ-invariant checks made at every switch step when IRQs are
+        # partitioned, and how many of them failed
+        self.irq_checks = 0
+        self.irq_violations = 0
 
         line = profile.line_bytes
         shared_frames = [partition.allocate_reserve() for _ in
@@ -393,7 +394,8 @@ class Simulator:
         def step(number, name, cycles):
             steps.append(StepCost(number, name, cycles))
             if self.cfg.partition_irqs:
-                self.irq_check_log.append(self.check_irq_invariant())
+                self.irq_checks += 1
+                self.irq_violations += not self.check_irq_invariant()
 
         step(1, "lock", kp.lock_cycles + self._region_access("lock_word", write=True))
         step(2, "tick", kp.tick_cycles
@@ -413,9 +415,6 @@ class Simulator:
             + self._region_access("idle_thread") \
             + self._region_access("fpu_owner")
         self.current_domain = next_domain
-        next_image.running_cores.add(0)
-        if kernel_switch:
-            prev_image.running_cores.discard(0)
         step(5, "thread_switch", cost)
         step(6, "unlock", kp.unlock_cycles + self._region_access("lock_word", write=True))
         if kernel_switch:

@@ -6,6 +6,12 @@ hierarchy. Replacement is exact LRU and caches are write-back: a write marks
 the line dirty, and dirty lines are charged one write-back each when evicted
 or flushed.
 
+Each cache set is an insertion-ordered dict from tag to dirty bit, LRU first
+and MRU last, so a hit, a fill and an eviction are O(1) dict operations and a
+flush walks only the occupied sets, costing O(resident lines). Accesses
+return a plain int latency; a hit costs exactly ``hit_cycles``, which is
+strictly less than any miss.
+
 Everything here is a plain value: identical operation sequences applied to
 equal initial states give identical latencies and identical final states.
 """
@@ -32,7 +38,6 @@ class CacheGeometry:
     line_bytes: int
     indexing: str = "physical"  # "physical" or "virtual"
     level_name: str = "cache"
-    write_policy: str = "writeback"
 
     def __post_init__(self):
         if self.indexing not in ("physical", "virtual"):
@@ -91,85 +96,83 @@ class LatencyModel:
         return self.overrides.get(resource, self.default)
 
 
-@dataclass
-class CacheLine:
-    tag: int
-    dirty: bool = False
-    owner: str | None = None
-
-
-@dataclass(frozen=True)
-class AccessResult:
-    latency: int
-    hit: bool
-    evicted: CacheLine | None = None
-
-
 class CacheState:
-    """One set-associative resource: per-set lists of lines in MRU order.
+    """One set-associative resource: one insertion-ordered dict per set,
+    mapping tag to dirty bit, with the LRU line first and the MRU line last.
 
     The tag is the global line number (address // line_bytes), so tags are
-    unique within a set by construction. ``mod_count`` per set increments on
-    every install, eviction or flush; read-only probes of resident lines do
-    not bump it (recency reordering is not observable through timing).
+    unique within a set by construction. A hit re-inserts its tag at the MRU
+    end; a fill into a full set evicts the first (LRU) tag. The indices of
+    non-empty sets are kept in an occupied-set index, so a flush costs
+    O(resident lines) rather than O(sets). ``mod_count`` per set increments
+    on every install or flush; read-only probes of resident lines do not bump
+    it (recency reordering is not observable through timing). The accessing
+    domain is not recorded: like the hardware, the model is domain-blind.
     """
 
     def __init__(self, geometry: CacheGeometry, params: LatencyParams, name: str = ""):
         self.geometry = geometry
         self.params = params
         self.name = name or geometry.level_name
-        self.sets: list[list[CacheLine]] = [[] for _ in range(geometry.sets)]
+        self.sets: list[dict[int, bool]] = [{} for _ in range(geometry.sets)]
         self.mod_count: list[int] = [0] * geometry.sets
+        self._occupied: set[int] = set()
+        self._shift = geometry.line_bytes.bit_length() - 1
+        self._mask = geometry.sets - 1
+        self._virtual = geometry.indexing == "virtual"
+        self._ways = geometry.ways
+        self._hit_cycles = params.hit_cycles
+        self._miss_cycles = params.miss_cycles
+        self._wb_cycles = params.writeback_cycles_per_line
 
     def locate(self, vaddr: int, paddr: int) -> tuple[int, int]:
         """Set index from the indexing-mode address, tag from the physical
         address (virtually-indexed caches are physically tagged, so distinct
         frames never alias even at equal virtual addresses)."""
-        index_addr = vaddr if self.geometry.indexing == "virtual" else paddr
-        set_idx = (index_addr // self.geometry.line_bytes) % self.geometry.sets
-        return set_idx, paddr // self.geometry.line_bytes
+        index_addr = vaddr if self._virtual else paddr
+        return (index_addr >> self._shift) & self._mask, paddr >> self._shift
 
     def lookup(self, vaddr: int, paddr: int) -> bool:
         """Presence check with no state change."""
-        set_idx, tag = self.locate(vaddr, paddr)
-        return any(line.tag == tag for line in self.sets[set_idx])
+        index_addr = vaddr if self._virtual else paddr
+        return (paddr >> self._shift) in self.sets[(index_addr >> self._shift) & self._mask]
 
-    def access(self, domain: str, vaddr: int, paddr: int, kind: str = "read") -> AccessResult:
-        """One load/store/ifetch. Hit refreshes LRU rank; a miss installs the
-        line, evicting the LRU way of a full set (dirty eviction charges a
+    def access(self, domain: str, vaddr: int, paddr: int, kind: str = "read") -> int:
+        """One load/store/ifetch; returns its latency. A hit costs exactly
+        ``hit_cycles`` and refreshes LRU rank; a miss installs the line,
+        evicting the LRU way of a full set (dirty eviction charges a
         write-back). A write marks the line dirty."""
-        hit = self.try_hit(vaddr, paddr, kind)
-        if hit is not None:
-            return hit
-        return self.install(domain, vaddr, paddr, kind)
+        write = kind == "write"
+        if self._hit(vaddr, paddr, write):
+            return self._hit_cycles
+        return self._fill(vaddr, paddr, write)
 
-    def try_hit(self, vaddr: int, paddr: int, kind: str = "read") -> AccessResult | None:
-        """The hit half of an access: refresh LRU and return the hit result,
-        or None (no state change) when the line is absent."""
-        set_idx, tag = self.locate(vaddr, paddr)
-        ways = self.sets[set_idx]
-        for i, line in enumerate(ways):
-            if line.tag == tag:
-                if i:
-                    ways.insert(0, ways.pop(i))
-                if kind == "write":
-                    line.dirty = True
-                return AccessResult(self.params.hit_cycles, True)
-        return None
+    def _hit(self, vaddr: int, paddr: int, write: bool) -> bool:
+        """The hit half of an access: move a resident line to MRU (dirty on a
+        write) and return True, or return False with no state change."""
+        index_addr = vaddr if self._virtual else paddr
+        ways = self.sets[(index_addr >> self._shift) & self._mask]
+        tag = paddr >> self._shift
+        dirty = ways.pop(tag, None)
+        if dirty is None:
+            return False
+        ways[tag] = dirty or write
+        return True
 
-    def install(self, domain: str, vaddr: int, paddr: int, kind: str = "read") -> AccessResult:
-        """The miss half of an access: install the line, evicting LRU."""
-        set_idx, tag = self.locate(vaddr, paddr)
+    def _fill(self, vaddr: int, paddr: int, write: bool) -> int:
+        """The miss half of an access: install the line as MRU, evicting the
+        LRU line of a full set. Returns the miss latency plus any write-back."""
+        index_addr = vaddr if self._virtual else paddr
+        set_idx = (index_addr >> self._shift) & self._mask
         ways = self.sets[set_idx]
-        latency = self.params.miss_cycles
-        evicted = None
-        if len(ways) >= self.geometry.ways:
-            evicted = ways.pop()
-            if evicted.dirty:
-                latency += self.params.writeback_cycles_per_line
-        ways.insert(0, CacheLine(tag, dirty=kind == "write", owner=domain))
+        latency = self._miss_cycles
+        if not ways:
+            self._occupied.add(set_idx)
+        elif len(ways) >= self._ways and ways.pop(next(iter(ways))):
+            latency += self._wb_cycles
+        ways[paddr >> self._shift] = write
         self.mod_count[set_idx] += 1
-        return AccessResult(latency, False, evicted)
+        return latency
 
     def probe_sets(self, domain: str, lines_by_set: dict) -> dict:
         """Probe whole sets at once: for each set, re-access the given lines
@@ -180,47 +183,48 @@ class CacheState:
         leaves each probed set holding exactly the probed lines."""
         out = {}
         for set_idx, addrs in lines_by_set.items():
-            tags = [a // self.geometry.line_bytes for a in addrs]
-            if len(set(tags)) != self.geometry.ways:
+            tags = {a >> self._shift for a in addrs}
+            if len(tags) != self._ways:
                 raise ValueError("probe_sets requires exactly one line per way")
+            if any(self.locate(a, a)[0] != set_idx for a in addrs):
+                raise ValueError(f"probe_sets line outside set {set_idx}")
             ways = self.sets[set_idx]
-            tagset = set(tags)
-            present = {line.tag: line for line in ways if line.tag in tagset}
-            misses = len(tags) - len(present)
-            latency = len(present) * self.params.hit_cycles + misses * self.params.miss_cycles
             # write-backs for dirty lines displaced by the refill
-            latency += sum(self.params.writeback_cycles_per_line
-                           for line in ways if line.tag not in present and line.dirty)
-            if misses:
-                self.mod_count[set_idx] += 1
-            self.sets[set_idx] = [
-                present.get(t) or CacheLine(t, owner=domain) for t in reversed(tags)
-            ]
+            latency = sum(self._wb_cycles for tag in [t for t in ways if t not in tags]
+                          if ways.pop(tag))
+            misses = 0
+            for a in addrs:
+                if self._hit(a, a, False):
+                    latency += self._hit_cycles
+                else:
+                    latency += self._fill(a, a, False)
+                    misses += 1
             out[set_idx] = (latency, misses)
         return out
 
     def dirty_line_count(self) -> int:
-        return sum(1 for ways in self.sets for line in ways if line.dirty)
+        return sum(sum(self.sets[i].values()) for i in self._occupied)
 
     def resident_line_count(self) -> int:
-        return sum(len(ways) for ways in self.sets)
+        return sum(len(self.sets[i]) for i in self._occupied)
 
     def flush(self) -> int:
         """Invalidate everything. Cost is the base cost plus one write-back
         per dirty line; the post-flush state is canonical regardless of
-        history."""
+        history. Only occupied sets are visited."""
         cost = self.params.flush_base_cycles
-        wb = self.params.writeback_cycles_per_line
-        for i, ways in enumerate(self.sets):
-            if ways:
-                cost += wb * sum(1 for line in ways if line.dirty)
-                self.sets[i] = []
-                self.mod_count[i] += 1
+        for i in self._occupied:
+            ways = self.sets[i]
+            cost += self._wb_cycles * sum(ways.values())
+            ways.clear()
+            self.mod_count[i] += 1
+        self._occupied.clear()
         return cost
 
     def snapshot(self) -> list:
-        """Entry-wise view for state-equality assertions."""
-        return [[(l.tag, l.dirty, l.owner) for l in ways] for ways in self.sets]
+        """Per set, (tag, dirty) pairs from LRU to MRU, for state-equality
+        assertions."""
+        return [list(ways.items()) for ways in self.sets]
 
 
 class MemoryHierarchy:
@@ -237,19 +241,16 @@ class MemoryHierarchy:
         self.memory_cycles = memory_cycles
 
     def access(self, domain: str, vaddr: int, paddr: int, kind: str = "read") -> int:
-        latency = 0
-        missed: list[CacheState] = []
-        hit = None
+        write = kind == "write"
+        latency = self.memory_cycles
+        missed = []
         for level in self.levels:
-            hit = level.try_hit(vaddr, paddr, kind)
-            if hit is not None:
-                latency += hit.latency
+            if level._hit(vaddr, paddr, write):
+                latency = level._hit_cycles
                 break
             missed.append(level)
-        if hit is None:
-            latency += self.memory_cycles
         for level in missed:
-            latency += level.install(domain, vaddr, paddr, kind).latency
+            latency += level._fill(vaddr, paddr, write)
         return latency
 
     def resident_everywhere(self, vaddr: int, paddr: int) -> bool:
@@ -305,15 +306,15 @@ class PredictorState:
         idx = self.bhb.slot(branch_addr)
         predicted_taken = self.bhb.counters[idx] >= 2
         correct = predicted_taken == taken
-        btb_res = self.btb.access(domain, branch_addr, branch_addr, "ifetch")
-        latency = btb_res.latency + (0 if correct else self.mispredict_cycles)
+        btb_latency = self.btb.access(domain, branch_addr, branch_addr, "ifetch")
+        latency = btb_latency + (0 if correct else self.mispredict_cycles)
         if taken:
             self.bhb.counters[idx] = min(3, self.bhb.counters[idx] + 1)
         else:
             self.bhb.counters[idx] = max(0, self.bhb.counters[idx] - 1)
         mask = (1 << self.bhb.history_bits) - 1
         self.bhb.history = ((self.bhb.history << 1) | int(taken)) & mask
-        return PredictResult(latency, btb_res.hit, correct)
+        return PredictResult(latency, btb_latency == self.btb.params.hit_cycles, correct)
 
     def flush_btb(self) -> int:
         return self.btb.flush()

@@ -15,7 +15,7 @@ protected  - per-domain clones in disjointly coloured memory, on-core flush
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from tcsim.colouring import build_frames, partition_pool
 from tcsim.kernel import KernelParams, Simulator, SwitchConfig
@@ -100,11 +100,9 @@ def build_scenario(profile: PlatformProfile, scenario: str, *,
         cfg = SwitchConfig(flush_targets=ON_CORE_RESOURCES, prefetch_shared=True,
                            partition_irqs=True)
     if flush_targets is not None:
-        cfg = SwitchConfig(cfg.pad_cycles, cfg.irq_margin_cycles, tuple(flush_targets),
-                           cfg.prefetch_shared, cfg.partition_irqs)
+        cfg = replace(cfg, flush_targets=tuple(flush_targets))
     if partition_irqs is not None:
-        cfg = SwitchConfig(cfg.pad_cycles, cfg.irq_margin_cycles, cfg.flush_targets,
-                           cfg.prefetch_shared, partition_irqs)
+        cfg = replace(cfg, partition_irqs=partition_irqs)
 
     machine = profile.build_machine()
     sim = Simulator(profile, machine, partition, cfg, kparams, timeslice_cycles)
@@ -125,6 +123,5 @@ def build_scenario(profile: PlatformProfile, scenario: str, *,
             pad = int(pad_cycles)
             margin = math.ceil(pad * irq_margin_pct / (100 + irq_margin_pct))
         if pad > 0:
-            sim.cfg = SwitchConfig(pad, margin, sim.cfg.flush_targets,
-                                   sim.cfg.prefetch_shared, sim.cfg.partition_irqs)
+            sim.cfg = replace(sim.cfg, pad_cycles=pad, irq_margin_cycles=margin)
     return ScenarioSystem(sim, scenario, profile)

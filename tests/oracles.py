@@ -68,7 +68,8 @@ def gaussian_mixture_dataset(k: int, d: float, n: int, seed: int):
 
 class ReferenceLru:
     """Dict-based LRU set-associative model: returns hit/miss and the evicted
-    (tag, dirty) like the real cache, tracking recency with an access clock."""
+    (tag, dirty), tracking recency with an access clock rather than with
+    insertion order as the real cache does."""
 
     def __init__(self, sets: int, ways: int, line_bytes: int):
         self.sets, self.ways, self.line = sets, ways, line_bytes
@@ -95,6 +96,11 @@ class ReferenceLru:
 
     def dirty_count(self) -> int:
         return sum(1 for e in self.state for _, d in e.values() if d)
+
+    def snapshot(self) -> list:
+        """Per set, (tag, dirty) pairs from least to most recently used."""
+        return [[(tag, e[tag][1]) for tag in sorted(e, key=lambda t: e[t][0])]
+                for e in self.state]
 
 
 def two_bit_counter_reference(outcomes, probe_taken=True, init=0):

@@ -64,6 +64,10 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="unknown channels"):
             parse_config("[channels]\nrun = kernel, warp\n")
 
+    def test_unknown_profile_rejected(self):
+        with pytest.raises(ConfigError, match="unknown profile 'nope'"):
+            parse_config("[platform]\nprofile = nope\n")
+
     def test_comments_ignored(self):
         cfg = parse_config("[platform]\nprofile = sabre  # the Arm one\n")
         assert cfg.profile == "sabre"
@@ -159,6 +163,27 @@ class TestCli:
         cfg_path = tmp_path / "bad.cfg"
         cfg_path.write_text(bad)
         assert main(["run", str(cfg_path), "-o", str(tmp_path / "out")]) == 3
+
+    @pytest.mark.parametrize("case", ["unknown profile", "switch-cost profile",
+                                      "analyze missing csv", "analyze one symbol"])
+    def test_bad_input_exits_2_with_one_line(self, case, tmp_path, capsys):
+        if case == "unknown profile":
+            cfg_path = tmp_path / "bad.cfg"
+            cfg_path.write_text(MINI.replace("profile = haswell", "profile = nope"))
+            argv = ["run", str(cfg_path), "-o", str(tmp_path / "out")]
+        elif case == "switch-cost profile":
+            argv = ["switch-cost", "nope", "raw"]
+        elif case == "analyze missing csv":
+            argv = ["analyze", str(tmp_path / "missing.csv")]
+        else:
+            samples = tmp_path / "one.csv"
+            samples.write_text("iteration,input,output\n0,a,1.0\n1,a,2.0\n2,a,3.0\n")
+            argv = ["analyze", str(samples)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: ")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
     def test_console_script_installed(self):
         proc = subprocess.run([sys.executable, "-m", "tcsim.cli", "profiles"],

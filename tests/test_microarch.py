@@ -19,6 +19,15 @@ def small_cache(sets=4, ways=2, line=64, indexing="physical"):
     return CacheState(geo, PARAMS)
 
 
+def ref_latency(params, hit, evicted):
+    """Latency of one access to one level, from the reference's hit flag and
+    evicted (tag, dirty) pair."""
+    if hit:
+        return params.hit_cycles
+    dirty_eviction = evicted is not None and evicted[1]
+    return params.miss_cycles + (params.writeback_cycles_per_line if dirty_eviction else 0)
+
+
 class TestGeometry:
     def test_size_relation(self):
         geo = CacheGeometry(32 * KIB, 8, 64)
@@ -63,8 +72,8 @@ class TestAccess:
         c = small_cache()
         first = c.access("a", 0x1000, 0x1000)
         again = c.access("a", 0x1000, 0x1000)
-        assert not first.hit and first.latency == PARAMS.miss_cycles
-        assert again.hit and again.latency == PARAMS.hit_cycles
+        assert first == PARAMS.miss_cycles
+        assert again == PARAMS.hit_cycles
 
     def test_lru_thrash(self):
         # ways+1 conflicting lines accessed round-robin miss every time
@@ -73,24 +82,23 @@ class TestAccess:
         addrs = [0x0, stride, 2 * stride]
         for _ in range(5):
             for a in addrs:
-                assert not c.access("a", a, a).hit
+                assert c.access("a", a, a) == PARAMS.miss_cycles
 
     def test_dirty_eviction_charges_writeback(self):
         c = small_cache(sets=1, ways=2)
         c.access("a", 0 * 64, 0 * 64, "write")
         c.access("a", 1 * 64, 1 * 64, "write")
-        res = c.access("a", 2 * 64, 2 * 64)
-        assert not res.hit
-        assert res.latency == PARAMS.miss_cycles + PARAMS.writeback_cycles_per_line
-        assert res.evicted is not None and res.evicted.dirty
+        latency = c.access("a", 2 * 64, 2 * 64)
+        assert latency == PARAMS.miss_cycles + PARAMS.writeback_cycles_per_line
+        # the dirty LRU line 0 was evicted; line 2 is installed clean as MRU
+        assert c.snapshot() == [[(1, True), (2, False)]]
 
     def test_write_marks_dirty_and_dirty_implies_valid(self):
         c = small_cache()
         c.access("a", 0x40, 0x40, "write")
         assert c.dirty_line_count() == 1
-        for ways in c.sets:
-            for line in ways:
-                assert line.tag is not None  # every recorded line is valid
+        assert c.lookup(0x40, 0x40)  # the dirty line is resident
+        assert [pair for ways in c.snapshot() for pair in ways] == [(1, True)]
 
     def test_set_index_ignores_high_bits(self):
         c = small_cache(sets=4, ways=2)
@@ -104,8 +112,7 @@ class TestAccess:
         c = small_cache(indexing="virtual")
         c.access("a", 0x1000, 0x8000)
         # same virtual address, different frame: same set, different tag
-        res = c.access("b", 0x1000, 0x9000)
-        assert not res.hit
+        assert c.access("b", 0x1000, 0x9000) == PARAMS.miss_cycles
         sa, ta = c.locate(0x1000, 0x8000)
         sb, tb = c.locate(0x1000, 0x9000)
         assert sa == sb and ta != tb
@@ -120,13 +127,13 @@ def test_access_matches_reference_lru(ops, shape):
     ref = ReferenceLru(sets, ways, 64)
     for line_no, write in ops:
         addr = line_no * 64
-        res = c.access("a", addr, addr, "write" if write else "read")
+        latency = c.access("a", addr, addr, "write" if write else "read")
         ref_hit, ref_evicted = ref.access(addr, addr, write)
-        assert res.hit == ref_hit
-        if res.evicted is None:
-            assert ref_evicted is None
-        else:
-            assert (res.evicted.tag, res.evicted.dirty) == ref_evicted
+        assert (latency == PARAMS.hit_cycles) == ref_hit
+        assert latency == ref_latency(PARAMS, ref_hit, ref_evicted)
+        # resident tags, dirty bits and recency order; this pins the evicted
+        # line as the one the reference evicted
+        assert c.snapshot() == ref.snapshot()
     assert c.dirty_line_count() == ref.dirty_count()
     assert c.resident_line_count() <= sets * ways
 
@@ -136,16 +143,53 @@ def test_access_matches_reference_lru(ops, shape):
 def test_determinism_and_residency_bound(ops):
     c1 = small_cache(sets=8, ways=2)
     c2 = small_cache(sets=8, ways=2)
-    lat1 = [c1.access("a", ln * 64, ln * 64, "write" if w else "read").latency
-            for ln, w in ops]
-    lat2 = [c2.access("a", ln * 64, ln * 64, "write" if w else "read").latency
-            for ln, w in ops]
+    lat1 = [c1.access("a", ln * 64, ln * 64, "write" if w else "read") for ln, w in ops]
+    lat2 = [c2.access("a", ln * 64, ln * 64, "write" if w else "read") for ln, w in ops]
     assert lat1 == lat2
     assert c1.snapshot() == c2.snapshot()
     assert c1.resident_line_count() <= 16
-    for ways in c1.sets:
-        tags = [l.tag for l in ways]
+    for ways in c1.snapshot():
+        tags = [tag for tag, _ in ways]
         assert len(tags) == len(set(tags))
+
+
+# (sets, ways, indexing, latency) of up to three hierarchy levels
+LEVEL_SHAPES = (
+    (4, 2, "virtual", LatencyParams(4, 6, 6, 10)),
+    (8, 4, "physical", LatencyParams(8, 12, 8, 20)),
+    (16, 4, "physical", LatencyParams(20, 30, 10, 40)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 3),
+       st.lists(st.tuples(st.integers(0, 47), st.booleans()), min_size=1, max_size=200))
+def test_hierarchy_matches_reference_chain(depth, ops):
+    # a chain of independent reference models with inclusive fill and no
+    # back-invalidation: each level is accessed until one hits
+    shapes = LEVEL_SHAPES[:depth]
+    levels = [CacheState(CacheGeometry(s * w * 64, w, 64, idx), p) for s, w, idx, p in shapes]
+    h = MemoryHierarchy(levels, memory_cycles=100)
+    refs = [ReferenceLru(s, w, 64) for s, w, _, _ in shapes]
+    total = ref_total = 0
+    for line_no, write in ops:
+        paddr = line_no * 64
+        vaddr = paddr + 7 * 64  # a translation that moves the virtual index
+        latency = h.access("a", vaddr, paddr, "write" if write else "read")
+        expected = 100
+        for (_, _, idx, params), ref in zip(shapes, refs):
+            hit, evicted = ref.access(vaddr if idx == "virtual" else paddr, paddr, write)
+            if hit:
+                expected -= 100
+            expected += ref_latency(params, hit, evicted)
+            if hit:
+                break
+        assert latency == expected
+        total += latency
+        ref_total += expected
+    assert total == ref_total
+    for level, ref in zip(levels, refs):
+        assert level.snapshot() == ref.snapshot()
 
 
 class TestFlush:
@@ -190,6 +234,28 @@ class TestFlush:
         assert more.flush() >= big.flush()
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(
+    st.tuples(st.just("access"), st.integers(0, 255), st.booleans()),
+    st.tuples(st.just("probe"), st.integers(0, 7), st.integers(0, 30))), max_size=120))
+def test_flush_costs_dirty_lines_and_empties_every_set(ops):
+    sets, ways = 8, 4
+    c = small_cache(sets=sets, ways=ways)
+    for op, a, b in ops:
+        if op == "access":
+            c.access("a", a * 64, a * 64, "write" if b else "read")
+        else:
+            c.probe_sets("spy", {a: [((b + j) * sets + a) * 64 for j in range(ways)]})
+    before = c.snapshot()
+    dirty = sum(d for lines in before for _, d in lines)
+    mods = list(c.mod_count)
+    assert c.flush() == PARAMS.flush_base_cycles + PARAMS.writeback_cycles_per_line * dirty
+    assert all(not lines for lines in c.snapshot())
+    assert c.resident_line_count() == 0 and c.dirty_line_count() == 0
+    # exactly the sets that held lines count a modification
+    assert c.mod_count == [m + bool(lines) for m, lines in zip(mods, before)]
+
+
 class TestProbeSets:
     def test_probe_equivalent_to_sequential_access(self):
         # foreign lines installed after the prime are younger than every
@@ -205,16 +271,21 @@ class TestProbeSets:
                 for i in range(foreign):
                     v = (100 + i) * sets * line + 2 * line
                     c.access("victim", v, v)
-            seq_lat = sum(a.access("spy", x, x).latency for x in reversed(lines))
+            seq_lat = sum(a.access("spy", x, x) for x in reversed(lines))
             got = b.probe_sets("spy", {2: list(reversed(lines))})
             assert got[2][0] == seq_lat
             assert got[2][1] == foreign
-            assert sorted(l.tag for l in a.sets[2]) == sorted(l.tag for l in b.sets[2])
+            assert a.snapshot() == b.snapshot()
 
     def test_probe_requires_full_way_cover(self):
         c = small_cache(sets=4, ways=4)
         with pytest.raises(ValueError):
             c.probe_sets("spy", {0: [0, 64]})
+
+    def test_probe_rejects_lines_of_another_set(self):
+        c = small_cache(sets=4, ways=4)
+        with pytest.raises(ValueError):
+            c.probe_sets("spy", {1: [w * 4 * 64 for w in range(4)]})
 
 
 class TestPredictor:
