@@ -65,6 +65,10 @@ def cmd_analyze(args) -> int:
         samples = SampleSet.from_csv(args.samples)
     except OSError as exc:
         raise ConfigError(f"cannot read {args.samples}: {exc.strerror}") from None
+    except KeyError as exc:
+        raise ConfigError(f"{args.samples}: missing column {exc}") from None
+    except ValueError as exc:
+        raise ConfigError(f"{args.samples}: {exc}") from None
     try:
         verdict = leak_verdict(samples.inputs, samples.outputs,
                                shuffles=args.shuffles, seed=args.seed,

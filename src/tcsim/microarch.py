@@ -184,14 +184,15 @@ class CacheState:
         out = {}
         for set_idx, addrs in lines_by_set.items():
             tags = {a >> self._shift for a in addrs}
-            if len(tags) != self._ways:
+            if len(addrs) != self._ways or len(tags) != self._ways:
                 raise ValueError("probe_sets requires exactly one line per way")
             if any(self.locate(a, a)[0] != set_idx for a in addrs):
                 raise ValueError(f"probe_sets line outside set {set_idx}")
             ways = self.sets[set_idx]
-            # write-backs for dirty lines displaced by the refill
-            latency = sum(self._wb_cycles for tag in [t for t in ways if t not in tags]
-                          if ways.pop(tag))
+            latency = 0
+            for tag in [t for t in ways if t not in tags]:  # displaced by the refill
+                if ways.pop(tag):
+                    latency += self._wb_cycles
             misses = 0
             for a in addrs:
                 if self._hit(a, a, False):

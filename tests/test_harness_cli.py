@@ -165,7 +165,8 @@ class TestCli:
         assert main(["run", str(cfg_path), "-o", str(tmp_path / "out")]) == 3
 
     @pytest.mark.parametrize("case", ["unknown profile", "switch-cost profile",
-                                      "analyze missing csv", "analyze one symbol"])
+                                      "analyze missing csv", "analyze one symbol",
+                                      "analyze missing column", "analyze bad output"])
     def test_bad_input_exits_2_with_one_line(self, case, tmp_path, capsys):
         if case == "unknown profile":
             cfg_path = tmp_path / "bad.cfg"
@@ -176,8 +177,11 @@ class TestCli:
         elif case == "analyze missing csv":
             argv = ["analyze", str(tmp_path / "missing.csv")]
         else:
-            samples = tmp_path / "one.csv"
-            samples.write_text("iteration,input,output\n0,a,1.0\n1,a,2.0\n2,a,3.0\n")
+            rows = {"analyze one symbol": "iteration,input,output\n0,a,1.0\n1,a,2.0\n",
+                    "analyze missing column": "iteration,output\n0,1.0\n1,2.0\n",
+                    "analyze bad output": "iteration,input,output\n0,a,1.0\n1,b,x\n"}
+            samples = tmp_path / "samples.csv"
+            samples.write_text(rows[case])
             argv = ["analyze", str(samples)]
         assert main(argv) == 2
         captured = capsys.readouterr()

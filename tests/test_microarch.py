@@ -171,23 +171,18 @@ def test_hierarchy_matches_reference_chain(depth, ops):
     levels = [CacheState(CacheGeometry(s * w * 64, w, 64, idx), p) for s, w, idx, p in shapes]
     h = MemoryHierarchy(levels, memory_cycles=100)
     refs = [ReferenceLru(s, w, 64) for s, w, _, _ in shapes]
-    total = ref_total = 0
     for line_no, write in ops:
         paddr = line_no * 64
         vaddr = paddr + 7 * 64  # a translation that moves the virtual index
-        latency = h.access("a", vaddr, paddr, "write" if write else "read")
-        expected = 100
+        expected = 0
         for (_, _, idx, params), ref in zip(shapes, refs):
             hit, evicted = ref.access(vaddr if idx == "virtual" else paddr, paddr, write)
-            if hit:
-                expected -= 100
-            expected += ref_latency(params, hit, evicted)
+            expected += ref_latency(params, hit, evicted)  # includes write-backs
             if hit:
                 break
-        assert latency == expected
-        total += latency
-        ref_total += expected
-    assert total == ref_total
+        else:
+            expected += 100  # every level missed: memory
+        assert h.access("a", vaddr, paddr, "write" if write else "read") == expected
     for level, ref in zip(levels, refs):
         assert level.snapshot() == ref.snapshot()
 
@@ -281,6 +276,8 @@ class TestProbeSets:
         c = small_cache(sets=4, ways=4)
         with pytest.raises(ValueError):
             c.probe_sets("spy", {0: [0, 64]})
+        with pytest.raises(ValueError):  # a repeated line is not a way
+            c.probe_sets("spy", {0: [0, 256, 512, 768, 768]})
 
     def test_probe_rejects_lines_of_another_set(self):
         c = small_cache(sets=4, ways=4)
