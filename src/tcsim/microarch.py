@@ -107,7 +107,7 @@ class CacheState:
     O(resident lines) rather than O(sets). ``mod_count`` per set increments
     on every install or flush; read-only probes of resident lines do not bump
     it (recency reordering is not observable through timing). The accessing
-    domain is not recorded: like the hardware, the model is domain-blind.
+    domain is not recorded in the cache state.
     """
 
     def __init__(self, geometry: CacheGeometry, params: LatencyParams, name: str = ""):
