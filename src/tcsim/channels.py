@@ -119,17 +119,13 @@ def _physical_window(sim: Simulator, domain: str, cache: CacheState,
 
 
 def _probe(cache: CacheState, domain: str, window: list[list[int]],
-           kind: str = "read") -> tuple[int, int]:
-    """Re-access every window line; returns (total latency, miss count)."""
-    hit_cycles = cache.params.hit_cycles
+           kind: str = "read") -> int:
+    """Re-access every window line; returns the total latency."""
     latency = 0
-    misses = 0
     for way in window:
         for addr in way:
-            cycles = cache.access(domain, addr, addr, kind)
-            latency += cycles
-            misses += cycles != hit_cycles
-    return latency, misses
+            latency += cache.access(domain, addr, addr, kind)
+    return latency
 
 
 def _touch_sets(cache: CacheState, domain: str, window: list[list[int]], n: int,
@@ -206,7 +202,7 @@ def run_prime_probe(profile: PlatformProfile, spec: ChannelSpec,
         else:
             _touch_sets(cache, SENDER, send_window, count, kind)
         sim.domain_switch(RECEIVER)
-        latency, _ = _probe_window(sim, cache, recv_window, kind, probe_fn)
+        latency = _probe_window(sim, cache, recv_window, kind, probe_fn)
         if it >= spec.warmup:
             inputs.append(str(count))
             outputs.append(latency + noise[it])
@@ -220,15 +216,12 @@ def _probe_window(sim, cache, window, kind, predictor_probe=None):
     return _probe(cache, RECEIVER, window, kind)
 
 
-def _predictor_probe(sim: Simulator, domain: str, window) -> tuple[int, int]:
+def _predictor_probe(sim: Simulator, domain: str, window) -> int:
     latency = 0
-    misses = 0
     for way in window:
         for addr in way:
-            res = sim.machine.predictor.touch(domain, addr, taken=True)
-            latency += res.latency
-            misses += 0 if res.btb_hit else 1
-    return latency, misses
+            latency += sim.machine.predictor.touch(domain, addr, taken=True).latency
+    return latency
 
 
 def _touch_branches(sim: Simulator, domain: str, window, n: int):
