@@ -1,11 +1,13 @@
 """Attack workloads: generate (input symbol, timing output) datasets.
 
-Each channel follows the same shape: a sender (or victim) domain modulates
-some shared hardware state according to a secret input symbol, a receiver
-(or spy) domain measures its own execution timing, and the pair stream is
-collected for the statistics pipeline. Probes target the attacked resource
-directly; the multi-level hierarchy carries kernel traffic, whose costs show
-up in switch latencies exactly as the receiver can observe them.
+Every sample channel has the same shape: a sender (or victim) domain
+modulates some shared hardware state according to a secret input symbol in
+its slice, then a receiver (or spy) domain measures its own execution timing
+after the switch, and the pair stream is collected for the statistics
+pipeline. ``CHANNELS`` names each channel and its setup hook, and
+``run_channel`` is the one loop that drives them. Probes target the attacked
+resource directly; the multi-level hierarchy carries kernel traffic, whose
+costs show up in switch latencies exactly as the receiver can observe them.
 
 All runs are pure functions of (spec, seed): the symbol schedule, any
 measurement jitter, and interrupt phases come from one seeded generator, so
@@ -17,15 +19,15 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from tcsim.kernel import Simulator
 from tcsim.microarch import CacheState
 from tcsim.profiles import PlatformProfile
-from tcsim.scenarios import RECEIVER, SENDER, ScenarioSystem, build_scenario
+from tcsim.scenarios import RECEIVER, SENDER, build_scenario
 
-PRIME_PROBE_RESOURCES = ("l1d", "l1i", "l2", "tlb", "btb", "bhb")
 SYSCALLS = ("Signal", "SetPriority", "Poll", "Idle")
 
 # probed sets per window; kept small enough that a full run of every channel
@@ -43,7 +45,6 @@ class ChannelSpec:
     scenario: str
     iterations: int = 1200
     seed: int = 1
-    resource: str | None = None
     input_alphabet: tuple = ()
     noise_sigma: float = 0.0
     warmup: int = 8
@@ -91,6 +92,8 @@ def _noise(rng: np.random.Generator, sigma: float, n: int) -> np.ndarray:
     return rng.normal(0.0, sigma, size=n) if sigma > 0 else np.zeros(n)
 
 
+# -- probe windows ------------------------------------------------------------
+
 def _virtual_window(sim: Simulator, domain: str, cache: CacheState,
                     window_sets: int) -> list[list[int]]:
     """Addresses for `ways` lines in each of the first ``window_sets`` sets of
@@ -118,144 +121,6 @@ def _physical_window(sim: Simulator, domain: str, cache: CacheState,
     return [[pa for _, pa in frame] for frame in frames]
 
 
-def _probe(cache: CacheState, domain: str, window: list[list[int]],
-           kind: str = "read") -> int:
-    """Re-access every window line; returns the total latency."""
-    latency = 0
-    for way in window:
-        for addr in way:
-            latency += cache.access(domain, addr, addr, kind)
-    return latency
-
-
-def _touch_sets(cache: CacheState, domain: str, window: list[list[int]], n: int,
-                kind: str = "read"):
-    """Touch one line in each of the first n window sets. A single foreign
-    line per set is enough to displace the receiver's contents there."""
-    for addr in window[0][:n]:
-        cache.access(domain, addr, addr, kind)
-
-
-def _touch_lines(cache: CacheState, domain: str, window: list[list[int]], n: int,
-                 kind: str = "read"):
-    """Touch the first n distinct window lines in way-major order."""
-    done = 0
-    for way in window:
-        for addr in way:
-            if done >= n:
-                return
-            cache.access(domain, addr, addr, kind)
-            done += 1
-
-
-def default_alphabet(resource: str, symbols: int = 4) -> tuple:
-    """Touched-set counts from idle to the full window, or branch directions."""
-    if resource == "bhb":
-        return ("not_taken", "taken")
-    if symbols < 2:
-        raise ValueError("need at least 2 symbols")
-    return tuple(round(i * WINDOW_SETS / (symbols - 1)) for i in range(symbols))
-
-
-def run_prime_probe(profile: PlatformProfile, spec: ChannelSpec,
-                    **build_kwargs) -> SampleSet:
-    """Receiver primes a window of the resource, the sender touches a number
-    of entries encoding its symbol, and the receiver's re-probe latency is the
-    output."""
-    resource = spec.resource
-    if resource not in PRIME_PROBE_RESOURCES:
-        raise ValueError(f"unknown prime&probe resource {resource!r}")
-    system = build_scenario(profile, spec.scenario, **build_kwargs)
-    sim = system.sim
-    rng = np.random.default_rng(spec.seed)
-
-    if resource == "bhb":
-        return _run_bhb(system, spec, rng)
-
-    kind = "ifetch" if resource == "l1i" else "read"
-    cache = sim.machine.cache(resource)
-    alphabet = spec.input_alphabet or default_alphabet(resource)
-    if max(alphabet) > WINDOW_SETS:
-        raise ValueError("touched-set symbol exceeds the probe window")
-
-    if cache.geometry.indexing == "virtual":
-        recv_window = _virtual_window(sim, RECEIVER, cache, WINDOW_SETS)
-        send_window = _virtual_window(sim, SENDER, cache, WINDOW_SETS)
-    else:
-        recv_colour = _first_colour(sim, RECEIVER)
-        send_colour = _first_colour(sim, SENDER)
-        recv_window = _physical_window(sim, RECEIVER, cache, recv_colour)
-        send_window = _physical_window(sim, SENDER, cache, send_colour)
-
-    total = spec.warmup + spec.iterations
-    schedule = rng.integers(0, len(alphabet), size=total)
-    noise = _noise(rng, spec.noise_sigma, total)
-
-    inputs, outputs = [], []
-    probe_fn = _predictor_probe if resource == "btb" else None
-    _probe_window(sim, cache, recv_window, kind, probe_fn)
-    for it in range(total):
-        count = alphabet[schedule[it]]
-        sim.domain_switch(SENDER)
-        if resource == "btb":
-            _touch_branches(sim, SENDER, send_window, count)
-        else:
-            _touch_sets(cache, SENDER, send_window, count, kind)
-        sim.domain_switch(RECEIVER)
-        latency = _probe_window(sim, cache, recv_window, kind, probe_fn)
-        if it >= spec.warmup:
-            inputs.append(str(count))
-            outputs.append(latency + noise[it])
-    return SampleSet(inputs, np.array(outputs),
-                     metadata=_meta(spec, profile, alphabet=alphabet))
-
-
-def _probe_window(sim, cache, window, kind, predictor_probe=None):
-    if predictor_probe is not None:
-        return predictor_probe(sim, RECEIVER, window)
-    return _probe(cache, RECEIVER, window, kind)
-
-
-def _predictor_probe(sim: Simulator, domain: str, window) -> int:
-    latency = 0
-    for way in window:
-        for addr in way:
-            latency += sim.machine.predictor.touch(domain, addr, taken=True).latency
-    return latency
-
-
-def _touch_branches(sim: Simulator, domain: str, window, n: int):
-    for addr in window[0][:n]:
-        sim.machine.predictor.touch(domain, addr, taken=True)
-
-
-def _run_bhb(system: ScenarioSystem, spec: ChannelSpec,
-             rng: np.random.Generator) -> SampleSet:
-    """Direction-history channel: the sender trains one conditional branch
-    taken or not-taken until the global history saturates; the receiver times
-    one congruent taken branch."""
-    sim = system.sim
-    alphabet = spec.input_alphabet or ("not_taken", "taken")
-    branch = sim.alloc_vpages(SENDER, 1)
-    train = sim.machine.predictor.bhb.history_bits + 8
-    total = spec.warmup + spec.iterations
-    schedule = rng.integers(0, len(alphabet), size=total)
-    noise = _noise(rng, spec.noise_sigma, total)
-    inputs, outputs = [], []
-    for it in range(total):
-        symbol = alphabet[schedule[it]]
-        sim.domain_switch(SENDER)
-        for _ in range(train):
-            sim.machine.predictor.touch(SENDER, branch, taken=(symbol == "taken"))
-        sim.domain_switch(RECEIVER)
-        res = sim.machine.predictor.touch(RECEIVER, branch, taken=True)
-        if it >= spec.warmup:
-            inputs.append(str(symbol))
-            outputs.append(res.latency + noise[it])
-    return SampleSet(inputs, np.array(outputs),
-                     metadata=_meta(spec, system.profile, alphabet=alphabet))
-
-
 def _first_colour(sim: Simulator, domain: str) -> int | None:
     colours = sim.domains[domain].colours
     if colours:
@@ -265,8 +130,80 @@ def _first_colour(sim: Simulator, domain: str) -> int | None:
     return 0
 
 
-def run_kernel_channel(profile: PlatformProfile, spec: ChannelSpec,
-                       **build_kwargs) -> SampleSet:
+def probe_window(sim: Simulator, domain: str, resource: str) -> list[list[int]]:
+    """The domain's probe window on a resource, [way][set] in probe order:
+    the first ``WINDOW_SETS`` sets of a virtually indexed resource, or the
+    domain's first colour of a physically indexed one."""
+    cache = sim.machine.cache(resource)
+    if cache.geometry.indexing == "virtual":
+        return _virtual_window(sim, domain, cache, WINDOW_SETS)
+    return _physical_window(sim, domain, cache, _first_colour(sim, domain))
+
+
+def probe(sim: Simulator, domain: str, resource: str, window) -> int:
+    """Access every window line in order; returns the total latency. BTB
+    lines are taken branches through the predictor, L1-I lines fetches."""
+    latency = 0
+    if resource == "btb":
+        predictor = sim.machine.predictor
+        for way in window:
+            for addr in way:
+                latency += predictor.touch(domain, addr, taken=True).latency
+        return latency
+    cache = sim.machine.cache(resource)
+    kind = "ifetch" if resource == "l1i" else "read"
+    for way in window:
+        for addr in way:
+            latency += cache.access(domain, addr, addr, kind)
+    return latency
+
+
+# -- channel setup hooks ------------------------------------------------------
+#
+# A hook builds the scenario and returns (sim, send, measure, meta); see
+# Channel. Hooks run after the schedule is drawn and before the noise is.
+
+def _prime_probe(profile, spec, alphabet, rng, build_kwargs):
+    """Receiver primes a window of the resource, the sender touches one line
+    in as many window sets as its symbol says (one foreign line displaces
+    the receiver's contents there), and the re-probe latency is the output."""
+    resource = spec.channel_kind
+    if max(alphabet) > WINDOW_SETS:
+        raise ValueError("touched-set symbol exceeds the probe window")
+    sim = build_scenario(profile, spec.scenario, **build_kwargs).sim
+    recv_window = probe_window(sim, RECEIVER, resource)
+    send_lines = probe_window(sim, SENDER, resource)[0]
+    probe(sim, RECEIVER, resource, recv_window)
+
+    def send(count):
+        probe(sim, SENDER, resource, [send_lines[:count]])
+
+    def measure(it, trace):
+        return [(probe(sim, RECEIVER, resource, recv_window),)]
+
+    return sim, send, measure, {}
+
+
+def _bhb(profile, spec, alphabet, rng, build_kwargs):
+    """Direction-history channel: the sender trains one conditional branch
+    taken or not-taken until the global history saturates; the receiver times
+    one congruent taken branch."""
+    sim = build_scenario(profile, spec.scenario, **build_kwargs).sim
+    predictor = sim.machine.predictor
+    branch = sim.alloc_vpages(SENDER, 1)
+    train = predictor.bhb.history_bits + 8
+
+    def send(symbol):
+        for _ in range(train):
+            predictor.touch(SENDER, branch, taken=(symbol == "taken"))
+
+    def measure(it, trace):
+        return [(predictor.touch(RECEIVER, branch, taken=True).latency,)]
+
+    return sim, send, measure, {}
+
+
+def _kernel(profile, spec, alphabet, rng, build_kwargs):
     """Kernel-image channel: the sender encodes symbols as system calls with
     distinct kernel footprints while the receiver prime&probes the partitioned
     cache and records its miss count.
@@ -274,95 +211,65 @@ def run_kernel_channel(profile: PlatformProfile, spec: ChannelSpec,
     The receiver's probe buffer is loaded through the full hierarchy (its
     size matches the L1, so kernel lines cannot hide there), and the output is
     the number of probe lines missing from the partitioned cache."""
-    system = build_scenario(profile, spec.scenario, **build_kwargs)
-    sim = system.sim
-    alphabet = spec.input_alphabet or SYSCALLS
     bad = set(alphabet) - set(SYSCALLS)
     if bad:
         raise ValueError(f"unknown syscalls {sorted(bad)}")
+    system = build_scenario(profile, spec.scenario, **build_kwargs)
+    sim = system.sim
     cache = sim.machine.cache(system.partitioned_cache)
-    per = sim.profile.lines_per_page
     pairs = sim.alloc_buffer(RECEIVER, cache.geometry.ways,
                              _first_colour(sim, RECEIVER))
 
-    def probe():
+    def send(symbol):
+        for _ in range(3):
+            sim.syscall(SENDER, symbol)
+
+    def measure(it=None, trace=None):
         misses = 0
         for va, pa in pairs:
             if not cache.lookup(va, pa):
                 misses += 1
             sim.machine.data_access(RECEIVER, va, pa)
-        return misses
+        return [(misses,)]
 
-    rng = np.random.default_rng(spec.seed)
-    total = spec.warmup + spec.iterations
-    schedule = rng.integers(0, len(alphabet), size=total)
-    noise = _noise(rng, spec.noise_sigma, total)
-    inputs, outputs = [], []
-    probe()
-    for it in range(total):
-        symbol = alphabet[schedule[it]]
-        sim.domain_switch(SENDER)
-        for _ in range(3):
-            sim.syscall(SENDER, symbol)
-        sim.domain_switch(RECEIVER)
-        misses = probe()
-        if it >= spec.warmup:
-            inputs.append(str(symbol))
-            outputs.append(misses + noise[it])
-    return SampleSet(inputs, np.array(outputs),
-                     metadata=_meta(spec, profile, alphabet=alphabet,
-                                    probe_lines=len(pairs), window_lines_per_frame=per))
+    measure()
+    return sim, send, measure, {"probe_lines": len(pairs),
+                                "window_lines_per_frame": sim.profile.lines_per_page}
 
 
-def run_flush_latency_channel(profile: PlatformProfile, spec: ChannelSpec,
-                              **build_kwargs) -> SampleSet:
+def _flush_latency(profile, spec, alphabet, rng, build_kwargs):
     """Switch-latency channel: the sender dirties k cache lines, modulating
     the write-back portion of the on-core flush; the receiver observes its
     offline time (gap between its slices) and online time. Scenarios other
     than ``protected`` run the same flushing build with padding disabled."""
-    pad = build_kwargs.pop("pad_cycles", "auto")
-    if spec.scenario != "protected":
-        pad = 0
-    system = build_scenario(profile, "protected", pad_cycles=pad, **build_kwargs)
-    sim = system.sim
+    pad = build_kwargs.get("pad_cycles", "auto") if spec.scenario == "protected" else 0
+    sim = build_scenario(profile, "protected",
+                         **{**build_kwargs, "pad_cycles": pad}).sim
     l1d = sim.machine.cache("l1d")
-    lines = l1d.geometry.lines
-    alphabet = spec.input_alphabet or tuple(round(i * lines / 3) for i in range(4))
-    if max(alphabet) > lines:
+    if max(alphabet) > l1d.geometry.lines:
         raise ValueError("dirty-line symbol exceeds L1-D capacity")
-    window = _virtual_window(sim, SENDER, l1d, l1d.geometry.sets)
+    lines = [addr for way in _virtual_window(sim, SENDER, l1d, l1d.geometry.sets)
+             for addr in way]
     slice_cycles = sim.domains[RECEIVER].timeslice_cycles
-    rng = np.random.default_rng(spec.seed)
-    total = spec.warmup + spec.iterations
-    schedule = rng.integers(0, len(alphabet), size=total)
-    noise = _noise(rng, spec.noise_sigma, 2 * total)
-    inputs, offline, online = [], [], []
-    for it in range(total):
-        k = alphabet[schedule[it]]
-        sim.domain_switch(SENDER)
-        _touch_lines(l1d, SENDER, window, k, kind="write")
-        trace_in = sim.domain_switch(RECEIVER)
-        if it >= spec.warmup:
-            inputs.append(str(k))
-            offline.append(slice_cycles + trace_in.total_elapsed + noise[2 * it])
-            online.append(slice_cycles - trace_in.total_elapsed + noise[2 * it + 1])
-    return SampleSet(inputs, np.array(offline),
-                     metadata=_meta(spec, profile, alphabet=alphabet,
-                                    padded=sim.cfg.pad_cycles > 0),
-                     extra={"online": np.array(online)})
+
+    def send(k):
+        for addr in lines[:k]:
+            l1d.access(SENDER, addr, addr, "write")
+
+    def measure(it, trace):
+        return [(slice_cycles + trace.total_elapsed, slice_cycles - trace.total_elapsed)]
+
+    return sim, send, measure, {"padded": sim.cfg.pad_cycles > 0}
 
 
-def run_interrupt_channel(profile: PlatformProfile, spec: ChannelSpec,
-                          **build_kwargs) -> SampleSet:
+def _interrupt(profile, spec, alphabet, rng, build_kwargs):
     """Interrupt channel: the sender either arms a periodic device interrupt
     it owns ("yes") or stays quiet ("no"); the receiver records the lengths of
     its uninterrupted execution intervals. Once the interrupt fires it stays
     masked until the sender acknowledges it, so a slice is cut at most once."""
-    system = build_scenario(profile, spec.scenario, **build_kwargs)
-    sim = system.sim
-    alphabet = spec.input_alphabet or ("no", "yes")
     if set(alphabet) - {"no", "yes"}:
         raise ValueError("interrupt channel alphabet is {no, yes}")
+    sim = build_scenario(profile, spec.scenario, **build_kwargs).sim
     irq = 1
     sim.irqs.ensure(irq)
     if spec.scenario == "protected":
@@ -370,36 +277,102 @@ def run_interrupt_channel(profile: PlatformProfile, spec: ChannelSpec,
     slice_cycles = sim.domains[RECEIVER].timeslice_cycles
     period = slice_cycles // 10
     handler = sim.kparams.irq_handler_cycles
+    phases = rng.uniform(0.0, period, size=spec.warmup + spec.iterations)
+    armed = False
+
+    def send(symbol):
+        nonlocal armed
+        armed = symbol == "yes"
+
+    def measure(it, trace):
+        base = slice_cycles - trace.total_elapsed
+        rows = [(base,)]
+        if armed and irq in sim.irqs.unmasked():
+            offset = phases[it]
+            sim.irqs.ensure(irq).masked = True  # pending until sender acks
+            rows = [(offset,), (base - offset - handler,)]
+        if armed and spec.scenario != "protected":
+            sim.irqs.ensure(irq).masked = False  # sender acks in its next slice
+        return rows
+
+    return sim, send, measure, {"slice_cycles": slice_cycles, "period": period}
+
+
+# -- the registry and the runner loop -----------------------------------------
+
+@dataclass(frozen=True)
+class Channel:
+    """One sample channel. ``setup(profile, spec, alphabet, rng,
+    build_kwargs)`` builds the scenario and returns ``(sim, send, measure,
+    meta)``: ``send(symbol)`` runs in the sender's slice, ``measure(it,
+    trace)`` in the receiver's after the switch that produced ``trace``, and
+    returns the iteration's rows of one value per output stream; ``meta``
+    joins the sample metadata. ``alphabet(profile, symbols)`` is the default
+    input alphabet. Each iteration draws ``draws`` noise values, taken by its
+    row values in order."""
+
+    setup: Callable
+    alphabet: Callable
+    resource: str | None = None  # attacked resource, recorded in metadata
+    noise_resource: str | None = None  # scales the noise; None: partitioned cache
+    draws: int = 1
+    extra: tuple = ()  # names of the output streams after the first
+
+
+def _touched_sets(profile, symbols):
+    """Touched-set counts from idle to the full window."""
+    return tuple(round(i * WINDOW_SETS / (symbols - 1)) for i in range(symbols))
+
+
+def _dirty_lines(profile, symbols):
+    """Dirty-line counts from none to the whole L1-D in four steps."""
+    return tuple(round(i * profile.geometries["l1d"].lines / 3) for i in range(4))
+
+
+CHANNELS = {
+    "kernel": Channel(_kernel, lambda profile, symbols: SYSCALLS),
+    **{name: Channel(_prime_probe, _touched_sets, resource=name, noise_resource=name)
+       for name in ("l1d", "l1i", "l2", "tlb", "btb")},
+    "bhb": Channel(_bhb, lambda profile, symbols: ("not_taken", "taken"),
+                   resource="bhb", noise_resource="btb"),
+    "flush_latency": Channel(_flush_latency, _dirty_lines, draws=2, extra=("online",)),
+    "interrupt": Channel(_interrupt, lambda profile, symbols: ("no", "yes"), draws=2),
+}
+
+
+def run_channel(profile: PlatformProfile, spec: ChannelSpec, **build_kwargs) -> SampleSet:
+    """Run one channel of ``CHANNELS``. Every iteration, warmup included,
+    switches to the sender, sends its symbol, switches to the receiver and
+    measures; rows after the warmup are recorded. (The cross-core side
+    channel has its own entry point and result type.)"""
+    channel = CHANNELS.get(spec.channel_kind)
+    if channel is None:
+        raise ValueError(f"unknown channel kind {spec.channel_kind!r}")
+    alphabet = spec.input_alphabet or channel.alphabet(profile, symbols=4)
     rng = np.random.default_rng(spec.seed)
     total = spec.warmup + spec.iterations
     schedule = rng.integers(0, len(alphabet), size=total)
-    phases = rng.uniform(0.0, period, size=total)
-    noise = _noise(rng, spec.noise_sigma, 2 * total)
-    inputs, outputs = [], []
-
-    def record(it, value, j=0):
-        if it >= spec.warmup:
-            inputs.append(str(alphabet[schedule[it]]))
-            outputs.append(value + noise[2 * it + j])
-
+    sim, send, measure, meta = channel.setup(profile, spec, alphabet, rng, build_kwargs)
+    noise = _noise(rng, spec.noise_sigma, channel.draws * total)
+    inputs, columns = [], [[] for _ in range(1 + len(channel.extra))]
     for it in range(total):
-        armed = alphabet[schedule[it]] == "yes"
+        symbol = alphabet[schedule[it]]
         sim.domain_switch(SENDER)
-        trace_in = sim.domain_switch(RECEIVER)
-        base = slice_cycles - trace_in.total_elapsed
-        fires = armed and irq in sim.irqs.unmasked()
-        if fires:
-            offset = phases[it]
-            sim.irqs.ensure(irq).masked = True  # pending until sender acks
-            record(it, offset)
-            record(it, base - offset - handler, j=1)
-        else:
-            record(it, base)
-        if armed and spec.scenario != "protected":
-            sim.irqs.ensure(irq).masked = False  # sender acks in its next slice
-    return SampleSet(inputs, np.array(outputs),
-                     metadata=_meta(spec, profile, alphabet=alphabet,
-                                    slice_cycles=slice_cycles, period=period))
+        send(symbol)
+        rows = measure(it, sim.domain_switch(RECEIVER))
+        if it < spec.warmup:
+            continue
+        j = channel.draws * it
+        for row in rows:
+            inputs.append(str(symbol))
+            for column, value in zip(columns, row):
+                column.append(value + noise[j])
+                j += 1
+    return SampleSet(inputs, np.array(columns[0]),
+                     metadata=_meta(spec, profile, channel.resource,
+                                    alphabet=alphabet, **meta),
+                     extra={name: np.array(column)
+                            for name, column in zip(channel.extra, columns[1:])})
 
 
 @dataclass
@@ -478,7 +451,7 @@ def run_llc_side_channel(profile: PlatformProfile, spec: ChannelSpec,
     recovered, hot_set = _decode_trace(trace, spy_sets, baseline, key_bits)
     accuracy = float(np.mean(recovered == key))
     return SideChannelResult(trace, spy_sets, key, recovered, accuracy, hot_set,
-                             _meta(spec, profile, key_bits=key_bits,
+                             _meta(spec, profile, None, key_bits=key_bits,
                                    gap_zero=GAP_ZERO, gap_one=GAP_ONE))
 
 
@@ -532,10 +505,11 @@ def _decode_trace(trace: np.ndarray, spy_sets: list, baseline: float,
     return bits, spy_sets[row]
 
 
-def _meta(spec: ChannelSpec, profile: PlatformProfile, **kw) -> dict:
+def _meta(spec: ChannelSpec, profile: PlatformProfile, resource: str | None,
+          **kw) -> dict:
     meta = {
         "channel": spec.channel_kind,
-        "resource": spec.resource,
+        "resource": resource,
         "scenario": spec.scenario,
         "seed": spec.seed,
         "iterations": spec.iterations,
@@ -546,23 +520,3 @@ def _meta(spec: ChannelSpec, profile: PlatformProfile, **kw) -> dict:
     for k, v in kw.items():
         meta[k] = list(v) if isinstance(v, (tuple, set)) else v
     return meta
-
-
-RUNNERS = {
-    "kernel": run_kernel_channel,
-    "flush_latency": run_flush_latency_channel,
-    "interrupt": run_interrupt_channel,
-}
-
-
-def run_channel(profile: PlatformProfile, spec: ChannelSpec, **build_kwargs) -> SampleSet:
-    """Dispatch a sample-producing channel (the cross-core side channel has
-    its own entry point and result type)."""
-    if spec.channel_kind in PRIME_PROBE_RESOURCES:
-        pp = ChannelSpec(spec.channel_kind, spec.scenario, spec.iterations,
-                         spec.seed, spec.channel_kind, spec.input_alphabet,
-                         spec.noise_sigma, spec.warmup)
-        return run_prime_probe(profile, pp, **build_kwargs)
-    if spec.channel_kind in RUNNERS:
-        return RUNNERS[spec.channel_kind](profile, spec, **build_kwargs)
-    raise ValueError(f"unknown channel kind {spec.channel_kind!r}")

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
+from tcsim.channels import CHANNELS
 from tcsim.profiles import get_profile
+from tcsim.scenarios import RECEIVER, SENDER
 
-CHANNEL_NAMES = ("kernel", "l1d", "l1i", "l2", "tlb", "btb", "bhb",
-                 "flush_latency", "interrupt", "llc_side")
+CHANNEL_NAMES = (*CHANNELS, "llc_side")
 SCENARIO_NAMES = ("raw", "full_flush", "protected")
 
 
@@ -185,6 +186,13 @@ def _validate(cfg: RunConfig, source: str):
         raise ConfigError(
             f"{source}: colour_split must be two positive shares summing to 100,"
             f" got {cfg.colour_split}")
+    domains = {domain for _, domain in cfg.irq_owners} - {SENDER, RECEIVER}
+    if domains:
+        raise ConfigError(
+            f"{source}: unknown irq_owners domains {sorted(domains)}"
+            f" (known: {SENDER}, {RECEIVER})")
+    if cfg.pad_cycles != "auto" and cfg.pad_cycles < 0:
+        raise ConfigError(f"{source}: pad_cycles must be auto or >= 0, got {cfg.pad_cycles}")
     if cfg.frames < 1024:
         raise ConfigError(f"{source}: frames must be >= 1024")
     if cfg.iterations < 1 or cfg.warmup < 0:

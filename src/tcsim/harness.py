@@ -15,14 +15,15 @@ from pathlib import Path
 import numpy as np
 
 import tcsim
-from tcsim.channels import (ChannelSpec, SampleSet, run_channel,
-                            run_llc_side_channel)
-from tcsim.config import RunConfig
+from tcsim.channels import (CHANNELS, ChannelSpec, SampleSet, probe,
+                            probe_window, run_channel, run_llc_side_channel)
+from tcsim.config import ConfigError, RunConfig
 from tcsim.kernel import Simulator
 from tcsim.microarch import colour_count
 from tcsim.profiles import PlatformProfile, get_profile
 from tcsim.scenarios import RECEIVER, SENDER, build_scenario
-from tcsim.stats import channel_matrix, leak_verdict, report_record
+from tcsim.stats import (DegenerateAlphabet, TooFewSamples, channel_matrix,
+                         leak_verdict, report_record)
 
 SWITCH_WORKLOADS = ("idle", "l1d", "l1i", "l2", "llc")
 
@@ -35,8 +36,7 @@ def cell_seed(master: int, channel: str, scenario: str) -> int:
 def noise_sigma_for(profile: PlatformProfile, channel: str, pct: float) -> float:
     if pct <= 0:
         return 0.0
-    resource = channel if channel in profile.geometries else \
-        ("btb" if channel in ("btb", "bhb") else profile.partitioned_cache)
+    resource = CHANNELS[channel].noise_resource or profile.partitioned_cache
     return pct / 100.0 * profile.latency.params(resource).hit_cycles
 
 
@@ -119,15 +119,9 @@ def _run_cell(profile, cfg: RunConfig, channel: str, scenario: str,
             "trace_csv": f"llc_side_{scenario}_trace.csv",
             "metadata": result.metadata,
         }
-    sigma = noise_sigma_for(profile, channel, cfg.noise_sigma_pct)
-    alphabet = ()
-    if channel in ("l1d", "l1i", "l2", "tlb", "btb"):
-        from tcsim.channels import default_alphabet
-        alphabet = default_alphabet(channel, cfg.symbols)
     spec = ChannelSpec(channel, scenario, iterations=cfg.iterations, seed=seed,
-                       resource=channel if channel in
-                       ("l1d", "l1i", "l2", "tlb", "btb", "bhb") else None,
-                       input_alphabet=alphabet, noise_sigma=sigma,
+                       input_alphabet=CHANNELS[channel].alphabet(profile, cfg.symbols),
+                       noise_sigma=noise_sigma_for(profile, channel, cfg.noise_sigma_pct),
                        warmup=cfg.warmup)
     samples = run_channel(profile, spec, **build_kwargs)
     csv_name = f"{channel}_{scenario}.csv"
@@ -135,7 +129,7 @@ def _run_cell(profile, cfg: RunConfig, channel: str, scenario: str,
     cell = {
         "samples_csv": csv_name,
         "metadata": samples.metadata,
-        **_measure(samples.inputs, samples.outputs, cfg, seed),
+        **_measure(samples.inputs, samples.outputs, cfg, seed, f"{channel}/{scenario}"),
     }
     matrix_name = f"{channel}_{scenario}_matrix.csv"
     _write_matrix(samples.inputs, samples.outputs, cfg.matrix_bins, outdir / matrix_name)
@@ -144,13 +138,18 @@ def _run_cell(profile, cfg: RunConfig, channel: str, scenario: str,
         extra_csv = f"{channel}_{scenario}_{name}.csv"
         SampleSet(samples.inputs, extra).to_csv(outdir / extra_csv)
         cell[name] = {"samples_csv": extra_csv,
-                      **_measure(samples.inputs, extra, cfg, seed)}
+                      **_measure(samples.inputs, extra, cfg, seed, f"{channel}/{scenario}")}
     return cell
 
 
-def _measure(inputs, outputs, cfg: RunConfig, seed: int) -> dict:
-    verdict = leak_verdict(inputs, outputs, shuffles=cfg.shuffles, seed=seed + 1,
-                           grid_points=cfg.grid_points, eps=cfg.kde_eps)
+def _measure(inputs, outputs, cfg: RunConfig, seed: int, cell: str) -> dict:
+    try:
+        verdict = leak_verdict(inputs, outputs, shuffles=cfg.shuffles, seed=seed + 1,
+                               grid_points=cfg.grid_points, eps=cfg.kde_eps)
+    except (DegenerateAlphabet, TooFewSamples) as exc:
+        raise ConfigError(
+            f"cell {cell}: {exc}; raise iterations (now {cfg.iterations}) so that"
+            f" every symbol gets at least 2 samples") from None
     return report_record(verdict)
 
 
@@ -182,18 +181,11 @@ def profile_summary(profile: PlatformProfile) -> dict:
 
 def _switch_workload(system, sim: Simulator, workload: str):
     """One slice of the named receiver workload (a window probe)."""
-    from tcsim.channels import (WINDOW_SETS, _physical_window, _probe,
-                                _virtual_window, _first_colour)
     if workload == "idle":
         return lambda: None
     name = "l2" if (workload == "llc" and "llc" not in sim.machine.caches) else workload
-    cache = sim.machine.cache(name)
-    if cache.geometry.indexing == "virtual":
-        window = _virtual_window(sim, RECEIVER, cache, WINDOW_SETS)
-    else:
-        window = _physical_window(sim, RECEIVER, cache, _first_colour(sim, RECEIVER))
-    kind = "ifetch" if name == "l1i" else "read"
-    return lambda: _probe(cache, RECEIVER, window, kind)
+    window = probe_window(sim, RECEIVER, name)
+    return lambda: probe(sim, RECEIVER, name, window)
 
 
 def measure_switch_costs(profile: PlatformProfile, scenario: str,

@@ -35,8 +35,6 @@ class ScenarioSystem:
     sim: Simulator
     scenario: str
     profile: PlatformProfile
-    sender: str = SENDER
-    receiver: str = RECEIVER
 
     @property
     def partitioned_cache(self) -> str:

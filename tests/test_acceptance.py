@@ -14,9 +14,7 @@ import pytest
 
 from oracles import (analytic_mixture_mi, gaussian_mixture_dataset,
                      pools_cache_disjoint, quadrature_kde_mi)
-from tcsim.channels import (ChannelSpec, run_flush_latency_channel,
-                            run_interrupt_channel, run_kernel_channel,
-                            run_llc_side_channel, run_prime_probe)
+from tcsim.channels import ChannelSpec, run_channel, run_llc_side_channel
 from tcsim.colouring import build_frames, partition_pool
 from tcsim.config import parse_config
 from tcsim.harness import measure_switch_costs, run_scenario
@@ -98,7 +96,7 @@ def test_05_kernel_image_channel():
     verdicts = {}
     for scenario in ("raw", "protected"):
         spec = ChannelSpec("kernel", scenario, iterations=5000, seed=101)
-        samples = run_kernel_channel(HASWELL, spec)
+        samples = run_channel(HASWELL, spec)
         verdicts[scenario] = leak_verdict(samples.inputs, samples.outputs,
                                           shuffles=100, seed=102)
     raw, prot = verdicts["raw"], verdicts["protected"]
@@ -118,9 +116,8 @@ def test_06_intra_core_suite():
     for resource in ("l1d", "l1i", "l2", "tlb", "btb", "bhb"):
         cells = {}
         for scenario in ("raw", "full_flush", "protected"):
-            spec = ChannelSpec(resource, scenario, iterations=1200, seed=203,
-                               resource=resource)
-            samples = run_prime_probe(HASWELL, spec)
+            spec = ChannelSpec(resource, scenario, iterations=1200, seed=203)
+            samples = run_channel(HASWELL, spec)
             cells[scenario] = leak_verdict(samples.inputs, samples.outputs,
                                            shuffles=100, seed=204)
         assert cells["raw"].leak, resource
@@ -137,7 +134,7 @@ def test_07_flush_latency_channel():
     results = {}
     for scenario in ("raw", "protected"):
         spec = ChannelSpec("flush_latency", scenario, iterations=800, seed=303)
-        samples = run_flush_latency_channel(HASWELL, spec)
+        samples = run_channel(HASWELL, spec)
         results[scenario] = samples
     unpadded = results["raw"]
     groups = {}
@@ -157,12 +154,12 @@ def test_07_flush_latency_channel():
 
 def test_08_interrupt_channel():
     spec = ChannelSpec("interrupt", "raw", iterations=600, seed=404)
-    shared = run_interrupt_channel(HASWELL, spec)
+    shared = run_channel(HASWELL, spec)
     slice_cycles = shared.metadata["slice_cycles"]
     yes = np.array([o for i, o in zip(shared.inputs, shared.outputs) if i == "yes"])
     assert yes.std() >= 0.4 * slice_cycles
     spec = ChannelSpec("interrupt", "protected", iterations=600, seed=404)
-    partitioned = run_interrupt_channel(HASWELL, spec)
+    partitioned = run_channel(HASWELL, spec)
     assert float(np.std(partitioned.outputs)) == 0.0
     v = leak_verdict(partitioned.inputs, partitioned.outputs, shuffles=100, seed=405)
     assert not v.leak

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
-from tcsim.channels import (ChannelSpec, SampleSet, run_channel,
-                            run_flush_latency_channel, run_interrupt_channel,
-                            run_kernel_channel, run_llc_side_channel,
-                            run_prime_probe)
+from tcsim import channels
+from tcsim.channels import (CHANNELS, ChannelSpec, SampleSet, run_channel,
+                            run_llc_side_channel)
+from tcsim.config import CHANNEL_NAMES
+from tcsim.harness import noise_sigma_for
 from tcsim.profiles import get_profile
+from tcsim.scenarios import build_scenario
 from tcsim.stats import estimate_mi
 
 HASWELL = get_profile("haswell")
@@ -22,24 +24,20 @@ def by_symbol(samples: SampleSet, outputs=None):
     return {k: np.array(v) for k, v in groups.items()}
 
 
-def spec(kind, scenario, *, iterations=80, seed=7, resource=None, alphabet=(),
-         sigma=0.0):
+def spec(kind, scenario, *, iterations=80, seed=7, alphabet=(), sigma=0.0):
     return ChannelSpec(kind, scenario, iterations=iterations, seed=seed,
-                       resource=resource or (kind if kind in
-                                             ("l1d", "l1i", "l2", "tlb", "btb", "bhb")
-                                             else None),
                        input_alphabet=alphabet, noise_sigma=sigma)
 
 
 class TestPrimeProbe:
     def test_raw_l1d_full_beats_idle(self):
-        ss = run_prime_probe(HASWELL, spec("l1d", "raw", alphabet=(0, 32)))
+        ss = run_channel(HASWELL, spec("l1d", "raw", alphabet=(0, 32)))
         groups = by_symbol(ss)
         assert groups["32"].min() > groups["0"].max()
 
     @pytest.mark.parametrize("resource", ["l1d", "l1i", "l2", "tlb", "btb"])
     def test_raw_monotone_in_touched_sets(self, resource):
-        ss = run_prime_probe(HASWELL, spec(resource, "raw"))
+        ss = run_channel(HASWELL, spec(resource, "raw"))
         groups = by_symbol(ss)
         means = [groups[k].mean() for k in sorted(groups, key=int)]
         assert all(a < b for a, b in zip(means, means[1:]))
@@ -47,19 +45,15 @@ class TestPrimeProbe:
     @pytest.mark.parametrize("scenario", ["full_flush", "protected"])
     @pytest.mark.parametrize("resource", ["l1d", "l2", "tlb", "btb", "bhb"])
     def test_mitigated_outputs_exactly_constant(self, scenario, resource):
-        ss = run_prime_probe(HASWELL, spec(resource, scenario))
+        ss = run_channel(HASWELL, spec(resource, scenario))
         assert len(set(ss.outputs.tolist())) == 1
 
     def test_bhb_direction_signal(self):
-        raw = by_symbol(run_prime_probe(HASWELL, spec("bhb", "raw")))
+        raw = by_symbol(run_channel(HASWELL, spec("bhb", "raw")))
         assert raw["not_taken"].min() > raw["taken"].max()
 
-    def test_unknown_resource_rejected(self):
-        with pytest.raises(ValueError):
-            run_prime_probe(HASWELL, spec("l1d", "raw", resource="l4"))
-
     def test_sabre_l1d_raw_leaks(self):
-        ss = run_prime_probe(SABRE, spec("l1d", "raw", iterations=60))
+        ss = run_channel(SABRE, spec("l1d", "raw", iterations=60))
         groups = by_symbol(ss)
         means = [groups[k].mean() for k in sorted(groups, key=int)]
         assert means[0] < means[-1]
@@ -67,7 +61,7 @@ class TestPrimeProbe:
 
 class TestKernelChannel:
     def test_raw_signal_bands(self):
-        ss = run_kernel_channel(HASWELL, spec("kernel", "raw", iterations=120))
+        ss = run_channel(HASWELL, spec("kernel", "raw", iterations=120))
         groups = by_symbol(ss)
         # footprint order: Signal > SetPriority > Poll > Idle
         assert groups["Signal"].min() > groups["SetPriority"].max()
@@ -75,22 +69,22 @@ class TestKernelChannel:
         assert groups["Poll"].min() > groups["Idle"].max()
 
     def test_protected_outputs_constant(self):
-        ss = run_kernel_channel(HASWELL, spec("kernel", "protected", iterations=60))
+        ss = run_channel(HASWELL, spec("kernel", "protected", iterations=60))
         assert len(set(ss.outputs.tolist())) == 1
 
     def test_idle_only_alphabet_constant(self):
-        ss = run_kernel_channel(HASWELL, spec("kernel", "raw", iterations=40,
-                                              alphabet=("Idle",)))
+        ss = run_channel(HASWELL, spec("kernel", "raw", iterations=40,
+                                       alphabet=("Idle",)))
         assert float(np.var(ss.outputs)) == 0.0
 
     def test_unknown_syscall_rejected(self):
         with pytest.raises(ValueError):
-            run_kernel_channel(HASWELL, spec("kernel", "raw", alphabet=("Reboot",)))
+            run_channel(HASWELL, spec("kernel", "raw", alphabet=("Reboot",)))
 
 
 class TestFlushLatencyChannel:
     def test_unpadded_offline_strictly_increasing(self):
-        ss = run_flush_latency_channel(HASWELL, spec("flush_latency", "raw"))
+        ss = run_channel(HASWELL, spec("flush_latency", "raw"))
         groups = by_symbol(ss)
         keys = sorted(groups, key=int)
         for g in groups.values():
@@ -99,25 +93,25 @@ class TestFlushLatencyChannel:
         assert all(a < b for a, b in zip(means, means[1:]))
 
     def test_padded_offline_constant(self):
-        ss = run_flush_latency_channel(HASWELL, spec("flush_latency", "protected"))
+        ss = run_channel(HASWELL, spec("flush_latency", "protected"))
         assert len(set(ss.outputs.tolist())) == 1
         assert len(set(ss.extra["online"].tolist())) == 1
         assert ss.metadata["padded"]
 
     def test_zero_footprint_zero_variance(self):
-        ss = run_flush_latency_channel(
-            HASWELL, spec("flush_latency", "raw", alphabet=(0,), iterations=30))
+        ss = run_channel(HASWELL, spec("flush_latency", "raw", alphabet=(0,),
+                                       iterations=30))
         assert float(np.var(ss.outputs)) == 0.0
 
     def test_online_mirrors_offline(self):
-        ss = run_flush_latency_channel(HASWELL, spec("flush_latency", "raw"))
+        ss = run_channel(HASWELL, spec("flush_latency", "raw"))
         slice_cycles = 200_000
         assert np.allclose(ss.outputs + ss.extra["online"], 2 * slice_cycles)
 
 
 class TestInterruptChannel:
     def test_unpartitioned_yes_bimodal(self):
-        ss = run_interrupt_channel(HASWELL, spec("interrupt", "raw", iterations=300))
+        ss = run_channel(HASWELL, spec("interrupt", "raw", iterations=300))
         groups = by_symbol(ss)
         slice_cycles = ss.metadata["slice_cycles"]
         assert groups["no"].std() == 0.0
@@ -125,23 +119,28 @@ class TestInterruptChannel:
         assert groups["yes"].std() >= 0.4 * slice_cycles
 
     def test_partitioned_constant_full_slice(self):
-        ss = run_interrupt_channel(HASWELL, spec("interrupt", "protected",
-                                                 iterations=200))
+        ss = run_channel(HASWELL, spec("interrupt", "protected", iterations=200))
         groups = by_symbol(ss)
         for g in groups.values():
             assert g.std() == 0.0
         assert set(np.concatenate(list(groups.values())).tolist()) == {
             float(ss.outputs[0])}
 
-    def test_mask_invariant_holds_during_run(self):
-        system_spec = spec("interrupt", "protected", iterations=50)
-        ss = run_interrupt_channel(HASWELL, system_spec)
-        assert ss is not None  # invariant asserted through the switch log below
+    def test_mask_invariant_holds_during_run(self, monkeypatch):
+        systems = []
+
+        def capture(*args, **kwargs):
+            systems.append(build_scenario(*args, **kwargs))
+            return systems[-1]
+
+        monkeypatch.setattr(channels, "build_scenario", capture)
+        run_channel(HASWELL, spec("interrupt", "protected", iterations=50))
+        (system,) = systems
+        assert system.sim.irq_checks > 0 and system.sim.irq_violations == 0
 
     def test_alphabet_validated(self):
         with pytest.raises(ValueError):
-            run_interrupt_channel(HASWELL, spec("interrupt", "raw",
-                                                alphabet=("maybe",)))
+            run_channel(HASWELL, spec("interrupt", "raw", alphabet=("maybe",)))
 
 
 class TestLlcSideChannel:
@@ -185,21 +184,21 @@ class TestLlcSideChannel:
 
 class TestReproducibilityAndNoise:
     def test_sampleset_bit_exact_reproducible(self):
-        a = run_prime_probe(HASWELL, spec("l1d", "raw", sigma=0.1))
-        b = run_prime_probe(HASWELL, spec("l1d", "raw", sigma=0.1))
+        a = run_channel(HASWELL, spec("l1d", "raw", sigma=0.1))
+        b = run_channel(HASWELL, spec("l1d", "raw", sigma=0.1))
         assert a.inputs == b.inputs
         assert np.array_equal(a.outputs, b.outputs)
 
     def test_different_seed_different_schedule(self):
-        a = run_prime_probe(HASWELL, spec("l1d", "raw", seed=1))
-        b = run_prime_probe(HASWELL, spec("l1d", "raw", seed=2))
+        a = run_channel(HASWELL, spec("l1d", "raw", seed=1))
+        b = run_channel(HASWELL, spec("l1d", "raw", seed=2))
         assert a.inputs != b.inputs
 
     def test_scenario_monotonicity_of_mi(self):
         mis = {}
         for scenario in ("raw", "full_flush", "protected"):
-            ss = run_prime_probe(HASWELL, spec("l1d", scenario, iterations=150,
-                                               sigma=0.08))
+            ss = run_channel(HASWELL, spec("l1d", scenario, iterations=150,
+                                           sigma=0.08))
             mis[scenario] = estimate_mi(ss.inputs, ss.outputs).value_bits
         assert mis["protected"] <= mis["raw"]
         assert mis["full_flush"] <= mis["raw"]
@@ -207,13 +206,13 @@ class TestReproducibilityAndNoise:
     def test_noise_never_flips_wide_separations(self):
         # deterministic separation is hundreds of cycles; 6 sigma below that
         for seed in range(3):
-            ss = run_prime_probe(HASWELL, spec("l1d", "raw", seed=seed, sigma=10.0,
-                                               alphabet=(0, 32)))
+            ss = run_channel(HASWELL, spec("l1d", "raw", seed=seed, sigma=10.0,
+                                           alphabet=(0, 32)))
             groups = by_symbol(ss)
             assert groups["32"].min() > groups["0"].max()
 
     def test_csv_round_trip(self, tmp_path):
-        ss = run_prime_probe(HASWELL, spec("l1d", "raw", sigma=0.05))
+        ss = run_channel(HASWELL, spec("l1d", "raw", sigma=0.05))
         path = tmp_path / "samples.csv"
         ss.to_csv(path)
         back = SampleSet.from_csv(path)
@@ -225,3 +224,29 @@ class TestReproducibilityAndNoise:
         assert ss.metadata["resource"] == "tlb"
         with pytest.raises(ValueError):
             run_channel(HASWELL, spec("warp_drive", "raw"))
+
+
+class TestRegistry:
+    """Every registered channel runs through the one loop on both profiles."""
+
+    @pytest.mark.parametrize("profile", [HASWELL, SABRE], ids=lambda p: p.name)
+    @pytest.mark.parametrize("name", list(CHANNELS))
+    def test_every_channel_runs(self, name, profile):
+        ss = run_channel(profile, spec(name, "raw", iterations=20))
+        assert ss.metadata["channel"] == name
+        assert ss.metadata["resource"] == CHANNELS[name].resource
+        # the interrupt channel records a cut slice as two intervals
+        assert len(ss.inputs) >= 20 if name == "interrupt" else len(ss.inputs) == 20
+        for extra in ss.extra.values():
+            assert len(extra) == len(ss.inputs)
+
+    def test_config_names_follow_registry(self):
+        assert CHANNEL_NAMES == (*CHANNELS, "llc_side")
+
+    @pytest.mark.parametrize("profile", [HASWELL, SABRE], ids=lambda p: p.name)
+    @pytest.mark.parametrize("name", list(CHANNELS))
+    def test_noise_scales_by_registry_resource(self, name, profile):
+        resource = CHANNELS[name].noise_resource or profile.partitioned_cache
+        hit = profile.latency.params(resource).hit_cycles
+        assert noise_sigma_for(profile, name, 50.0) == pytest.approx(0.5 * hit)
+        assert noise_sigma_for(profile, name, 0.0) == 0.0

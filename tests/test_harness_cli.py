@@ -164,14 +164,24 @@ class TestCli:
         cfg_path.write_text(bad)
         assert main(["run", str(cfg_path), "-o", str(tmp_path / "out")]) == 3
 
-    @pytest.mark.parametrize("case", ["unknown profile", "switch-cost profile",
+    @pytest.mark.parametrize("case", ["unknown profile", "unknown irq owner",
+                                      "negative pad", "too few iterations",
+                                      "switch-cost profile",
                                       "analyze missing csv", "analyze one symbol",
                                       "analyze missing column", "analyze bad output"])
     def test_bad_input_exits_2_with_one_line(self, case, tmp_path, capsys):
-        if case == "unknown profile":
+        configs = {
+            "unknown profile": MINI.replace("profile = haswell", "profile = nope"),
+            "unknown irq owner": MINI + "\n[switch]\nirq_owners = 5:d7\n",
+            "negative pad": MINI + "\n[switch]\npad_cycles = -5\n",
+            "too few iterations": MINI.replace("run = bhb", "run = kernel")
+                                      .replace("iterations = 60", "iterations = 3"),
+        }
+        out = tmp_path / "out"
+        if case in configs:
             cfg_path = tmp_path / "bad.cfg"
-            cfg_path.write_text(MINI.replace("profile = haswell", "profile = nope"))
-            argv = ["run", str(cfg_path), "-o", str(tmp_path / "out")]
+            cfg_path.write_text(configs[case])
+            argv = ["run", str(cfg_path), "-o", str(out)]
         elif case == "switch-cost profile":
             argv = ["switch-cost", "nope", "raw"]
         elif case == "analyze missing csv":
@@ -188,6 +198,9 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("config error: ")
         assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+        assert not (out / "report.json").exists()
+        if case in configs and case != "too few iterations":
+            assert not out.exists()  # rejected before anything ran
 
     def test_console_script_installed(self):
         proc = subprocess.run([sys.executable, "-m", "tcsim.cli", "profiles"],
