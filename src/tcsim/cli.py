@@ -18,7 +18,8 @@ from importlib import resources
 from pathlib import Path
 
 from tcsim.channels import SampleSet
-from tcsim.config import ConfigError, load_config, parse_config
+from tcsim.config import (MIN_GRID_POINTS, MIN_SHUFFLES, ConfigError,
+                          load_config, parse_config)
 from tcsim.harness import (_jsonable, measure_switch_costs, profile_summary,
                            run_scenario)
 from tcsim.kernel import PadOverrun
@@ -61,6 +62,13 @@ def cmd_run(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    if args.shuffles < MIN_SHUFFLES:
+        raise ConfigError(f"--shuffles must be >= {MIN_SHUFFLES}, got {args.shuffles}")
+    if args.grid_points < MIN_GRID_POINTS:
+        raise ConfigError(
+            f"--grid-points must be >= {MIN_GRID_POINTS}, got {args.grid_points}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     try:
         samples = SampleSet.from_csv(args.samples)
     except OSError as exc:
@@ -122,9 +130,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="measure leakage of a samples CSV")
     p.add_argument("samples", help="CSV with iteration,input,output columns")
-    p.add_argument("--shuffles", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--grid-points", type=int, default=4096)
+    p.add_argument("--shuffles", type=int, default=100,
+                   help=f"zero-leakage bound trials (>= {MIN_SHUFFLES})")
+    p.add_argument("--seed", type=int, default=0, help="shuffle seed (>= 0)")
+    p.add_argument("--grid-points", type=int, default=4096,
+                   help=f"KDE integration grid points (>= {MIN_GRID_POINTS})")
     p.add_argument("-o", "--out", default=None, help="also write the record here")
     p.set_defaults(fn=cmd_analyze)
 

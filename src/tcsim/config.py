@@ -7,6 +7,7 @@ into the report.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from tcsim.channels import CHANNELS
@@ -15,6 +16,9 @@ from tcsim.scenarios import RECEIVER, SENDER
 
 CHANNEL_NAMES = (*CHANNELS, "llc_side")
 SCENARIO_NAMES = ("raw", "full_flush", "protected")
+# the shuffle bound needs a sample sd; the KDE grid needs room for a kernel
+MIN_SHUFFLES = 2
+MIN_GRID_POINTS = 16
 
 
 class ConfigError(ValueError):
@@ -193,17 +197,24 @@ def _validate(cfg: RunConfig, source: str):
             f" (known: {SENDER}, {RECEIVER})")
     if cfg.pad_cycles != "auto" and cfg.pad_cycles < 0:
         raise ConfigError(f"{source}: pad_cycles must be auto or >= 0, got {cfg.pad_cycles}")
+    if not (math.isfinite(cfg.irq_margin_pct) and cfg.irq_margin_pct >= 0):
+        raise ConfigError(f"{source}: irq_margin_pct must be >= 0, got {cfg.irq_margin_pct}")
     if cfg.frames < 1024:
         raise ConfigError(f"{source}: frames must be >= 1024")
     if cfg.iterations < 1 or cfg.warmup < 0:
         raise ConfigError(f"{source}: iterations must be >= 1 and warmup >= 0")
-    if cfg.shuffles < 2 or cfg.grid_points < 16 or cfg.matrix_bins < 2:
+    if cfg.shuffles < MIN_SHUFFLES or cfg.grid_points < MIN_GRID_POINTS or cfg.matrix_bins < 2:
         raise ConfigError(f"{source}: invalid stats settings")
+    if not (math.isfinite(cfg.kde_eps) and cfg.kde_eps > 0):
+        raise ConfigError(f"{source}: kde_eps must be > 0, got {cfg.kde_eps}")
     if not (2 <= cfg.symbols <= 16):
         raise ConfigError(f"{source}: symbols must be in 2..16")
     for s in cfg.overhead_shares:
         if not (0 < s <= 1):
             raise ConfigError(f"{source}: overhead shares must be in (0, 1]")
+    if cfg.overhead_working_set_kib <= 0:
+        raise ConfigError(f"{source}: overhead_working_set_kib must be > 0,"
+                          f" got {cfg.overhead_working_set_kib}")
 
 
 def load_config(path) -> RunConfig:

@@ -10,8 +10,10 @@ random inputs 100 times: a leak is declared iff M > M0, strictly.
 Densities are evaluated by linear binning plus discrete convolution with the
 kernel, which is numerically indistinguishable from direct summation here
 (the grid step is far below any bandwidth) and fast enough to pay for the 100
-shuffle re-estimates. ``DensityEntry.pdf`` keeps the direct form for point
-evaluation; the two are cross-checked in the test suite.
+shuffle re-estimates. The test suite cross-checks it against a direct
+Gaussian-sum density. A dataset is validated and grouped by symbol once; an
+output permutation only changes which values each symbol's index array
+picks, so every shuffle reuses the grouping.
 """
 
 from __future__ import annotations
@@ -36,43 +38,28 @@ class EmptyInputClass(ValueError):
     """An input symbol has no samples."""
 
 
+def _quantile(ordered: np.ndarray, q: float) -> float:
+    """Quantile q of sorted samples, bit-identical to ``np.percentile`` at
+    100*q: numpy's linear rule at index (n-1)*q, interpolated in the two
+    directions numpy's ``_lerp`` uses."""
+    pos = (len(ordered) - 1) * q
+    i = int(pos)
+    t = pos - i
+    a, b = float(ordered[i]), float(ordered[i + 1])
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
+
+
 def silverman_bandwidth(samples: np.ndarray, eps: float = 1e-6) -> float:
     """1.06 * min(sd, IQR/1.34) * n^(-1/5); zero-spread input degrades to eps."""
     n = len(samples)
     if n < 2:
         raise TooFewSamples(f"need at least 2 samples, got {n}")
     sd = float(np.std(samples, ddof=1))
-    q75, q25 = np.percentile(samples, [75, 25])
-    spread = min(sd, float(q75 - q25) / 1.34)
+    ordered = np.sort(samples)
+    spread = min(sd, (_quantile(ordered, 0.75) - _quantile(ordered, 0.25)) / 1.34)
     if spread <= 0:
         return eps
     return float(1.06 * spread * n ** (-1 / 5))
-
-
-@dataclass
-class DensityEntry:
-    """Gaussian KDE for one input symbol's outputs."""
-
-    samples: np.ndarray
-    bandwidth: float
-    n: int
-
-    def pdf(self, points) -> np.ndarray:
-        pts = np.atleast_1d(np.asarray(points, dtype=float))
-        z = (pts[:, None] - self.samples[None, :]) / self.bandwidth
-        dens = np.exp(-0.5 * z * z).sum(axis=1)
-        return dens / (self.n * self.bandwidth * math.sqrt(2 * math.pi))
-
-
-def estimate_density(samples, eps: float = 1e-6) -> DensityEntry:
-    arr = np.asarray(samples, dtype=float)
-    if arr.ndim != 1:
-        arr = arr.ravel()
-    if len(arr) < 2:
-        raise TooFewSamples(f"need at least 2 samples, got {len(arr)}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("samples must be finite")
-    return DensityEntry(arr, silverman_bandwidth(arr, eps), len(arr))
 
 
 @dataclass(frozen=True)
@@ -114,22 +101,35 @@ class LeakVerdict:
     m0: ZeroLeakageBound
 
 
-def _group(inputs, outputs):
+def _index(inputs, outputs):
+    """(sorted symbols, float outputs, one index array per symbol)."""
     inputs = np.asarray(inputs)
     outputs = np.asarray(outputs, dtype=float)
     if inputs.shape != outputs.shape or inputs.ndim != 1:
         raise ValueError("inputs and outputs must be equal-length 1-d arrays")
     symbols = sorted(set(inputs.tolist()), key=str)
-    return symbols, [outputs[inputs == s] for s in symbols]
+    return symbols, outputs, [np.flatnonzero(inputs == s) for s in symbols]
+
+
+def _mi_plan(inputs, outputs):
+    """Validate a dataset for MI estimation and index it by symbol, once."""
+    symbols, outputs, index = _index(inputs, outputs)
+    if len(symbols) < 2:
+        raise DegenerateAlphabet(f"need >= 2 input symbols, got {len(symbols)}")
+    for s, idx in zip(symbols, index):
+        if len(idx) < 2:
+            raise TooFewSamples(f"symbol {s!r} has {len(idx)} samples")
+    return symbols, outputs, index
 
 
 def _binned_density(samples: np.ndarray, h: float, lo: float, step: float,
                     points: int) -> np.ndarray:
     """KDE on a uniform grid via linear binning + discrete-kernel convolution."""
     pos = (samples - lo) / step
-    left = np.clip(np.floor(pos).astype(int), 0, points - 1)
-    right = np.clip(left + 1, 0, points - 1)
-    frac = pos - np.floor(pos)
+    floor = np.floor(pos)
+    left = np.clip(floor.astype(int), 0, points - 1)
+    right = np.minimum(left + 1, points - 1)
+    frac = pos - floor
     hist = np.bincount(left, weights=1.0 - frac, minlength=points)
     hist += np.bincount(right, weights=frac, minlength=points)
     radius = min(points - 1, max(1, int(math.ceil(4 * h / step))))
@@ -138,6 +138,27 @@ def _binned_density(samples: np.ndarray, h: float, lo: float, step: float,
     kernel /= kernel.sum()
     dens = np.convolve(hist, kernel, mode="same")
     return dens / (len(samples) * step)
+
+
+def _mi_bits(groups: list, out_min: float, out_max: float, grid_points: int,
+             eps: float) -> tuple[float, list, float, float]:
+    """Unclamped MI of per-symbol output groups whose pooled range is
+    [out_min, out_max]: (mi, bandwidths, grid lo, grid hi)."""
+    bands = [silverman_bandwidth(g, eps) for g in groups]
+    h_max = max(bands)
+    lo = out_min - 3 * h_max
+    hi = out_max + 3 * h_max
+    step = (hi - lo) / (grid_points - 1)
+    prior = 1.0 / len(groups)
+    dens = [_binned_density(g, h, lo, step, grid_points)
+            for g, h in zip(groups, bands)]
+    mixture = prior * np.sum(dens, axis=0)
+    mi = 0.0
+    for f_i in dens:
+        mask = f_i > 1e-300
+        f_m = f_i[mask]
+        mi += prior * float(np.sum(f_m * np.log2(f_m / mixture[mask]))) * step
+    return mi, bands, lo, hi
 
 
 def estimate_mi(inputs, outputs, *, grid_points: int = 4096,
@@ -149,46 +170,31 @@ def estimate_mi(inputs, outputs, *, grid_points: int = 4096,
     with negligible density are skipped; the ratio f_i/f is bounded above by
     the inverse prior, so the integrand is well conditioned.
     """
-    symbols, groups = _group(inputs, outputs)
-    if len(symbols) < 2:
-        raise DegenerateAlphabet(f"need >= 2 input symbols, got {len(symbols)}")
-    for s, g in zip(symbols, groups):
-        if len(g) < 2:
-            raise TooFewSamples(f"symbol {s!r} has {len(g)} samples")
-    bands = {s: silverman_bandwidth(g, eps) for s, g in zip(symbols, groups)}
-    h_max = max(bands.values())
-    out_all = np.concatenate(groups)
-    lo = float(out_all.min()) - 3 * h_max
-    hi = float(out_all.max()) + 3 * h_max
-    step = (hi - lo) / (grid_points - 1)
-    prior = 1.0 / len(symbols)
-    dens = [
-        _binned_density(g, bands[s], lo, step, grid_points)
-        for s, g in zip(symbols, groups)
-    ]
-    mixture = prior * np.sum(dens, axis=0)
-    mi = 0.0
-    for f_i in dens:
-        mask = f_i > 1e-300
-        ratio = f_i[mask] / mixture[mask]
-        mi += prior * float(np.sum(f_i[mask] * np.log2(ratio))) * step
-    clamped = mi < 0
-    return MiEstimate(max(mi, 0.0), lo, hi, grid_points, clamped,
-                      bandwidths={str(s): bands[s] for s in symbols},
-                      n=len(out_all))
+    symbols, outputs, index = _mi_plan(inputs, outputs)
+    mi, bands, lo, hi = _mi_bits([outputs[i] for i in index],
+                                 float(outputs.min()), float(outputs.max()),
+                                 grid_points, eps)
+    return MiEstimate(max(mi, 0.0), lo, hi, grid_points, mi < 0,
+                      bandwidths={str(s): h for s, h in zip(symbols, bands)},
+                      n=len(outputs))
 
 
 def zero_leakage_bound(inputs, outputs, shuffles: int = 100, seed: int = 0, *,
                        grid_points: int = 4096, eps: float = 1e-6) -> ZeroLeakageBound:
     """Destroy input/output dependence by permuting the output column, re-run
-    the MI estimate, and repeat; the bound is mean + 1.645*sd of the trials."""
-    outputs = np.asarray(outputs, dtype=float)
+    the MI estimate, and repeat; the bound is mean + 1.645*sd of the trials.
+
+    Shuffle k's group for symbol s is ``outputs[perm[index_s]]``: the values,
+    in order, that regrouping ``outputs[perm]`` would give."""
+    _, outputs, index = _mi_plan(inputs, outputs)
+    out_min, out_max = float(outputs.min()), float(outputs.max())
     rng = np.random.default_rng(seed)
     mis = []
     for _ in range(shuffles):
         perm = rng.permutation(len(outputs))
-        est = estimate_mi(inputs, outputs[perm], grid_points=grid_points, eps=eps)
-        mis.append(est.value_bits)
+        mi = _mi_bits([outputs[perm[i]] for i in index], out_min, out_max,
+                      grid_points, eps)[0]
+        mis.append(max(mi, 0.0))
     mean = float(np.mean(mis))
     sd = float(np.std(mis, ddof=1)) if shuffles > 1 else 0.0
     return ZeroLeakageBound(mean + Z_95 * sd, shuffles, tuple(mis), mean, sd,
@@ -213,7 +219,8 @@ def channel_matrix(inputs, outputs, bins: int,
     """
     if bins < 2:
         raise ValueError("bins must be >= 2")
-    symbols, groups = _group(inputs, outputs)
+    symbols, outputs, index = _index(inputs, outputs)
+    groups = [outputs[i] for i in index]
     if alphabet is not None:
         missing = set(str(a) for a in alphabet) - set(str(s) for s in symbols)
         if missing:

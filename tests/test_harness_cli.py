@@ -165,15 +165,24 @@ class TestCli:
         assert main(["run", str(cfg_path), "-o", str(tmp_path / "out")]) == 3
 
     @pytest.mark.parametrize("case", ["unknown profile", "unknown irq owner",
-                                      "negative pad", "too few iterations",
-                                      "switch-cost profile",
+                                      "negative pad", "negative irq margin",
+                                      "zero kde eps", "empty overhead working set",
+                                      "too few iterations", "switch-cost profile",
                                       "analyze missing csv", "analyze one symbol",
-                                      "analyze missing column", "analyze bad output"])
+                                      "analyze missing column", "analyze bad output",
+                                      "analyze zero shuffles", "analyze one shuffle",
+                                      "analyze zero grid points",
+                                      "analyze one grid point",
+                                      "analyze negative seed"])
     def test_bad_input_exits_2_with_one_line(self, case, tmp_path, capsys):
         configs = {
             "unknown profile": MINI.replace("profile = haswell", "profile = nope"),
             "unknown irq owner": MINI + "\n[switch]\nirq_owners = 5:d7\n",
             "negative pad": MINI + "\n[switch]\npad_cycles = -5\n",
+            "negative irq margin": MINI + "\n[switch]\nirq_margin_pct = -50\n",
+            "zero kde eps": MINI + "\n[stats]\nkde_eps = 0\n",
+            "empty overhead working set": MINI + "colour_overhead = true\n"
+                                                 "overhead_working_set_kib = 0\n",
             "too few iterations": MINI.replace("run = bhb", "run = kernel")
                                       .replace("iterations = 60", "iterations = 3"),
         }
@@ -185,22 +194,28 @@ class TestCli:
         elif case == "switch-cost profile":
             argv = ["switch-cost", "nope", "raw"]
         elif case == "analyze missing csv":
-            argv = ["analyze", str(tmp_path / "missing.csv")]
+            argv = ["analyze", str(tmp_path / "missing.csv"), "-o", str(out)]
         else:
+            good = "iteration,input,output\n0,a,1.0\n1,a,2.0\n2,b,3.0\n3,b,5.0\n"
             rows = {"analyze one symbol": "iteration,input,output\n0,a,1.0\n1,a,2.0\n",
                     "analyze missing column": "iteration,output\n0,1.0\n1,2.0\n",
                     "analyze bad output": "iteration,input,output\n0,a,1.0\n1,b,x\n"}
+            flags = {"analyze zero shuffles": ["--shuffles", "0"],
+                     "analyze one shuffle": ["--shuffles", "1"],
+                     "analyze zero grid points": ["--grid-points", "0"],
+                     "analyze one grid point": ["--grid-points", "1"],
+                     "analyze negative seed": ["--seed", "-1"]}
             samples = tmp_path / "samples.csv"
-            samples.write_text(rows[case])
-            argv = ["analyze", str(samples)]
+            samples.write_text(rows.get(case, good))
+            argv = ["analyze", str(samples), *flags.get(case, []), "-o", str(out)]
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("config error: ")
         assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+        if case != "too few iterations":
+            assert not out.exists()  # rejected before anything was written
         assert not (out / "report.json").exists()
-        if case in configs and case != "too few iterations":
-            assert not out.exists()  # rejected before anything ran
 
     def test_console_script_installed(self):
         proc = subprocess.run([sys.executable, "-m", "tcsim.cli", "profiles"],

@@ -9,11 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (analytic_mixture_mi, gaussian_mixture_dataset,
-                     quadrature_kde_mi)
+from oracles import (analytic_mixture_mi, estimate_density,
+                     gaussian_mixture_dataset, percentile_bandwidth,
+                     quadrature_kde_mi, reference_bound, reference_mi)
+from tcsim import stats
 from tcsim.stats import (DegenerateAlphabet, EmptyInputClass, TooFewSamples,
-                         channel_matrix, estimate_density, estimate_mi,
-                         leak_verdict, silverman_bandwidth, zero_leakage_bound)
+                         _quantile, channel_matrix, estimate_mi, leak_verdict,
+                         silverman_bandwidth, zero_leakage_bound)
 
 # analytic MI (bits) of uniform mixtures of unit Gaussians at means 0, d, ...
 # frozen from oracles.analytic_mixture_mi at 2**19 quadrature nodes
@@ -162,6 +164,15 @@ class TestZeroLeakageBound:
             outputs = inputs * 1.0 + rng.standard_normal(10_000)
             assert leak_verdict(inputs, outputs, shuffles=100, seed=seed + 5).leak
 
+    def test_one_estimate_per_verdict(self, monkeypatch):
+        calls = []
+        real = stats.estimate_mi
+        monkeypatch.setattr(stats, "estimate_mi",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        inputs, outputs = gaussian_mixture_dataset(2, 1.0, 200, seed=6)
+        stats.leak_verdict(inputs, outputs, shuffles=10, seed=1)
+        assert len(calls) == 1
+
     def test_verdict_strictness(self):
         # identical constant outputs: M == M0 == 0 must NOT count as a leak
         inputs = ["a", "a", "b", "b"] * 30
@@ -169,6 +180,76 @@ class TestZeroLeakageBound:
         v = leak_verdict(inputs, outputs, shuffles=20, seed=0)
         assert v.m.value_bits == 0.0 and v.m0.bound_bits == 0.0
         assert not v.leak
+
+
+def _bound_cases() -> dict:
+    """Datasets for the bit-equality checks against the regrouping reference."""
+    rng = np.random.default_rng(4242)
+    cases = {}
+    inputs = rng.permutation(np.repeat([0, 1, 2], [40, 150, 25]))
+    cases["int symbols, unequal groups"] = (
+        inputs, 100.0 + 3.0 * inputs + rng.standard_normal(len(inputs)))
+    inputs = rng.choice(["hit", "miss", "evict", "idle"], 400)
+    cases["str symbols"] = (
+        inputs, rng.normal(200.0, 5.0, 400) + (inputs == "miss") * 8.0)
+    inputs = rng.integers(0, 4, 500)
+    cases["ties"] = (inputs, np.round(rng.normal(1000.0, 2.0, 500) + inputs))
+    cases["constant group"] = (
+        np.repeat(["a", "b"], 60),
+        np.concatenate([np.full(60, 7.25), rng.normal(9.0, 1.0, 60)]))
+    # shuffled groups keep a zero IQR but a positive sd: the eps branch
+    outputs = np.full(300, 50.0)
+    outputs[rng.choice(300, 6, replace=False)] = [40.0, 55.0, 61.0, 70.0, 80.0, 90.0]
+    cases["mostly constant"] = (rng.integers(0, 3, 300), outputs)
+    cases["two-sample groups"] = (np.array([0, 0, 1, 1, 2, 2, 2, 3, 3]),
+                                  rng.normal(10.0, 1.0, 9))
+    return cases
+
+
+BOUND_CASES = _bound_cases()
+
+
+class TestGroupedBound:
+    """The shuffle bound indexes each symbol once and reads every shuffle's
+    groups through those indices; it must give the very bits of regrouping
+    and fully re-estimating every shuffle with np.percentile quartiles."""
+
+    @pytest.mark.parametrize("case", list(BOUND_CASES))
+    def test_bit_identical_to_regrouping_reference(self, case):
+        inputs, outputs = BOUND_CASES[case]
+        b = zero_leakage_bound(inputs, outputs, shuffles=30, seed=7)
+        ref_mis, ref_bound = reference_bound(inputs, outputs, shuffles=30, seed=7)
+        assert b.shuffle_mis == ref_mis
+        assert b.bound_bits == ref_bound
+        m = estimate_mi(inputs, outputs)
+        ref_m, ref_bands, ref_lo, ref_hi = reference_mi(inputs, outputs)
+        assert m.value_bits == ref_m
+        assert m.bandwidths == ref_bands
+        assert (m.grid_lo, m.grid_hi) == (ref_lo, ref_hi)
+
+    def test_cases_reach_the_eps_branch(self):
+        assert estimate_mi(*BOUND_CASES["constant group"]).bandwidths["a"] == 1e-6
+        assert estimate_mi(*BOUND_CASES["mostly constant"]).bandwidths["0"] == 1e-6
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 101])
+    def test_bandwidth_matches_percentile_rule(self, n):
+        x = np.random.default_rng(n).standard_normal(n)
+        assert silverman_bandwidth(x) == percentile_bandwidth(x)
+
+
+# Signed zeros are left out: -0.0 and 0.0 tie in a sort, so which one a
+# zero quartile carries depends on the sort algorithm, not on the rule.
+_FINITE = st.floats(-1e300, 1e300).map(lambda v: v + 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(_FINITE, st.sampled_from([0.0, 1.0, 2.5, -3.0])),
+                min_size=2, max_size=64))
+def test_quartiles_bit_identical_to_numpy_percentile(xs):
+    x = np.array(xs)
+    ordered = np.sort(x)
+    got = np.array([_quantile(ordered, 0.75), _quantile(ordered, 0.25)])
+    assert got.tobytes() == np.percentile(x, [75, 25]).tobytes()
 
 
 class TestChannelMatrix:
