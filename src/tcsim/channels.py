@@ -145,16 +145,16 @@ def probe(sim: Simulator, domain: str, resource: str, window) -> int:
     lines are taken branches through the predictor, L1-I lines fetches."""
     latency = 0
     if resource == "btb":
-        predictor = sim.machine.predictor
+        touch = sim.machine.predictor.touch
         for way in window:
             for addr in way:
-                latency += predictor.touch(domain, addr, taken=True).latency
+                latency += touch(domain, addr, True).latency
         return latency
-    cache = sim.machine.cache(resource)
+    access = sim.machine.cache(resource).access
     kind = "ifetch" if resource == "l1i" else "read"
     for way in window:
         for addr in way:
-            latency += cache.access(domain, addr, addr, kind)
+            latency += access(domain, addr, addr, kind)
     return latency
 
 
@@ -225,11 +225,12 @@ def _kernel(profile, spec, alphabet, rng, build_kwargs):
             sim.syscall(SENDER, symbol)
 
     def measure(it=None, trace=None):
+        lookup, access = cache.lookup, sim.machine.data_path.access
         misses = 0
         for va, pa in pairs:
-            if not cache.lookup(va, pa):
+            if not lookup(va, pa):
                 misses += 1
-            sim.machine.data_access(RECEIVER, va, pa)
+            access(RECEIVER, va, pa)
         return [(misses,)]
 
     measure()
@@ -253,8 +254,9 @@ def _flush_latency(profile, spec, alphabet, rng, build_kwargs):
     slice_cycles = sim.domains[RECEIVER].timeslice_cycles
 
     def send(k):
+        access = l1d.access
         for addr in lines[:k]:
-            l1d.access(SENDER, addr, addr, "write")
+            access(SENDER, addr, addr, "write")
 
     def measure(it, trace):
         return [(slice_cycles + trace.total_elapsed, slice_cycles - trace.total_elapsed)]

@@ -35,14 +35,20 @@ class Frame:
             raise ValueError("phys_addr must be non-negative")
 
 
+def _colours(geometry: CacheGeometry, page_bytes: int) -> int:
+    """Colour count of a cache that colouring can partition."""
+    if geometry.indexing != "physical":
+        raise ValueError("colouring requires a physically indexed cache")
+    return colour_count(geometry, page_bytes)
+
+
 def colour_of_frame(phys_addr: int, geometry: CacheGeometry, page_bytes: int) -> int:
     """Colour of the page at phys_addr: page number modulo the colour count
     of the partitioned cache. Only defined for physically indexed caches."""
-    if geometry.indexing != "physical":
-        raise ValueError("colouring requires a physically indexed cache")
+    colours = _colours(geometry, page_bytes)
     if phys_addr % page_bytes != 0:
         raise ValueError("phys_addr must be page-aligned")
-    return (phys_addr // page_bytes) % colour_count(geometry, page_bytes)
+    return (phys_addr // page_bytes) % colours
 
 
 class ColourPartition:
@@ -137,6 +143,7 @@ def partition_pool(frames: list[Frame], assignment: dict[str, set[int]]) -> Colo
 
 def build_frames(count: int, geometry: CacheGeometry, page_bytes: int) -> list[Frame]:
     """Physically contiguous frames starting at address 0, coloured against
-    the given (partitioned) cache."""
-    return [Frame(i * page_bytes, colour_of_frame(i * page_bytes, geometry, page_bytes))
-            for i in range(count)]
+    the given (partitioned) cache: frame i has the colour ``colour_of_frame``
+    gives it, i modulo the colour count."""
+    colours = _colours(geometry, page_bytes)
+    return [Frame(i * page_bytes, i % colours) for i in range(count)]

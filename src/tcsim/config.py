@@ -207,6 +207,11 @@ def _validate(cfg: RunConfig, source: str):
         raise ConfigError(f"{source}: invalid stats settings")
     if not (math.isfinite(cfg.kde_eps) and cfg.kde_eps > 0):
         raise ConfigError(f"{source}: kde_eps must be > 0, got {cfg.kde_eps}")
+    if not (math.isfinite(cfg.noise_sigma_pct) and cfg.noise_sigma_pct >= 0):
+        raise ConfigError(f"{source}: noise_sigma_pct must be finite and >= 0,"
+                          f" got {cfg.noise_sigma_pct}")
+    if cfg.llc_key_bits < 1:
+        raise ConfigError(f"{source}: llc_key_bits must be >= 1, got {cfg.llc_key_bits}")
     if not (2 <= cfg.symbols <= 16):
         raise ConfigError(f"{source}: symbols must be in 2..16")
     for s in cfg.overhead_shares:

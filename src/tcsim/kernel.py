@@ -358,7 +358,8 @@ class Simulator:
 
     def _region_access(self, name: str, write: bool = False) -> int:
         addr = self.shared.regions[name]
-        return self.machine.data_access("kernel", addr, addr, write)
+        return self.machine.data_path.access("kernel", addr, addr,
+                                             "write" if write else "read")
 
     def current_image(self) -> KernelImage:
         return self.images[self.domains[self.current_domain].kernel_image]
@@ -373,7 +374,11 @@ class Simulator:
             return 0
         image = self.images[self.domains[domain_id].kernel_image]
         tag = f"kernel:{image.id}"
-        return sum(self.machine.data_access(tag, a, a) for a in image.code_lines[:count])
+        access = self.machine.data_path.access
+        latency = 0
+        for a in image.code_lines[:count]:
+            latency += access(tag, a, a)
+        return latency
 
     # -- the domain switch ---------------------------------------------------
 

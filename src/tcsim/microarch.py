@@ -142,35 +142,20 @@ class CacheState:
         ``hit_cycles`` and refreshes LRU rank; a miss installs the line,
         evicting the LRU way of a full set (dirty eviction charges a
         write-back). A write marks the line dirty."""
-        write = kind == "write"
-        if self._hit(vaddr, paddr, write):
-            return self._hit_cycles
-        return self._fill(vaddr, paddr, write)
-
-    def _hit(self, vaddr: int, paddr: int, write: bool) -> bool:
-        """The hit half of an access: move a resident line to MRU (dirty on a
-        write) and return True, or return False with no state change."""
-        index_addr = vaddr if self._virtual else paddr
-        ways = self.sets[(index_addr >> self._shift) & self._mask]
-        tag = paddr >> self._shift
-        dirty = ways.pop(tag, None)
-        if dirty is None:
-            return False
-        ways[tag] = dirty or write
-        return True
-
-    def _fill(self, vaddr: int, paddr: int, write: bool) -> int:
-        """The miss half of an access: install the line as MRU, evicting the
-        LRU line of a full set. Returns the miss latency plus any write-back."""
-        index_addr = vaddr if self._virtual else paddr
-        set_idx = (index_addr >> self._shift) & self._mask
+        shift = self._shift
+        set_idx = ((vaddr if self._virtual else paddr) >> shift) & self._mask
         ways = self.sets[set_idx]
+        tag = paddr >> shift
+        dirty = ways.pop(tag, None)
+        if dirty is not None:
+            ways[tag] = dirty or kind == "write"
+            return self._hit_cycles
         latency = self._miss_cycles
         if not ways:
             self._occupied.add(set_idx)
         elif len(ways) >= self._ways and ways.pop(next(iter(ways))):
             latency += self._wb_cycles
-        ways[paddr >> self._shift] = write
+        ways[tag] = kind == "write"
         self.mod_count[set_idx] += 1
         return latency
 
@@ -182,6 +167,7 @@ class CacheState:
         younger foreign installs. Returns {set_idx: (latency, misses)} and
         leaves each probed set holding exactly the probed lines."""
         out = {}
+        hit_cycles = self._hit_cycles
         for set_idx, addrs in lines_by_set.items():
             tags = {a >> self._shift for a in addrs}
             if len(addrs) != self._ways or len(tags) != self._ways:
@@ -195,11 +181,9 @@ class CacheState:
                     latency += self._wb_cycles
             misses = 0
             for a in addrs:
-                if self._hit(a, a, False):
-                    latency += self._hit_cycles
-                else:
-                    latency += self._fill(a, a, False)
-                    misses += 1
+                cost = self.access(domain, a, a)
+                latency += cost
+                misses += cost != hit_cycles
             out[set_idx] = (latency, misses)
         return out
 
@@ -235,24 +219,40 @@ class MemoryHierarchy:
     level's dirty evictions charge that level's write-back cost. The total
     latency of an access is the sum of miss costs of the levels that missed
     plus the hit cost of the level that hit (or the memory cost).
+
+    An access walks the levels in order and does at each what
+    ``CacheState.access`` does, inline, until one hits: the levels are
+    distinct caches, so installing at a missed level before asking the next
+    leaves the same state as filling after the walk.
     """
 
     def __init__(self, levels: list[CacheState], memory_cycles: int):
+        if len({id(lvl) for lvl in levels}) != len(levels):
+            raise ValueError("hierarchy levels must be distinct caches")
         self.levels = levels
         self.memory_cycles = memory_cycles
+        # what the walk reads of every level, gathered once
+        self._walk = [(lvl.sets, lvl._shift, lvl._mask, lvl._virtual, lvl) for lvl in levels]
 
     def access(self, domain: str, vaddr: int, paddr: int, kind: str = "read") -> int:
         write = kind == "write"
-        latency = self.memory_cycles
-        missed = []
-        for level in self.levels:
-            if level._hit(vaddr, paddr, write):
-                latency = level._hit_cycles
-                break
-            missed.append(level)
-        for level in missed:
-            latency += level._fill(vaddr, paddr, write)
-        return latency
+        latency = 0
+        for sets, shift, mask, virtual, level in self._walk:
+            set_idx = ((vaddr if virtual else paddr) >> shift) & mask
+            ways = sets[set_idx]
+            tag = paddr >> shift
+            dirty = ways.pop(tag, None)
+            if dirty is not None:
+                ways[tag] = dirty or write
+                return latency + level._hit_cycles
+            latency += level._miss_cycles
+            if not ways:
+                level._occupied.add(set_idx)
+            elif len(ways) >= level._ways and ways.pop(next(iter(ways))):
+                latency += level._wb_cycles
+            ways[tag] = write
+            level.mod_count[set_idx] += 1
+        return latency + self.memory_cycles
 
     def resident_everywhere(self, vaddr: int, paddr: int) -> bool:
         return all(lvl.lookup(vaddr, paddr) for lvl in self.levels)
@@ -273,9 +273,6 @@ class BhbState:
             self.counters = [0] * (1 << self.history_bits)
         if len(self.counters) != (1 << self.history_bits):
             raise ValueError("pattern table size must be 2**history_bits")
-
-    def slot(self, branch_addr: int) -> int:
-        return ((branch_addr >> 2) ^ self.history) & ((1 << self.history_bits) - 1)
 
     def reset(self):
         self.history = 0
@@ -298,24 +295,29 @@ class PredictorState:
         self.bhb = bhb
         self.mispredict_cycles = mispredict_cycles
         self.bhb_flush_base = bhb_flush_base
+        self._history_mask = (1 << bhb.history_bits) - 1
+        self._btb_hit_cycles = btb.params.hit_cycles
 
     def touch(self, domain: str, branch_addr: int, taken: bool) -> PredictResult:
         """Execute one branch: predict direction from the counter table, look
         the target up in the BTB, then train both. Latency is the BTB
         hit/miss cost plus a mispredict penalty when the predicted direction
         disagrees with the outcome."""
-        idx = self.bhb.slot(branch_addr)
-        predicted_taken = self.bhb.counters[idx] >= 2
-        correct = predicted_taken == taken
+        bhb = self.bhb
+        counters = bhb.counters
+        history = bhb.history
+        idx = ((branch_addr >> 2) ^ history) & self._history_mask
+        counter = counters[idx]
+        correct = (counter >= 2) == taken
         btb_latency = self.btb.access(domain, branch_addr, branch_addr, "ifetch")
-        latency = btb_latency + (0 if correct else self.mispredict_cycles)
         if taken:
-            self.bhb.counters[idx] = min(3, self.bhb.counters[idx] + 1)
-        else:
-            self.bhb.counters[idx] = max(0, self.bhb.counters[idx] - 1)
-        mask = (1 << self.bhb.history_bits) - 1
-        self.bhb.history = ((self.bhb.history << 1) | int(taken)) & mask
-        return PredictResult(latency, btb_latency == self.btb.params.hit_cycles, correct)
+            if counter < 3:
+                counters[idx] = counter + 1
+        elif counter > 0:
+            counters[idx] = counter - 1
+        bhb.history = ((history << 1) | taken) & self._history_mask
+        return PredictResult(btb_latency if correct else btb_latency + self.mispredict_cycles,
+                             btb_latency == self._btb_hit_cycles, correct)
 
     def flush_btb(self) -> int:
         return self.btb.flush()

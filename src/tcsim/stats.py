@@ -124,7 +124,9 @@ def _mi_plan(inputs, outputs):
 
 def _binned_density(samples: np.ndarray, h: float, lo: float, step: float,
                     points: int) -> np.ndarray:
-    """KDE on a uniform grid via linear binning + discrete-kernel convolution."""
+    """KDE on a uniform grid via linear binning + discrete-kernel convolution.
+    The kernel is cut at 4 bandwidths, and at the grid's length: a kernel
+    longer than the grid would make the "same"-mode convolution longer too."""
     pos = (samples - lo) / step
     floor = np.floor(pos)
     left = np.clip(floor.astype(int), 0, points - 1)
@@ -132,7 +134,7 @@ def _binned_density(samples: np.ndarray, h: float, lo: float, step: float,
     frac = pos - floor
     hist = np.bincount(left, weights=1.0 - frac, minlength=points)
     hist += np.bincount(right, weights=frac, minlength=points)
-    radius = min(points - 1, max(1, int(math.ceil(4 * h / step))))
+    radius = min((points - 1) // 2, max(1, int(math.ceil(4 * h / step))))
     t = np.arange(-radius, radius + 1) * step
     kernel = np.exp(-0.5 * (t / h) ** 2)
     kernel /= kernel.sum()

@@ -3,8 +3,9 @@
 These deliberately avoid the code paths they check: the MI oracles integrate
 with dense Simpson/trapezoid quadrature over directly-evaluated densities
 (the library bins samples onto a grid and convolves), the point density is a
-direct Gaussian sum, the LRU reference is a dict-based re-implementation, and
-the colour checks are brute force. The shuffle-bound reference is the one
+direct Gaussian sum, the LRU reference is a dict-based re-implementation,
+the gshare reference keeps its history as a list of outcomes, and the
+colour checks are brute force. The shuffle-bound reference is the one
 exception: it is the plain form of the library's computation (regroup and
 fully re-estimate every shuffle, quartiles from ``np.percentile``), so that
 the grouped, sort-based library path can be held to the same bits.
@@ -70,7 +71,7 @@ def reference_binned_density(samples: np.ndarray, h: float, lo: float,
     frac = pos - np.floor(pos)
     hist = np.bincount(left, weights=1.0 - frac, minlength=points)
     hist += np.bincount(right, weights=frac, minlength=points)
-    radius = min(points - 1, max(1, int(math.ceil(4 * h / step))))
+    radius = min((points - 1) // 2, max(1, int(math.ceil(4 * h / step))))
     t = np.arange(-radius, radius + 1) * step
     kernel = np.exp(-0.5 * (t / h) ** 2)
     kernel /= kernel.sum()
@@ -210,6 +211,39 @@ class ReferenceLru:
         """Per set, (tag, dirty) pairs from least to most recently used."""
         return [[(tag, e[tag][1]) for tag in sorted(e, key=lambda t: e[t][0])]
                 for e in self.state]
+
+
+class ReferenceGshare:
+    """Branch predictor reference: a ReferenceLru target buffer, a list of
+    past outcomes (newest last) as the global history, and a dict of 2-bit
+    counters keyed by pattern-table slot, absent meaning 0."""
+
+    def __init__(self, history_bits: int, btb_sets: int, btb_ways: int,
+                 btb_line: int, btb_hit: int, btb_miss: int, mispredict: int):
+        self.bits = history_bits
+        self.outcomes: list[bool] = []
+        self.counters: dict[int, int] = {}
+        self.btb = ReferenceLru(btb_sets, btb_ways, btb_line)
+        self.btb_hit, self.btb_miss, self.mispredict = btb_hit, btb_miss, mispredict
+
+    @property
+    def history(self) -> int:
+        recent = self.outcomes[max(0, len(self.outcomes) - self.bits):]
+        return sum(1 << age for age, taken in enumerate(reversed(recent)) if taken)
+
+    def touch(self, branch_addr: int, taken: bool):
+        """(latency, btb_hit, direction_correct) of one executed branch."""
+        slot = ((branch_addr // 4) ^ self.history) % (1 << self.bits)
+        counter = self.counters.get(slot, 0)
+        correct = (counter >= 2) == taken
+        hit, _ = self.btb.access(branch_addr, branch_addr)
+        latency = (self.btb_hit if hit else self.btb_miss) + (0 if correct else self.mispredict)
+        self.counters[slot] = min(3, counter + 1) if taken else max(0, counter - 1)
+        self.outcomes.append(taken)
+        return latency, hit, correct
+
+    def counter_table(self) -> list[int]:
+        return [self.counters.get(i, 0) for i in range(1 << self.bits)]
 
 
 def two_bit_counter_reference(outcomes, probe_taken=True, init=0):

@@ -1,9 +1,11 @@
 """Config parsing, harness orchestration, and CLI surface tests."""
 
 import json
+import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from tcsim.cli import builtin_config_names, main
@@ -153,6 +155,20 @@ class TestCli:
         assert record["leak"] is True
         assert record["m_bits"] > 0.5
 
+    def test_analyze_near_constant_outputs(self, tmp_path, capsys):
+        # symbol a constant, b spread by 1e-7: 4 bandwidths of a (eps) span
+        # more than the whole grid
+        rng = np.random.default_rng(0)
+        rows = ["iteration,input,output"]
+        for i in range(100):
+            out = 7.0 if i % 2 == 0 else 7.0 + rng.normal(0.0, 1e-7)
+            rows.append(f"{i},{'ab'[i % 2]},{out!r}")
+        samples = tmp_path / "flat.csv"
+        samples.write_text("\n".join(rows) + "\n")
+        assert main(["analyze", str(samples)]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert math.isfinite(record["m_bits"]) and record["m_bits"] >= 0
+
     def test_switch_cost_verb(self, capsys):
         assert main(["switch-cost", "haswell", "protected"]) == 0
         out = capsys.readouterr().out
@@ -167,7 +183,9 @@ class TestCli:
     @pytest.mark.parametrize("case", ["unknown profile", "unknown irq owner",
                                       "negative pad", "negative irq margin",
                                       "zero kde eps", "empty overhead working set",
-                                      "too few iterations", "switch-cost profile",
+                                      "too few iterations", "negative key bits",
+                                      "zero key bits", "nan noise", "infinite noise",
+                                      "negative noise", "switch-cost profile",
                                       "analyze missing csv", "analyze one symbol",
                                       "analyze missing column", "analyze bad output",
                                       "analyze zero shuffles", "analyze one shuffle",
@@ -185,6 +203,13 @@ class TestCli:
                                                  "overhead_working_set_kib = 0\n",
             "too few iterations": MINI.replace("run = bhb", "run = kernel")
                                       .replace("iterations = 60", "iterations = 3"),
+            "negative key bits": MINI.replace("run = bhb", "run = llc_side")
+            + "llc_key_bits = -1\n",
+            "zero key bits": MINI.replace("run = bhb", "run = llc_side")
+            + "llc_key_bits = 0\n",
+            "nan noise": MINI + "noise_sigma_pct = nan\n",
+            "infinite noise": MINI + "noise_sigma_pct = inf\n",
+            "negative noise": MINI + "noise_sigma_pct = -5\n",
         }
         out = tmp_path / "out"
         if case in configs:

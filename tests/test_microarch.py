@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ReferenceLru, two_bit_counter_reference
+from oracles import ReferenceGshare, ReferenceLru, two_bit_counter_reference
 from tcsim.microarch import (BhbState, CacheGeometry, CacheState, LatencyModel,
                              LatencyParams, Machine, MemoryHierarchy,
                              PredictorState, colour_count)
@@ -118,22 +118,40 @@ class TestAccess:
         assert sa == sb and ta != tb
 
 
+def occupied_sets(cache):
+    return {i for i, ways in enumerate(cache.sets) if ways}
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 63), st.booleans()), min_size=1, max_size=200),
-       st.sampled_from([(4, 2), (8, 4), (2, 8)]))
-def test_access_matches_reference_lru(ops, shape):
+@given(st.sampled_from(["physical", "virtual"]), st.sampled_from([(4, 2), (8, 4), (2, 8)]),
+       st.integers(0, 7),
+       st.lists(st.tuples(st.integers(0, 63) | st.integers(0, 3),
+                          st.sampled_from(["read", "write", "ifetch"])),
+                min_size=1, max_size=200))
+def test_access_matches_reference_lru(indexing, shape, offset, ops):
+    # checked after every access of every kind; about half the accesses go
+    # to four hot lines, so accesses of each kind often hit resident lines,
+    # and ``offset`` lines of translation move the virtual index away from
+    # the physical one
     sets, ways = shape
-    c = small_cache(sets=sets, ways=ways)
+    c = small_cache(sets=sets, ways=ways, indexing=indexing)
     ref = ReferenceLru(sets, ways, 64)
-    for line_no, write in ops:
-        addr = line_no * 64
-        latency = c.access("a", addr, addr, "write" if write else "read")
-        ref_hit, ref_evicted = ref.access(addr, addr, write)
+    fills = [0] * sets
+    for line_no, kind in ops:
+        vaddr, paddr = (line_no + offset) * 64, line_no * 64
+        index_addr = vaddr if indexing == "virtual" else paddr
+        ref_hit, ref_evicted = ref.access(index_addr, paddr, kind == "write")
+        if not ref_hit:
+            fills[(index_addr // 64) % sets] += 1
+        latency = c.access("a", vaddr, paddr, kind)
         assert (latency == PARAMS.hit_cycles) == ref_hit
         assert latency == ref_latency(PARAMS, ref_hit, ref_evicted)
         # resident tags, dirty bits and recency order; this pins the evicted
         # line as the one the reference evicted
         assert c.snapshot() == ref.snapshot()
+        # a modification is counted on every fill and only there
+        assert c.mod_count == fills
+        assert c._occupied == occupied_sets(c)
     assert c.dirty_line_count() == ref.dirty_count()
     assert c.resident_line_count() <= sets * ways
 
@@ -171,20 +189,25 @@ def test_hierarchy_matches_reference_chain(depth, ops):
     levels = [CacheState(CacheGeometry(s * w * 64, w, 64, idx), p) for s, w, idx, p in shapes]
     h = MemoryHierarchy(levels, memory_cycles=100)
     refs = [ReferenceLru(s, w, 64) for s, w, _, _ in shapes]
+    fills = [[0] * s for s, _, _, _ in shapes]
     for line_no, write in ops:
         paddr = line_no * 64
         vaddr = paddr + 7 * 64  # a translation that moves the virtual index
         expected = 0
-        for (_, _, idx, params), ref in zip(shapes, refs):
-            hit, evicted = ref.access(vaddr if idx == "virtual" else paddr, paddr, write)
+        for (sets, _, idx, params), ref, level_fills in zip(shapes, refs, fills):
+            index_addr = vaddr if idx == "virtual" else paddr
+            hit, evicted = ref.access(index_addr, paddr, write)
             expected += ref_latency(params, hit, evicted)  # includes write-backs
             if hit:
                 break
+            level_fills[(index_addr // 64) % sets] += 1
         else:
             expected += 100  # every level missed: memory
         assert h.access("a", vaddr, paddr, "write" if write else "read") == expected
-    for level, ref in zip(levels, refs):
+    for level, ref, level_fills in zip(levels, refs, fills):
         assert level.snapshot() == ref.snapshot()
+        assert level.mod_count == level_fills
+        assert level._occupied == occupied_sets(level)
 
 
 class TestFlush:
@@ -329,6 +352,22 @@ class TestPredictor:
         assert not res.btb_hit and not res.direction_correct
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 6),
+       st.lists(st.tuples(st.integers(0, 40), st.booleans()), min_size=1, max_size=200))
+def test_predictor_matches_reference_gshare(history_bits, branches):
+    # 41 branch slots over a BTB of 8 sets x 2 ways, so targets get evicted
+    btb = CacheState(CacheGeometry(8 * 2 * 4, 2, 4, "virtual", "btb"),
+                     LatencyParams(1, 10, 0, 16))
+    p = PredictorState(btb, BhbState(history_bits), mispredict_cycles=20)
+    ref = ReferenceGshare(history_bits, 8, 2, 4, btb_hit=1, btb_miss=10, mispredict=20)
+    for slot, taken in branches:
+        res = p.touch("a", slot * 4, taken)
+        assert (res.latency, res.btb_hit, res.direction_correct) == ref.touch(slot * 4, taken)
+        assert p.bhb.history == ref.history
+        assert p.bhb.counters == ref.counter_table()
+
+
 class TestHierarchy:
     def make(self):
         l1 = CacheState(CacheGeometry(2 * KIB, 2, 64, "virtual", "l1"),
@@ -353,6 +392,13 @@ class TestHierarchy:
         h.access("a", 0x40 + span1, 0x40 + span1)
         h.access("a", 0x40 + 2 * span1, 0x40 + 2 * span1)
         assert h.access("a", 0x40, 0x40) == 6 + 8
+
+    def test_levels_must_be_distinct(self):
+        # a missed level is filled before the next is asked, so one cache
+        # listed twice would hit at its second place
+        l1 = self.make().levels[0]
+        with pytest.raises(ValueError):
+            MemoryHierarchy([l1, l1], memory_cycles=100)
 
 
 class TestMachine:

@@ -65,6 +65,18 @@ class TestDensity:
         assert np.trapezoid(d.pdf(x), x) == pytest.approx(1.0, abs=1e-3)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=40),
+       st.floats(1e-9, 1e4), st.floats(1e-9, 10.0), st.integers(16, 512))
+def test_binned_density_has_one_value_per_grid_point(samples, h, step, points):
+    # a bandwidth of many grid steps must not give a kernel longer than the
+    # grid: "same"-mode convolution would return the kernel's length
+    x = np.array(samples)
+    dens = stats._binned_density(x, h, float(x.min()), step, points)
+    assert dens.shape == (points,)
+    assert np.all(np.isfinite(dens))
+
+
 class TestEstimateMi:
     def test_constant_channel_exactly_zero(self):
         inputs = ["a"] * 50 + ["b"] * 50
