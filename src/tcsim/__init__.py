@@ -11,7 +11,7 @@ zero-leakage bound.
 __version__ = "0.1.0"
 
 from tcsim.microarch import CacheGeometry, LatencyParams, LatencyModel, colour_count
-from tcsim.colouring import Frame, ColourPartition, colour_of_frame, partition_pool
+from tcsim.colouring import ColourPartition
 
 __all__ = [
     "__version__",
@@ -19,8 +19,5 @@ __all__ = [
     "LatencyParams",
     "LatencyModel",
     "colour_count",
-    "Frame",
     "ColourPartition",
-    "colour_of_frame",
-    "partition_pool",
 ]

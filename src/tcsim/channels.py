@@ -140,7 +140,7 @@ def probe_window(sim: Simulator, domain: str, resource: str) -> list[list[int]]:
     return _physical_window(sim, domain, cache, _first_colour(sim, domain))
 
 
-def probe(sim: Simulator, domain: str, resource: str, window) -> int:
+def probe(sim: Simulator, resource: str, window) -> int:
     """Access every window line in order; returns the total latency. BTB
     lines are taken branches through the predictor, L1-I lines fetches."""
     latency = 0
@@ -148,13 +148,13 @@ def probe(sim: Simulator, domain: str, resource: str, window) -> int:
         touch = sim.machine.predictor.touch
         for way in window:
             for addr in way:
-                latency += touch(domain, addr, True).latency
+                latency += touch(addr, True).latency
         return latency
     access = sim.machine.cache(resource).access
     kind = "ifetch" if resource == "l1i" else "read"
     for way in window:
         for addr in way:
-            latency += access(domain, addr, addr, kind)
+            latency += access(addr, addr, kind)
     return latency
 
 
@@ -173,13 +173,13 @@ def _prime_probe(profile, spec, alphabet, rng, build_kwargs):
     sim = build_scenario(profile, spec.scenario, **build_kwargs).sim
     recv_window = probe_window(sim, RECEIVER, resource)
     send_lines = probe_window(sim, SENDER, resource)[0]
-    probe(sim, RECEIVER, resource, recv_window)
+    probe(sim, resource, recv_window)
 
     def send(count):
-        probe(sim, SENDER, resource, [send_lines[:count]])
+        probe(sim, resource, [send_lines[:count]])
 
     def measure(it, trace):
-        return [(probe(sim, RECEIVER, resource, recv_window),)]
+        return [(probe(sim, resource, recv_window),)]
 
     return sim, send, measure, {}
 
@@ -195,10 +195,10 @@ def _bhb(profile, spec, alphabet, rng, build_kwargs):
 
     def send(symbol):
         for _ in range(train):
-            predictor.touch(SENDER, branch, taken=(symbol == "taken"))
+            predictor.touch(branch, taken=(symbol == "taken"))
 
     def measure(it, trace):
-        return [(predictor.touch(RECEIVER, branch, taken=True).latency,)]
+        return [(predictor.touch(branch, taken=True).latency,)]
 
     return sim, send, measure, {}
 
@@ -230,7 +230,7 @@ def _kernel(profile, spec, alphabet, rng, build_kwargs):
         for va, pa in pairs:
             if not lookup(va, pa):
                 misses += 1
-            access(RECEIVER, va, pa)
+            access(va, pa)
         return [(misses,)]
 
     measure()
@@ -256,7 +256,7 @@ def _flush_latency(profile, spec, alphabet, rng, build_kwargs):
     def send(k):
         access = l1d.access
         for addr in lines[:k]:
-            access(SENDER, addr, addr, "write")
+            access(addr, addr, "write")
 
     def measure(it, trace):
         return [(slice_cycles + trace.total_elapsed, slice_cycles - trace.total_elapsed)]
@@ -437,15 +437,15 @@ def run_llc_side_channel(profile: PlatformProfile, spec: ChannelSpec,
     baseline = llc.geometry.ways * llc.params.hit_cycles
     trace = np.full((len(spy_sets), quanta), float(baseline))
     row_of = {s: i for i, s in enumerate(spy_sets)}
-    llc.probe_sets(RECEIVER, spy_lines)
+    llc.probe_sets(spy_lines)
     prev_mod = {s: llc.mod_count[s] for s in spy_sets}
     touches = set(touch_quanta)
     for q in range(quanta):
         if q in touches:
-            llc.access(SENDER, square_addr, square_addr)
+            llc.access(square_addr, square_addr)
         changed = [s for s in spy_sets if llc.mod_count[s] != prev_mod[s]]
         if changed:
-            results = llc.probe_sets(RECEIVER, {s: spy_lines[s] for s in changed})
+            results = llc.probe_sets({s: spy_lines[s] for s in changed})
             for s, (lat, _) in results.items():
                 trace[row_of[s], q] = lat
                 prev_mod[s] = llc.mod_count[s]
@@ -476,11 +476,10 @@ def _spy_coverage(sim: Simulator, domain: str, llc: CacheState) -> dict:
     needed = geo.ways * len(reachable)
     allocated = 0
     while allocated < needed:
-        frames = sim.partition.allocate_many(domain if coloured else None, 1)
-        f = frames[0]
-        c = (f.phys_addr // page) % llc_colours
+        f = sim.partition.allocate_many(domain if coloured else None, 1)[0]
+        c = f % llc_colours
         if len(buckets.get(c, [])) < geo.ways:
-            buckets[c].append(f.phys_addr)
+            buckets[c].append(f * page)
             allocated += 1
     lines: dict[int, list[int]] = {}
     for c, frame_addrs in buckets.items():

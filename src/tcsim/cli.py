@@ -18,6 +18,7 @@ from importlib import resources
 from pathlib import Path
 
 from tcsim.channels import SampleSet
+from tcsim.colouring import PoolExhausted
 from tcsim.config import (MIN_GRID_POINTS, MIN_SHUFFLES, ConfigError,
                           load_config, parse_config)
 from tcsim.harness import (_jsonable, measure_switch_costs, profile_summary,
@@ -48,7 +49,10 @@ def resolve_config(name: str):
 
 def cmd_run(args) -> int:
     cfg = resolve_config(args.config)
-    report = run_scenario(cfg, args.out)
+    try:
+        report = run_scenario(cfg, args.out)
+    except PoolExhausted as exc:
+        raise ConfigError(f"{exc}: frames = {cfg.frames} is too few for this run") from None
     print(f"report written to {Path(args.out) / 'report.json'}")
     for channel, cells in report.get("channels", {}).items():
         for scenario, cell in cells.items():

@@ -19,6 +19,8 @@ SCENARIO_NAMES = ("raw", "full_flush", "protected")
 # the shuffle bound needs a sample sd; the KDE grid needs room for a kernel
 MIN_SHUFFLES = 2
 MIN_GRID_POINTS = 16
+# every scenario build holds each page number of the pool: 4 GiB of 4 KiB pages
+MAX_FRAMES = 1 << 20
 
 
 class ConfigError(ValueError):
@@ -199,8 +201,10 @@ def _validate(cfg: RunConfig, source: str):
         raise ConfigError(f"{source}: pad_cycles must be auto or >= 0, got {cfg.pad_cycles}")
     if not (math.isfinite(cfg.irq_margin_pct) and cfg.irq_margin_pct >= 0):
         raise ConfigError(f"{source}: irq_margin_pct must be >= 0, got {cfg.irq_margin_pct}")
-    if cfg.frames < 1024:
-        raise ConfigError(f"{source}: frames must be >= 1024")
+    if not (1024 <= cfg.frames <= MAX_FRAMES):
+        raise ConfigError(f"{source}: frames must be in 1024..{MAX_FRAMES}, got {cfg.frames}")
+    if cfg.timeslice_cycles <= 0:
+        raise ConfigError(f"{source}: timeslice_cycles must be > 0, got {cfg.timeslice_cycles}")
     if cfg.iterations < 1 or cfg.warmup < 0:
         raise ConfigError(f"{source}: iterations must be >= 1 and warmup >= 0")
     if cfg.shuffles < MIN_SHUFFLES or cfg.grid_points < MIN_GRID_POINTS or cfg.matrix_bins < 2:
@@ -212,6 +216,8 @@ def _validate(cfg: RunConfig, source: str):
                           f" got {cfg.noise_sigma_pct}")
     if cfg.llc_key_bits < 1:
         raise ConfigError(f"{source}: llc_key_bits must be >= 1, got {cfg.llc_key_bits}")
+    if cfg.llc_key_seed < 0:
+        raise ConfigError(f"{source}: llc_key_seed must be >= 0, got {cfg.llc_key_seed}")
     if not (2 <= cfg.symbols <= 16):
         raise ConfigError(f"{source}: symbols must be in 2..16")
     for s in cfg.overhead_shares:

@@ -185,7 +185,7 @@ def _switch_workload(system, sim: Simulator, workload: str):
         return lambda: None
     name = "l2" if (workload == "llc" and "llc" not in sim.machine.caches) else workload
     window = probe_window(sim, RECEIVER, name)
-    return lambda: probe(sim, RECEIVER, name, window)
+    return lambda: probe(sim, name, window)
 
 
 def measure_switch_costs(profile: PlatformProfile, scenario: str,
@@ -244,9 +244,10 @@ def _stream_cycles(profile: PlatformProfile, working_set_bytes: int,
     line = profile.line_bytes
     per = page // line
     addrs = [f * page + j * line for f in frames for j in range(per)]
+    access = machine.data_path.access
     total = 0
     for p in range(passes):
-        cycles = sum(machine.data_access("stream", a, a) for a in addrs)
+        cycles = sum(access(a, a) for a in addrs)
         if p > 0:  # skip the cold pass
             total += cycles
     return total

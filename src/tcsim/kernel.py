@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from tcsim.colouring import ColourPartition, Frame, PoolExhausted
+from tcsim.colouring import ColourPartition, PoolExhausted
 from tcsim.microarch import Machine
 from tcsim.profiles import PlatformProfile
 
@@ -66,19 +66,17 @@ class SharedKernelData:
     at addresses fixed at boot."""
 
     regions: dict[str, int]  # name -> physical line address
-    frames: list[Frame]
 
     @classmethod
-    def at_boot(cls, frames: list[Frame], line_bytes: int,
+    def at_boot(cls, frames: list[int], line_bytes: int,
                 page_bytes: int) -> "SharedKernelData":
         per_frame = page_bytes // line_bytes
         if len(frames) * per_frame < len(SHARED_REGION_NAMES):
             raise ValueError("not enough boot frames for shared kernel data")
         addrs = {}
         for i, name in enumerate(SHARED_REGION_NAMES):
-            frame = frames[i // per_frame]
-            addrs[name] = frame.phys_addr + (i % per_frame) * line_bytes
-        return cls(addrs, list(frames))
+            addrs[name] = frames[i // per_frame] * page_bytes + (i % per_frame) * line_bytes
+        return cls(addrs)
 
 
 @dataclass
@@ -86,10 +84,7 @@ class KernelImage:
     id: int
     owner: str | None  # domain id; None for the boot image
     code_lines: list[int]
-    data_lines: list[int]
-    stack_lines: list[int]
-    frames: list[Frame]
-    shared: SharedKernelData
+    frames: list[int]  # page numbers: code, then data, then stack
     owned_irqs: set[int] = field(default_factory=set)
     is_initial: bool = False
 
@@ -168,9 +163,6 @@ class SwitchTrace:
     pad_cycles: int
     total_elapsed: int
 
-    def step_numbers(self) -> list[int]:
-        return [s.number for s in self.steps]
-
 
 @dataclass
 class IrqState:
@@ -240,23 +232,13 @@ class Simulator:
 
     # -- images ----------------------------------------------------------
 
-    def _frame_lines(self, frames: list[Frame]) -> list[int]:
-        line = self.profile.line_bytes
-        per = self.profile.page_bytes // line
-        return [f.phys_addr + i * line for f in frames for i in range(per)]
-
     def _build_image(self, owner, frames, is_initial=False) -> KernelImage:
-        kp = self.kparams
-        per = self.profile.page_bytes // self.profile.line_bytes
-        code = frames[:kp.code_frames]
-        data = frames[kp.code_frames:kp.code_frames + kp.data_frames]
-        stack = frames[kp.code_frames + kp.data_frames:]
-        image = KernelImage(
-            id=self._next_image_id, owner=owner,
-            code_lines=self._frame_lines(code),
-            data_lines=self._frame_lines(data),
-            stack_lines=self._frame_lines(stack),
-            frames=list(frames), shared=self.shared, is_initial=is_initial)
+        page = self.profile.page_bytes
+        line = self.profile.line_bytes
+        code = [f * page + i for f in frames[:self.kparams.code_frames]
+                for i in range(0, page, line)]
+        image = KernelImage(id=self._next_image_id, owner=owner, code_lines=code,
+                            frames=list(frames), is_initial=is_initial)
         self._next_image_id += 1
         self.images[image.id] = image
         return image
@@ -269,13 +251,12 @@ class Simulator:
             raise InvalidSource(f"no kernel image {source_id}")
         domain = self.domains[owner]
         n = self.kparams.image_frames
-        coloured = bool(domain.colours)
-        pool_size = self.partition.pool_size(owner) if coloured else \
-            len(self.partition.reserve_frames())
+        pool = owner if domain.colours else None
+        pool_size = self.partition.pool_size(pool)
         if pool_size < n:
             raise PoolExhausted(
                 f"domain {owner!r} has {pool_size} frames, clone needs {n}")
-        frames = self.partition.allocate_many(owner if coloured else None, n)
+        frames = self.partition.allocate_many(pool, n)
         image = self._build_image(owner, frames)
         domain.kernel_image = image.id
         return image.id
@@ -342,24 +323,21 @@ class Simulator:
         """Allocate frames for a workload buffer and map them at fresh virtual
         pages. Returns per-line (vaddr, paddr) pairs in frame order. Coloured
         domains draw from their pool, uncoloured ones from the reserve."""
-        dom = self.domains[domain_id]
-        coloured = bool(dom.colours)
         frames = self.partition.allocate_many(
-            domain_id if coloured else None, n_frames, colour)
+            domain_id if self.domains[domain_id].colours else None, n_frames, colour)
+        page = self.profile.page_bytes
         line = self.profile.line_bytes
-        per = self.profile.page_bytes // line
         pairs = []
         for f in frames:
             vbase = self.alloc_vpages(domain_id, 1)
-            pairs.extend((vbase + i * line, f.phys_addr + i * line) for i in range(per))
+            pairs.extend((vbase + i, f * page + i) for i in range(0, page, line))
         return pairs
 
     # -- kernel memory traffic ---------------------------------------------
 
     def _region_access(self, name: str, write: bool = False) -> int:
         addr = self.shared.regions[name]
-        return self.machine.data_path.access("kernel", addr, addr,
-                                             "write" if write else "read")
+        return self.machine.data_path.access(addr, addr, "write" if write else "read")
 
     def current_image(self) -> KernelImage:
         return self.images[self.domains[self.current_domain].kernel_image]
@@ -373,11 +351,10 @@ class Simulator:
         if count == 0:
             return 0
         image = self.images[self.domains[domain_id].kernel_image]
-        tag = f"kernel:{image.id}"
         access = self.machine.data_path.access
         latency = 0
         for a in image.code_lines[:count]:
-            latency += access(tag, a, a)
+            latency += access(a, a)
         return latency
 
     # -- the domain switch ---------------------------------------------------

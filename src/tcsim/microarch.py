@@ -106,8 +106,7 @@ class CacheState:
     non-empty sets are kept in an occupied-set index, so a flush costs
     O(resident lines) rather than O(sets). ``mod_count`` per set increments
     on every install or flush; read-only probes of resident lines do not bump
-    it (recency reordering is not observable through timing). The accessing
-    domain is not recorded in the cache state.
+    it (recency reordering is not observable through timing).
     """
 
     def __init__(self, geometry: CacheGeometry, params: LatencyParams, name: str = ""):
@@ -137,7 +136,7 @@ class CacheState:
         index_addr = vaddr if self._virtual else paddr
         return (paddr >> self._shift) in self.sets[(index_addr >> self._shift) & self._mask]
 
-    def access(self, domain: str, vaddr: int, paddr: int, kind: str = "read") -> int:
+    def access(self, vaddr: int, paddr: int, kind: str = "read") -> int:
         """One load/store/ifetch; returns its latency. A hit costs exactly
         ``hit_cycles`` and refreshes LRU rank; a miss installs the line,
         evicting the LRU way of a full set (dirty eviction charges a
@@ -159,7 +158,7 @@ class CacheState:
         self.mod_count[set_idx] += 1
         return latency
 
-    def probe_sets(self, domain: str, lines_by_set: dict) -> dict:
+    def probe_sets(self, lines_by_set: dict) -> dict:
         """Probe whole sets at once: for each set, re-access the given lines
         (index-relevant addresses) in prime order. Equivalent to sequential
         ``access`` calls when the absent lines are the least recent, which
@@ -181,17 +180,11 @@ class CacheState:
                     latency += self._wb_cycles
             misses = 0
             for a in addrs:
-                cost = self.access(domain, a, a)
+                cost = self.access(a, a)
                 latency += cost
                 misses += cost != hit_cycles
             out[set_idx] = (latency, misses)
         return out
-
-    def dirty_line_count(self) -> int:
-        return sum(sum(self.sets[i].values()) for i in self._occupied)
-
-    def resident_line_count(self) -> int:
-        return sum(len(self.sets[i]) for i in self._occupied)
 
     def flush(self) -> int:
         """Invalidate everything. Cost is the base cost plus one write-back
@@ -234,7 +227,7 @@ class MemoryHierarchy:
         # what the walk reads of every level, gathered once
         self._walk = [(lvl.sets, lvl._shift, lvl._mask, lvl._virtual, lvl) for lvl in levels]
 
-    def access(self, domain: str, vaddr: int, paddr: int, kind: str = "read") -> int:
+    def access(self, vaddr: int, paddr: int, kind: str = "read") -> int:
         write = kind == "write"
         latency = 0
         for sets, shift, mask, virtual, level in self._walk:
@@ -253,9 +246,6 @@ class MemoryHierarchy:
             ways[tag] = write
             level.mod_count[set_idx] += 1
         return latency + self.memory_cycles
-
-    def resident_everywhere(self, vaddr: int, paddr: int) -> bool:
-        return all(lvl.lookup(vaddr, paddr) for lvl in self.levels)
 
 
 @dataclass
@@ -298,7 +288,7 @@ class PredictorState:
         self._history_mask = (1 << bhb.history_bits) - 1
         self._btb_hit_cycles = btb.params.hit_cycles
 
-    def touch(self, domain: str, branch_addr: int, taken: bool) -> PredictResult:
+    def touch(self, branch_addr: int, taken: bool) -> PredictResult:
         """Execute one branch: predict direction from the counter table, look
         the target up in the BTB, then train both. Latency is the BTB
         hit/miss cost plus a mispredict penalty when the predicted direction
@@ -309,7 +299,7 @@ class PredictorState:
         idx = ((branch_addr >> 2) ^ history) & self._history_mask
         counter = counters[idx]
         correct = (counter >= 2) == taken
-        btb_latency = self.btb.access(domain, branch_addr, branch_addr, "ifetch")
+        btb_latency = self.btb.access(branch_addr, branch_addr, "ifetch")
         if taken:
             if counter < 3:
                 counters[idx] = counter + 1
@@ -318,9 +308,6 @@ class PredictorState:
         bhb.history = ((history << 1) | taken) & self._history_mask
         return PredictResult(btb_latency if correct else btb_latency + self.mispredict_cycles,
                              btb_latency == self._btb_hit_cycles, correct)
-
-    def flush_btb(self) -> int:
-        return self.btb.flush()
 
     def flush_bhb(self) -> int:
         self.bhb.reset()
@@ -368,9 +355,6 @@ class Machine:
         cache = self.caches[name]
         return (cache.params.flush_base_cycles
                 + cache.geometry.lines * cache.params.writeback_cycles_per_line)
-
-    def data_access(self, domain: str, vaddr: int, paddr: int, write: bool = False) -> int:
-        return self.data_path.access(domain, vaddr, paddr, "write" if write else "read")
 
     def worst_case_data_access(self) -> int:
         cost = sum(lvl.params.miss_cycles + lvl.params.writeback_cycles_per_line

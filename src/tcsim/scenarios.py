@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from tcsim.colouring import build_frames, partition_pool
+from tcsim.colouring import ColourPartition
 from tcsim.kernel import KernelParams, Simulator, SwitchConfig
 from tcsim.microarch import colour_count
 from tcsim.profiles import PlatformProfile
@@ -71,9 +71,7 @@ def build_scenario(profile: PlatformProfile, scenario: str, *,
     padding disabled)."""
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}")
-    geometry = profile.geometries[profile.partitioned_cache]
-    colours = colour_count(geometry, profile.page_bytes)
-    frame_list = build_frames(frames, geometry, profile.page_bytes)
+    colours = colour_count(profile.geometries[profile.partitioned_cache], profile.page_bytes)
 
     if scenario == "protected":
         c0, c1 = split_colours(colours, colour_split)
@@ -82,11 +80,8 @@ def build_scenario(profile: PlatformProfile, scenario: str, *,
         c0, c1 = set(), set()
         assignment = {SENDER: set(), RECEIVER: set()}
 
-    boot = kparams.image_frames + 1
-    partition = partition_pool(frame_list[boot:], assignment)
     # boot memory is uncoloured reserve regardless of scenario
-    for f in frame_list[:boot]:
-        partition.reserve.setdefault(f.colour, []).insert(0, f)
+    partition = ColourPartition(frames, colours, kparams.image_frames + 1, assignment)
 
     if scenario == "raw":
         cfg = SwitchConfig()

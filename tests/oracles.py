@@ -4,11 +4,13 @@ These deliberately avoid the code paths they check: the MI oracles integrate
 with dense Simpson/trapezoid quadrature over directly-evaluated densities
 (the library bins samples onto a grid and convolves), the point density is a
 direct Gaussian sum, the LRU reference is a dict-based re-implementation,
-the gshare reference keeps its history as a list of outcomes, and the
-colour checks are brute force. The shuffle-bound reference is the one
-exception: it is the plain form of the library's computation (regroup and
-fully re-estimate every shuffle, quartiles from ``np.percentile``), so that
-the grouped, sort-based library path can be held to the same bits.
+the gshare reference keeps its history as a list of outcomes, the colour
+checks are brute force, and the reference partition is the
+one-Frame-per-page allocator that the page-number pools replaced. The
+shuffle-bound reference is the one exception: it is the plain form of the
+library's computation (regroup and fully re-estimate every shuffle,
+quartiles from ``np.percentile``), so that the grouped, sort-based library
+path can be held to the same bits.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import simpson
 
+from tcsim.colouring import OverlappingColours, PoolExhausted
 from tcsim.stats import (Z_95, DegenerateAlphabet, TooFewSamples,
                          silverman_bandwidth)
 
@@ -262,13 +265,127 @@ def frame_sets(phys_addr: int, geometry, page_bytes: int) -> set:
             for off in range(0, page_bytes, line)}
 
 
-def pools_cache_disjoint(frames_a, frames_b, geometry, page_bytes: int) -> bool:
-    """Brute-force pairwise check that no cache set is reachable from frames
-    of both pools."""
+def pools_cache_disjoint(pages_a, pages_b, geometry, page_bytes: int) -> bool:
+    """Brute-force pairwise check that no cache set is reachable from page
+    numbers of both pools."""
     sets_a = set()
-    for f in frames_a:
-        sets_a |= frame_sets(f.phys_addr, geometry, page_bytes)
-    for f in frames_b:
-        if sets_a & frame_sets(f.phys_addr, geometry, page_bytes):
+    for p in pages_a:
+        sets_a |= frame_sets(p * page_bytes, geometry, page_bytes)
+    for p in pages_b:
+        if sets_a & frame_sets(p * page_bytes, geometry, page_bytes):
             return False
     return True
+
+
+def colour_of_frame(phys_addr: int, geometry, page_bytes: int) -> int:
+    """Colour of the page at phys_addr from its address and the partitioned
+    cache's shape: page number modulo size / (ways * page size). Only defined
+    for physically indexed caches and page-aligned addresses."""
+    if geometry.indexing != "physical":
+        raise ValueError("colouring requires a physically indexed cache")
+    if phys_addr % page_bytes != 0:
+        raise ValueError("phys_addr must be page-aligned")
+    colours = max(1, geometry.size_bytes // (geometry.ways * page_bytes))
+    return (phys_addr // page_bytes) % colours
+
+
+def pool_pages(partition, domain) -> list[int]:
+    """Every page number left in a domain's pool (the reserve for None)."""
+    pool = partition.reserve if domain is None else partition.pools[domain]
+    return [p for pages in pool.values() for p in pages]
+
+
+def dirty_line_count(cache) -> int:
+    return sum(dirty for ways in cache.snapshot() for _, dirty in ways)
+
+
+def resident_line_count(cache) -> int:
+    return sum(len(ways) for ways in cache.snapshot())
+
+
+def resident_everywhere(hierarchy, vaddr: int, paddr: int) -> bool:
+    return all(level.lookup(vaddr, paddr) for level in hierarchy.levels)
+
+
+def step_numbers(trace) -> list[int]:
+    return [s.number for s in trace.steps]
+
+
+@dataclass(frozen=True)
+class Frame:
+    """One physical page, its colour kept next to its address."""
+
+    phys_addr: int
+    colour: int
+
+
+class ReferencePartition:
+    """The Frame-based allocator that page-number pools replaced. It builds
+    one Frame per page, routes the frames past the boot ones one at a time
+    onto per-colour FIFO lists, then pushes each boot frame onto the head of
+    its colour's reserve list, so boot frames end up newest first. Its
+    interface speaks page numbers, as ColourPartition's does, so it can back
+    a Simulator too."""
+
+    def __init__(self, frames: int, colours: int, boot: int,
+                 domain_colours: dict, page_bytes: int = 4096):
+        claimed: set[int] = set()
+        for dom, cs in domain_colours.items():
+            if claimed & set(cs):
+                raise OverlappingColours(f"domain {dom!r} re-claims colours")
+            claimed |= set(cs)
+        self.domain_colours = {d: frozenset(c) for d, c in domain_colours.items()}
+        self.colours, self.page_bytes = colours, page_bytes
+        self._owner = {c: d for d, cs in domain_colours.items() for c in cs}
+        self.pools: dict = {d: {} for d in domain_colours}
+        self.reserve: dict = {}
+        frame_list = [Frame(i * page_bytes, i % colours) for i in range(frames)]
+        for f in frame_list[boot:]:
+            owner = self._owner.get(f.colour)
+            pool = self.pools[owner] if owner is not None else self.reserve
+            pool.setdefault(f.colour, []).append(f)
+        for f in frame_list[:boot]:
+            self.reserve.setdefault(f.colour, []).insert(0, f)
+
+    def _pool(self, domain):
+        return self.reserve if domain is None else self.pools[domain]
+
+    def pool_size(self, domain) -> int:
+        return sum(len(v) for v in self._pool(domain).values())
+
+    def _take(self, pool, colour, who) -> int:
+        if colour is not None:
+            if not pool.get(colour):
+                raise PoolExhausted(f"no colour-{colour} frame left for {who}")
+            return pool[colour].pop(0).phys_addr // self.page_bytes
+        for c in sorted(pool):
+            if pool[c]:
+                return pool[c].pop(0).phys_addr // self.page_bytes
+        raise PoolExhausted(f"no frame left for {who}")
+
+    def allocate_frame(self, domain, colour=None) -> int:
+        pool = self.pools[domain]
+        if colour is not None:
+            if colour not in self.domain_colours[domain]:
+                raise PoolExhausted(f"colour {colour} not owned by domain {domain!r}")
+            return self._take(pool, colour, domain)
+        colours = [c for c in sorted(self.domain_colours[domain]) if pool.get(c)]
+        if not colours:
+            raise PoolExhausted(f"no frame left for {domain}")
+        counts = {c: len(pool[c]) for c in colours}
+        best = max(counts.values())
+        pick = next(c for c in colours if counts[c] == best)
+        return pool[pick].pop(0).phys_addr // self.page_bytes
+
+    def allocate_reserve(self, colour=None) -> int:
+        return self._take(self.reserve, colour, "reserve")
+
+    def allocate_many(self, domain, n, colour=None) -> list[int]:
+        if domain is None:
+            return [self.allocate_reserve(colour) for _ in range(n)]
+        return [self.allocate_frame(domain, colour) for _ in range(n)]
+
+    def release(self, domain, pages):
+        for p in pages:
+            f = Frame(p * self.page_bytes, p % self.colours)
+            self._pool(domain).setdefault(f.colour, []).append(f)

@@ -12,10 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import (analytic_mixture_mi, gaussian_mixture_dataset,
+from oracles import (analytic_mixture_mi, gaussian_mixture_dataset, pool_pages,
                      pools_cache_disjoint, quadrature_kde_mi)
 from tcsim.channels import ChannelSpec, run_channel, run_llc_side_channel
-from tcsim.colouring import build_frames, partition_pool
+from tcsim.colouring import ColourPartition
 from tcsim.config import parse_config
 from tcsim.harness import measure_switch_costs, run_scenario
 from tcsim.microarch import CacheGeometry, CacheState, LatencyParams, colour_count
@@ -206,10 +206,9 @@ def test_11_determinism(tmp_path):
 def test_12_invariant_suite():
     # colour disjointness: brute-force pairwise frame check on a 4096-frame pool
     geometry = HASWELL.geometries["l2"]
-    frames = build_frames(4096, geometry, HASWELL.page_bytes)
-    partition = partition_pool(frames, {"a": {0, 1, 2, 3}, "b": {4, 5, 6, 7}})
-    assert pools_cache_disjoint(partition.pool_frames("a"),
-                                partition.pool_frames("b"),
+    partition = ColourPartition(4096, colour_count(geometry, HASWELL.page_bytes), 0,
+                                {"a": {0, 1, 2, 3}, "b": {4, 5, 6, 7}})
+    assert pools_cache_disjoint(pool_pages(partition, "a"), pool_pages(partition, "b"),
                                 geometry, HASWELL.page_bytes)
 
     # flush idempotence and history erasure
@@ -217,8 +216,8 @@ def test_12_invariant_suite():
     c1 = CacheState(CacheGeometry(8 * KIB, 4, 64), params)
     c2 = CacheState(CacheGeometry(8 * KIB, 4, 64), params)
     for i in range(57):
-        c1.access("x", i * 64, i * 64, "write")
-    c2.access("y", 99 * 64, 99 * 64)
+        c1.access(i * 64, i * 64, "write")
+    c2.access(99 * 64, 99 * 64)
     c1.flush()
     c2.flush()
     assert c1.snapshot() == c2.snapshot()
@@ -239,9 +238,9 @@ def test_12_invariant_suite():
     # frame conservation through clone/destroy round trips
     sim2 = build_scenario(HASWELL, "protected").sim
     def pool_multiset():
-        return sorted(f.phys_addr for f in sim2.partition.pool_frames(SENDER))
+        return sorted(pool_pages(sim2.partition, SENDER))
     img = sim2.domains[SENDER].kernel_image
-    image_frames = sorted(f.phys_addr for f in sim2.images[img].frames)
+    image_frames = sorted(sim2.images[img].frames)
     with_clone = pool_multiset()
     sim2.destroy_kernel(img)
     released = pool_multiset()

@@ -6,16 +6,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import pools_cache_disjoint
-from tcsim.colouring import (OverlappingColours, PoolExhausted, build_frames,
-                             colour_of_frame, partition_pool)
+from oracles import (ReferencePartition, colour_of_frame, pool_pages,
+                     pools_cache_disjoint)
+from tcsim.colouring import ColourPartition, OverlappingColours, PoolExhausted
+from tcsim.kernel import CannotDestroyInitial, KernelParams, Simulator, SwitchConfig
 from tcsim.microarch import CacheGeometry, colour_count
+from tcsim.profiles import get_profile
+from tcsim.scenarios import RECEIVER, SENDER
 
 KIB = 1024
 MIB = 1024 * KIB
 PAGE = 4096
 LLC = CacheGeometry(8 * MIB, 16, 64, "physical", "llc")  # 128 colours
 L2 = CacheGeometry(256 * KIB, 8, 64, "physical", "l2")   # 8 colours
+
+
+def partition(frames, geometry, assignment, boot=0):
+    return ColourPartition(frames, colour_count(geometry, PAGE), boot, assignment)
+
+
+def colour(page, geometry=L2):
+    return colour_of_frame(page * PAGE, geometry, PAGE)
 
 
 class TestColourOfFrame:
@@ -49,74 +60,67 @@ class TestColourOfFrame:
 
 class TestPartitionPool:
     def test_even_split_of_contiguous_frames(self):
-        frames = build_frames(1024, LLC, PAGE)
-        part = partition_pool(frames, {"a": set(range(64)), "b": set(range(64, 128))})
+        part = partition(1024, LLC, {"a": set(range(64)), "b": set(range(64, 128))})
         assert part.pool_size("a") == 512
         assert part.pool_size("b") == 512
-        assert not part.reserve_frames()
+        assert part.pool_size(None) == 0
 
     def test_single_domain_owns_everything(self):
-        frames = build_frames(256, LLC, PAGE)
-        part = partition_pool(frames, {"a": set(range(128))})
+        part = partition(256, LLC, {"a": set(range(128))})
         assert part.pool_size("a") == 256
 
     def test_overlap_rejected(self):
         with pytest.raises(OverlappingColours):
-            partition_pool([], {"a": {0, 1}, "b": {1, 2}})
+            partition(0, L2, {"a": {0, 1}, "b": {1, 2}})
 
     def test_unassigned_colours_go_to_reserve(self):
-        frames = build_frames(256, L2, PAGE)
-        part = partition_pool(frames, {"a": {0, 1}})
+        part = partition(256, L2, {"a": {0, 1}})
         assert part.pool_size("a") == 64
-        assert len(part.reserve_frames()) == 192
+        assert part.pool_size(None) == 192
 
-    @given(st.integers(1, 200), st.integers(0, 6))
+    @given(st.integers(1, 200), st.integers(0, 6), st.integers(0, 20))
     @settings(max_examples=40, deadline=None)
-    def test_conservation(self, n_frames, split):
-        frames = build_frames(n_frames, L2, PAGE)
+    def test_conservation(self, n_frames, split, boot):
         a = set(range(split))
         b = set(range(split, 8))
-        part = partition_pool(frames, {"a": a, "b": b})
-        routed = part.pool_frames("a") + part.pool_frames("b") + part.reserve_frames()
-        assert Counter(f.phys_addr for f in routed) == Counter(f.phys_addr for f in frames)
-        for f in part.pool_frames("a"):
-            assert f.colour in a
-        for f in part.pool_frames("b"):
-            assert f.colour in b
+        part = partition(n_frames, L2, {"a": a, "b": b}, boot)
+        routed = pool_pages(part, "a") + pool_pages(part, "b") + pool_pages(part, None)
+        assert Counter(routed) == Counter(range(n_frames))
+        assert all(colour(p) in a for p in pool_pages(part, "a"))
+        assert all(colour(p) in b for p in pool_pages(part, "b"))
+        assert set(range(min(boot, n_frames))) <= set(pool_pages(part, None))
 
 
 class TestAllocate:
     def test_exhaustion(self):
-        part = partition_pool(build_frames(8, L2, PAGE), {"a": {0}})
+        part = partition(8, L2, {"a": {0}})
         assert part.pool_size("a") == 1
         part.allocate_frame("a")
         with pytest.raises(PoolExhausted):
             part.allocate_frame("a")
 
     def test_colour_filter(self):
-        part = partition_pool(build_frames(64, L2, PAGE), {"a": {2, 3}})
-        f = part.allocate_frame("a", colour=3)
-        assert f.colour == 3
+        part = partition(64, L2, {"a": {2, 3}})
+        assert colour(part.allocate_frame("a", colour=3)) == 3
         with pytest.raises(PoolExhausted):
             part.allocate_frame("a", colour=5)  # not owned
 
     def test_allocations_respect_colour_set(self):
-        part = partition_pool(build_frames(2048, LLC, PAGE), {"a": set(range(64))})
+        part = partition(2048, LLC, {"a": set(range(64))})
         for _ in range(1000):
-            assert part.allocate_frame("a").colour < 64
+            assert colour(part.allocate_frame("a"), LLC) < 64
 
     def test_release_returns_frames(self):
-        part = partition_pool(build_frames(64, L2, PAGE), {"a": {0, 1}})
+        part = partition(64, L2, {"a": {0, 1}})
         before = part.pool_size("a")
-        frames = part.allocate_many("a", 5)
-        part.release("a", frames)
+        pages = part.allocate_many("a", 5)
+        part.release("a", pages)
         assert part.pool_size("a") == before
 
     def test_cross_domain_cache_disjointness_brute_force(self):
         # every pair of frames allocated to different domains maps to
         # disjoint partitioned-cache sets
-        frames = build_frames(512, L2, PAGE)
-        part = partition_pool(frames, {"a": {0, 1, 2, 3}, "b": {4, 5, 6, 7}})
+        part = partition(512, L2, {"a": {0, 1, 2, 3}, "b": {4, 5, 6, 7}})
         got_a = [part.allocate_frame("a") for _ in range(50)]
         got_b = [part.allocate_frame("b") for _ in range(50)]
         assert pools_cache_disjoint(got_a, got_b, L2, PAGE)
@@ -125,13 +129,129 @@ class TestAllocate:
         # disjoint colours of the small L2 imply disjoint set reach in the
         # much larger LLC, because the L2 colour is the low bits of the
         # LLC colour
-        frames = build_frames(1024, L2, PAGE)
-        part = partition_pool(frames, {"a": {0, 1, 2, 3}, "b": {4, 5, 6, 7}})
+        part = partition(1024, L2, {"a": {0, 1, 2, 3}, "b": {4, 5, 6, 7}})
         got_a = [part.allocate_frame("a") for _ in range(60)]
         got_b = [part.allocate_frame("b") for _ in range(60)]
         assert pools_cache_disjoint(got_a, got_b, LLC, PAGE)
 
     def test_reserve_allocation(self):
-        part = partition_pool(build_frames(64, L2, PAGE), {"a": {0}})
-        f = part.allocate_reserve(colour=5)
-        assert f.colour == 5
+        part = partition(64, L2, {"a": {0}})
+        assert colour(part.allocate_reserve(colour=5)) == 5
+
+    def test_boot_pages_head_the_reserve_newest_first(self):
+        part = partition(64, L2, {"a": set(range(8))}, boot=20)
+        assert [part.allocate_reserve(colour=3) for _ in range(3)] == [19, 11, 3]
+        with pytest.raises(PoolExhausted):
+            part.allocate_reserve(colour=3)  # colour 3 past boot belongs to a
+        assert part.allocate_frame("a", colour=3) == 27
+
+
+def drain(part, domains):
+    """Every page left, pool by pool, in allocation order."""
+    out = []
+    for dom in domains:
+        while True:
+            try:
+                out.append(part.allocate_frame(dom))
+            except PoolExhausted:
+                break
+    while True:
+        try:
+            out.append(part.allocate_reserve())
+        except PoolExhausted:
+            return out
+
+
+class TestAgainstReference:
+    """The page-number pools against the Frame-based allocator they
+    replaced: the same pages in the same order, and PoolExhausted at the
+    same points."""
+
+    @pytest.mark.parametrize("profile", ["haswell", "sabre"])
+    @pytest.mark.parametrize("coloured", [False, True])
+    def test_scenario_sized_pools_match(self, profile, coloured):
+        p = get_profile(profile)
+        colours = colour_count(p.geometries[p.partitioned_cache], p.page_bytes)
+        half = colours // 2
+        assignment = {SENDER: set(range(half)), RECEIVER: set(range(half, colours))} \
+            if coloured else {SENDER: set(), RECEIVER: set()}
+        boot = KernelParams().image_frames + 1
+        got = ColourPartition(4096, colours, boot, assignment)
+        want = ReferencePartition(4096, colours, boot, assignment, p.page_bytes)
+        assert drain(got, [SENDER, RECEIVER]) == drain(want, [SENDER, RECEIVER])
+
+    OPS = st.lists(st.one_of(
+        st.tuples(st.just("frame"), st.sampled_from([SENDER, RECEIVER]),
+                  st.none() | st.integers(0, 9)),
+        st.tuples(st.just("reserve"), st.none() | st.integers(0, 9)),
+        st.tuples(st.just("many"), st.sampled_from([SENDER, RECEIVER, None]),
+                  st.integers(0, 6), st.none() | st.integers(0, 9)),
+        st.tuples(st.just("release"), st.integers(0, 99)),
+        st.tuples(st.just("clone"), st.sampled_from([SENDER, RECEIVER])),
+        st.tuples(st.just("destroy"), st.integers(0, 99)),
+    ), max_size=30)
+
+    @given(frames=st.integers(0, 160), colours=st.integers(1, 8),
+           boot=st.integers(0, 24),
+           owners=st.lists(st.sampled_from([SENDER, RECEIVER, None]),
+                           min_size=8, max_size=8),
+           ops=OPS)
+    @settings(max_examples=150, deadline=None)
+    def test_same_pages_and_exhaustion(self, frames, colours, boot, owners, ops):
+        assignment = {d: {c for c in range(colours) if owners[c] == d}
+                      for d in (SENDER, RECEIVER)}
+        kp = KernelParams(code_frames=2, data_frames=1, stack_frames=1)
+        profile = get_profile("sabre")
+        sims = []
+        for cls in (ColourPartition, ReferencePartition):
+            part = cls(frames, colours, boot, assignment)
+            try:
+                sim = Simulator(profile, profile.build_machine(), part,
+                                SwitchConfig(), kp)
+            except PoolExhausted as exc:
+                sims.append(str(exc))
+                continue
+            for d in (SENDER, RECEIVER):
+                sim.add_domain(d, frozenset(assignment[d]))
+            sims.append(sim)
+        if any(isinstance(s, str) for s in sims):
+            assert sims[0] == sims[1]  # the boot image could not be built
+            return
+        held = []  # (pool, pages) drawn directly, not yet released
+
+        def apply(sim, op):
+            part = sim.partition
+            if op[0] == "frame":
+                return [part.allocate_frame(op[1], op[2])]
+            if op[0] == "reserve":
+                return [part.allocate_reserve(op[1])]
+            if op[0] == "many":
+                return part.allocate_many(op[1], op[2], op[3])
+            if op[0] == "release":
+                pool, pages = held[op[1] % len(held)]
+                part.release(pool, pages)
+                return pages
+            if op[0] == "clone":
+                image = sim.clone_kernel(sim.initial_image.id, op[1])
+                return [image, *sim.images[image].frames]
+            ids = sorted(sim.images)
+            sim.destroy_kernel(ids[op[1] % len(ids)])
+            return ids
+
+        for op in ops:
+            if op[0] == "release" and not held:
+                continue
+            results = []
+            for sim in sims:
+                try:
+                    results.append(apply(sim, op))
+                except (PoolExhausted, CannotDestroyInitial) as exc:
+                    results.append((type(exc), str(exc)))
+            assert results[0] == results[1], op
+            if op[0] == "release":
+                held.pop(op[1] % len(held))
+            elif op[0] in ("frame", "reserve", "many") and isinstance(results[0], list):
+                pool = None if op[0] == "reserve" else op[1]
+                held.append((pool, results[0]))
+        assert drain(sims[0].partition, [SENDER, RECEIVER]) == \
+            drain(sims[1].partition, [SENDER, RECEIVER])

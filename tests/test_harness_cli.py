@@ -4,12 +4,16 @@ import json
 import math
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 from tcsim.cli import builtin_config_names, main
-from tcsim.config import ConfigError, parse_config
+from tcsim.config import _SCHEMA, CHANNEL_NAMES, ConfigError, parse_config
 from tcsim.harness import (measure_colour_overhead, measure_switch_costs,
                            run_scenario)
 from tcsim.profiles import get_profile
@@ -185,7 +189,10 @@ class TestCli:
                                       "zero kde eps", "empty overhead working set",
                                       "too few iterations", "negative key bits",
                                       "zero key bits", "nan noise", "infinite noise",
-                                      "negative noise", "switch-cost profile",
+                                      "negative noise", "negative key seed",
+                                      "zero timeslice", "negative timeslice",
+                                      "too many frames", "too few frames",
+                                      "switch-cost profile",
                                       "analyze missing csv", "analyze one symbol",
                                       "analyze missing column", "analyze bad output",
                                       "analyze zero shuffles", "analyze one shuffle",
@@ -210,6 +217,16 @@ class TestCli:
             "nan noise": MINI + "noise_sigma_pct = nan\n",
             "infinite noise": MINI + "noise_sigma_pct = inf\n",
             "negative noise": MINI + "noise_sigma_pct = -5\n",
+            "negative key seed": MINI.replace("run = bhb", "run = llc_side")
+            + "llc_key_seed = -3\n",
+            "zero timeslice": MINI + "\n[switch]\ntimeslice_cycles = 0\n",
+            "negative timeslice": MINI + "\n[switch]\ntimeslice_cycles = -5\n",
+            # rejected at parse time; a pool this size is never built
+            "too many frames": MINI + "\n[domains]\nframes = 1048577\n",
+            # two kernel clones leave too few colour-0 frames for the probe
+            "too few frames": MINI.replace("run = bhb", "run = kernel")
+                                  .replace("raw, protected", "full_flush")
+            + "\n[domains]\nframes = 1024\n",
         }
         out = tmp_path / "out"
         if case in configs:
@@ -238,7 +255,7 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("config error: ")
         assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
-        if case != "too few iterations":
+        if case not in ("too few iterations", "too few frames"):
             assert not out.exists()  # rejected before anything was written
         assert not (out / "report.json").exists()
 
@@ -265,3 +282,89 @@ switch_cost_table = false
         assert raw["recovery_accuracy"] >= 0.9
         assert abs(prot["recovery_accuracy"] - 0.5) <= 0.05
         assert (tmp_path / raw["trace_csv"]).exists()
+
+
+# values a config key may plausibly take, keyed by config key; every other
+# value is junk. Keys missing here get junk only.
+PLAUSIBLE = {
+    "profile": ["haswell", "sabre"],
+    "colour_split": ["50, 50", "25, 75", "90, 10"],
+    "frames": ["1024", "4096"],
+    "timeslice_cycles": ["200000", "5000", "1"],
+    "pad_cycles": ["auto", "0", "10", "100000"],
+    "irq_margin_pct": ["5", "0", "50.5"],
+    "irq_owners": ["5:d0", "5:d0, 9:d1"],
+    "run": [*CHANNEL_NAMES, "bhb, kernel"],
+    "scenarios": ["raw", "protected", "full_flush, raw", "raw, full_flush, protected"],
+    "iterations": ["3", "16", "30"],
+    "warmup": ["0", "2"],
+    "seed": ["1", "-1", "7"],
+    "noise_sigma_pct": ["0", "2.0", "50"],
+    "symbols": ["2", "4", "16"],
+    "llc_key_bits": ["1", "4", "8"],
+    "llc_key_seed": ["0", "48"],
+    "switch_cost_table": ["true", "false"],
+    "colour_overhead": ["true", "false"],
+    "overhead_shares": ["0.5, 1.0", "1.0"],
+    "overhead_working_set_kib": ["16", "64"],
+    "shuffles": ["2", "4"],
+    "grid_points": ["16", "64"],
+    "matrix_bins": ["2", "8"],
+    "kde_eps": ["1e-6", "0.5"],
+}
+JUNK = st.sampled_from(["", "-1", "0", "nan", "inf", "1e309", "x", "3.5", "true",
+                        ",", "9:d7", "auto", "99999999999"]) | st.text(max_size=5)
+# (section, key) -> the largest value a run in this test may use, so that
+# every config that parses runs in well under a second
+CLAMP = {("channels", "iterations"): 30, ("channels", "warmup"): 2,
+         ("channels", "llc_key_bits"): 8, ("channels", "overhead_working_set_kib"): 64,
+         ("domains", "frames"): 4096, ("stats", "shuffles"): 4,
+         ("stats", "grid_points"): 64, ("stats", "matrix_bins"): 8}
+
+
+@st.composite
+def config_texts(draw):
+    """{section: {key: value text}} over the real sections and keys, plus
+    junk lines. Half the drawn configs hold plausible values only, so that
+    many of them parse and run."""
+    clean = draw(st.booleans())
+    sections = {}
+    for section, keys in _SCHEMA.items():
+        chosen = draw(st.lists(st.sampled_from(sorted(keys)), unique=True, max_size=4))
+        sections[section] = {}
+        for k in chosen:
+            plausible = st.sampled_from(PLAUSIBLE.get(k, ["x"]))
+            sections[section][k] = draw(plausible if clean else plausible | JUNK)
+    if "run" not in sections["channels"]:
+        sections["channels"]["run"] = draw(st.sampled_from(PLAUSIBLE["run"]))
+    extra = "" if clean else draw(st.sampled_from(
+        ["", "[warp]\n", "stray line\n", "[stats]\nspeed = 9\n"]))
+    return sections, extra
+
+
+def render(sections, extra="") -> str:
+    lines = []
+    for section, pairs in sections.items():
+        lines.append(f"[{section}]")
+        lines.extend(f"{k} = {v}" for k, v in pairs.items())
+    return "\n".join(lines) + "\n" + extra
+
+
+class TestConfigProperty:
+    @given(config_texts())
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_any_config_parses_or_is_a_config_error_and_runs_to_a_contract_code(
+            self, drawn):
+        sections, extra = drawn
+        try:
+            cfg = parse_config(render(sections, extra))
+        except ConfigError:
+            event("rejected at parse")
+            return
+        for (section, key), most in CLAMP.items():
+            sections[section][key] = str(min(getattr(cfg, _SCHEMA[section][key][0]), most))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "c.cfg"
+            path.write_text(render(sections))
+            assert main(["run", str(path), "-o", str(Path(tmp) / "out")]) in (0, 2, 3)

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from oracles import pools_cache_disjoint
+from oracles import colour_of_frame, pool_pages, pools_cache_disjoint, step_numbers
 from tcsim.colouring import PoolExhausted
 from tcsim.kernel import (SHARED_REGION_NAMES, CannotDestroyInitial,
                           InvalidImage, InvalidSource, KernelParams, PadOverrun)
@@ -14,6 +14,7 @@ from tcsim.scenarios import (ON_CORE_RESOURCES, RECEIVER, SENDER, build_scenario
                              split_colours)
 
 HASWELL = get_profile("haswell")
+L2 = HASWELL.geometries["l2"]
 
 
 def protected():
@@ -59,7 +60,8 @@ class TestClone:
         image = sim.images[sim.domains[SENDER].kernel_image]
         colours = sim.domains[SENDER].colours
         assert image.frames
-        assert all(f.colour in colours for f in image.frames)
+        assert all(colour_of_frame(f * HASWELL.page_bytes, L2, HASWELL.page_bytes) in colours
+                   for f in image.frames)
 
     def test_two_clones_cache_disjoint(self):
         sim = protected()
@@ -143,13 +145,13 @@ class TestDomainSwitch:
         sim.domain_switch(RECEIVER)
         trace = sim.domain_switch(SENDER)
         assert not trace.kernel_switch
-        assert trace.step_numbers() == [1, 2, 5, 6, 12]
+        assert step_numbers(trace) == [1, 2, 5, 6, 12]
 
     def test_kernel_switch_steps_in_order(self):
         sim = protected()
         trace = sim.domain_switch(RECEIVER)
         assert trace.kernel_switch
-        assert trace.step_numbers() == [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12]
+        assert step_numbers(trace) == [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12]
 
     def test_padding_absorbs_flush_variance(self):
         sim = protected()
@@ -159,7 +161,7 @@ class TestDomainSwitch:
             sim.domain_switch(SENDER)
             for i in range(dirty):
                 addr = 0x100000 + i * 64
-                l1d.access(SENDER, addr, addr, "write")
+                l1d.access(addr, addr, "write")
             totals.append(sim.domain_switch(RECEIVER).total_elapsed)
         assert totals[0] == totals[1] == totals[2]
 
@@ -171,7 +173,7 @@ class TestDomainSwitch:
             sim.domain_switch(SENDER)
             for i in range(dirty):
                 addr = 0x100000 + i * 64
-                sim.machine.cache("l1d").access(SENDER, addr, addr, "write")
+                sim.machine.cache("l1d").access(addr, addr, "write")
             totals.append(sim.domain_switch(RECEIVER).total_elapsed)
         assert totals[0] < totals[1] < totals[2]
 
@@ -185,7 +187,7 @@ class TestDomainSwitch:
         sim = protected()
         l1d = sim.machine.cache("l1d")
         for i in range(50):
-            l1d.access(SENDER, i * 64, i * 64, "write")
+            l1d.access(i * 64, i * 64, "write")
         sim.domain_switch(RECEIVER)
         line = l1d.geometry.line_bytes
         shared_tags = {addr // line for addr in sim.shared.regions.values()}
@@ -197,7 +199,7 @@ class TestDomainSwitch:
         machine = sim.machine
         for addr in sim.shared.regions.values():
             assert machine.data_path.levels[0].lookup(addr, addr)
-            first = machine.data_access("kernel", addr, addr)
+            first = machine.data_path.access(addr, addr)
             assert first == machine.latency.params("l1d").hit_cycles
 
     def test_total_elapsed_is_pad_plus_post(self):
@@ -252,10 +254,10 @@ class TestDestroy:
         sim = protected()
         img_id = sim.domains[SENDER].kernel_image
         frames = sim.images[img_id].frames
-        before = Counter(f.phys_addr for f in sim.partition.pool_frames(SENDER))
-        expected = before + Counter(f.phys_addr for f in frames)
+        before = Counter(pool_pages(sim.partition, SENDER))
+        expected = before + Counter(frames)
         sim.destroy_kernel(img_id)
-        after = Counter(f.phys_addr for f in sim.partition.pool_frames(SENDER))
+        after = Counter(pool_pages(sim.partition, SENDER))
         assert after == expected
         assert sim.domains[SENDER].kernel_image == sim.initial_image.id
         assert all(t.suspended for t in sim.domains[SENDER].threads)
@@ -283,7 +285,7 @@ class TestWorstCaseBound:
         sim.domain_switch(SENDER)
         for i in range(l1d.geometry.lines):  # every line dirty
             addr = 0x4000000 + (i * 64)
-            l1d.access(SENDER, addr, addr, "write")
+            l1d.access(addr, addr, "write")
         trace = sim.domain_switch(RECEIVER)  # must not overrun
         assert trace.pad_cycles >= trace.natural_cycles
 

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ReferenceGshare, ReferenceLru, two_bit_counter_reference
+from oracles import (ReferenceGshare, ReferenceLru, dirty_line_count,
+                     resident_everywhere, resident_line_count,
+                     two_bit_counter_reference)
 from tcsim.microarch import (BhbState, CacheGeometry, CacheState, LatencyModel,
                              LatencyParams, Machine, MemoryHierarchy,
                              PredictorState, colour_count)
@@ -70,8 +72,8 @@ class TestColourCount:
 class TestAccess:
     def test_second_access_hits(self):
         c = small_cache()
-        first = c.access("a", 0x1000, 0x1000)
-        again = c.access("a", 0x1000, 0x1000)
+        first = c.access(0x1000, 0x1000)
+        again = c.access(0x1000, 0x1000)
         assert first == PARAMS.miss_cycles
         assert again == PARAMS.hit_cycles
 
@@ -82,21 +84,21 @@ class TestAccess:
         addrs = [0x0, stride, 2 * stride]
         for _ in range(5):
             for a in addrs:
-                assert c.access("a", a, a) == PARAMS.miss_cycles
+                assert c.access(a, a) == PARAMS.miss_cycles
 
     def test_dirty_eviction_charges_writeback(self):
         c = small_cache(sets=1, ways=2)
-        c.access("a", 0 * 64, 0 * 64, "write")
-        c.access("a", 1 * 64, 1 * 64, "write")
-        latency = c.access("a", 2 * 64, 2 * 64)
+        c.access(0 * 64, 0 * 64, "write")
+        c.access(1 * 64, 1 * 64, "write")
+        latency = c.access(2 * 64, 2 * 64)
         assert latency == PARAMS.miss_cycles + PARAMS.writeback_cycles_per_line
         # the dirty LRU line 0 was evicted; line 2 is installed clean as MRU
         assert c.snapshot() == [[(1, True), (2, False)]]
 
     def test_write_marks_dirty_and_dirty_implies_valid(self):
         c = small_cache()
-        c.access("a", 0x40, 0x40, "write")
-        assert c.dirty_line_count() == 1
+        c.access(0x40, 0x40, "write")
+        assert dirty_line_count(c) == 1
         assert c.lookup(0x40, 0x40)  # the dirty line is resident
         assert [pair for ways in c.snapshot() for pair in ways] == [(1, True)]
 
@@ -110,9 +112,9 @@ class TestAccess:
 
     def test_virtual_index_physical_tag(self):
         c = small_cache(indexing="virtual")
-        c.access("a", 0x1000, 0x8000)
+        c.access(0x1000, 0x8000)
         # same virtual address, different frame: same set, different tag
-        assert c.access("b", 0x1000, 0x9000) == PARAMS.miss_cycles
+        assert c.access(0x1000, 0x9000) == PARAMS.miss_cycles
         sa, ta = c.locate(0x1000, 0x8000)
         sb, tb = c.locate(0x1000, 0x9000)
         assert sa == sb and ta != tb
@@ -143,7 +145,7 @@ def test_access_matches_reference_lru(indexing, shape, offset, ops):
         ref_hit, ref_evicted = ref.access(index_addr, paddr, kind == "write")
         if not ref_hit:
             fills[(index_addr // 64) % sets] += 1
-        latency = c.access("a", vaddr, paddr, kind)
+        latency = c.access(vaddr, paddr, kind)
         assert (latency == PARAMS.hit_cycles) == ref_hit
         assert latency == ref_latency(PARAMS, ref_hit, ref_evicted)
         # resident tags, dirty bits and recency order; this pins the evicted
@@ -152,8 +154,8 @@ def test_access_matches_reference_lru(indexing, shape, offset, ops):
         # a modification is counted on every fill and only there
         assert c.mod_count == fills
         assert c._occupied == occupied_sets(c)
-    assert c.dirty_line_count() == ref.dirty_count()
-    assert c.resident_line_count() <= sets * ways
+    assert dirty_line_count(c) == ref.dirty_count()
+    assert resident_line_count(c) <= sets * ways
 
 
 @settings(max_examples=40, deadline=None)
@@ -161,11 +163,11 @@ def test_access_matches_reference_lru(indexing, shape, offset, ops):
 def test_determinism_and_residency_bound(ops):
     c1 = small_cache(sets=8, ways=2)
     c2 = small_cache(sets=8, ways=2)
-    lat1 = [c1.access("a", ln * 64, ln * 64, "write" if w else "read") for ln, w in ops]
-    lat2 = [c2.access("a", ln * 64, ln * 64, "write" if w else "read") for ln, w in ops]
+    lat1 = [c1.access(ln * 64, ln * 64, "write" if w else "read") for ln, w in ops]
+    lat2 = [c2.access(ln * 64, ln * 64, "write" if w else "read") for ln, w in ops]
     assert lat1 == lat2
     assert c1.snapshot() == c2.snapshot()
-    assert c1.resident_line_count() <= 16
+    assert resident_line_count(c1) <= 16
     for ways in c1.snapshot():
         tags = [tag for tag, _ in ways]
         assert len(tags) == len(set(tags))
@@ -203,7 +205,7 @@ def test_hierarchy_matches_reference_chain(depth, ops):
             level_fills[(index_addr // 64) % sets] += 1
         else:
             expected += 100  # every level missed: memory
-        assert h.access("a", vaddr, paddr, "write" if write else "read") == expected
+        assert h.access(vaddr, paddr, "write" if write else "read") == expected
     for level, ref, level_fills in zip(levels, refs, fills):
         assert level.snapshot() == ref.snapshot()
         assert level.mod_count == level_fills
@@ -218,14 +220,14 @@ class TestFlush:
     def test_flush_cost_counts_dirty_lines(self):
         c = small_cache(sets=8, ways=2)
         for i in range(5):
-            c.access("a", i * 64, i * 64, "write")  # five distinct sets
+            c.access(i * 64, i * 64, "write")  # five distinct sets
         cost = c.flush()
         assert cost == PARAMS.flush_base_cycles + 5 * PARAMS.writeback_cycles_per_line
 
     def test_double_flush_idempotent(self):
         c = small_cache()
         for i in range(7):
-            c.access("a", i * 64, i * 64, "write")
+            c.access(i * 64, i * 64, "write")
         c.flush()
         snap = c.snapshot()
         assert c.flush() == PARAMS.flush_base_cycles
@@ -234,8 +236,8 @@ class TestFlush:
     def test_flush_erases_history(self):
         c1, c2 = small_cache(), small_cache()
         for i in range(20):
-            c1.access("a", i * 64, i * 64, "write")
-        c2.access("b", 123 * 64, 123 * 64)
+            c1.access(i * 64, i * 64, "write")
+        c2.access(123 * 64, 123 * 64)
         c1.flush()
         c2.flush()
         assert c1.snapshot() == c2.snapshot()
@@ -245,10 +247,10 @@ class TestFlush:
     def test_flush_cost_monotone_in_dirty_lines(self, k):
         big = small_cache(sets=64, ways=8)
         for i in range(k):
-            big.access("a", i * 64, i * 64, "write")
+            big.access(i * 64, i * 64, "write")
         more = small_cache(sets=64, ways=8)
         for i in range(k + 1):
-            more.access("a", i * 64, i * 64, "write")
+            more.access(i * 64, i * 64, "write")
         assert more.flush() >= big.flush()
 
 
@@ -261,15 +263,15 @@ def test_flush_costs_dirty_lines_and_empties_every_set(ops):
     c = small_cache(sets=sets, ways=ways)
     for op, a, b in ops:
         if op == "access":
-            c.access("a", a * 64, a * 64, "write" if b else "read")
+            c.access(a * 64, a * 64, "write" if b else "read")
         else:
-            c.probe_sets("spy", {a: [((b + j) * sets + a) * 64 for j in range(ways)]})
+            c.probe_sets({a: [((b + j) * sets + a) * 64 for j in range(ways)]})
     before = c.snapshot()
     dirty = sum(d for lines in before for _, d in lines)
     mods = list(c.mod_count)
     assert c.flush() == PARAMS.flush_base_cycles + PARAMS.writeback_cycles_per_line * dirty
     assert all(not lines for lines in c.snapshot())
-    assert c.resident_line_count() == 0 and c.dirty_line_count() == 0
+    assert resident_line_count(c) == 0 and dirty_line_count(c) == 0
     # exactly the sets that held lines count a modification
     assert c.mod_count == [m + bool(lines) for m, lines in zip(mods, before)]
 
@@ -285,12 +287,12 @@ class TestProbeSets:
             lines = [(w * sets + 2) * line for w in range(ways)]
             for c in (a, b):
                 for addr in lines:
-                    c.access("spy", addr, addr)
+                    c.access(addr, addr)
                 for i in range(foreign):
                     v = (100 + i) * sets * line + 2 * line
-                    c.access("victim", v, v)
-            seq_lat = sum(a.access("spy", x, x) for x in reversed(lines))
-            got = b.probe_sets("spy", {2: list(reversed(lines))})
+                    c.access(v, v)
+            seq_lat = sum(a.access(x, x) for x in reversed(lines))
+            got = b.probe_sets({2: list(reversed(lines))})
             assert got[2][0] == seq_lat
             assert got[2][1] == foreign
             assert a.snapshot() == b.snapshot()
@@ -298,14 +300,14 @@ class TestProbeSets:
     def test_probe_requires_full_way_cover(self):
         c = small_cache(sets=4, ways=4)
         with pytest.raises(ValueError):
-            c.probe_sets("spy", {0: [0, 64]})
+            c.probe_sets({0: [0, 64]})
         with pytest.raises(ValueError):  # a repeated line is not a way
-            c.probe_sets("spy", {0: [0, 256, 512, 768, 768]})
+            c.probe_sets({0: [0, 256, 512, 768, 768]})
 
     def test_probe_rejects_lines_of_another_set(self):
         c = small_cache(sets=4, ways=4)
         with pytest.raises(ValueError):
-            c.probe_sets("spy", {1: [w * 4 * 64 for w in range(4)]})
+            c.probe_sets({1: [w * 4 * 64 for w in range(4)]})
 
 
 class TestPredictor:
@@ -318,14 +320,14 @@ class TestPredictor:
     def test_saturated_taken_branch_predicts(self):
         p = self.make()
         for _ in range(64):
-            p.touch("a", 0x400, taken=True)
-        res = p.touch("a", 0x400, taken=True)
+            p.touch(0x400, taken=True)
+        res = p.touch(0x400, taken=True)
         assert res.direction_correct and res.btb_hit
         assert res.latency == 1  # btb hit, no mispredict
 
     def test_cold_predictor_mispredicts_taken(self):
         p = self.make()
-        res = p.touch("a", 0x400, taken=True)
+        res = p.touch(0x400, taken=True)
         assert not res.btb_hit and not res.direction_correct
         assert res.latency == 10 + 20
 
@@ -335,20 +337,20 @@ class TestPredictor:
         p = self.make(history_bits=0)  # single-slot table isolates the counter
         outcomes = [True, False, False, True, False, False]
         for t in outcomes:
-            p.touch("a", 0x100, taken=t)
+            p.touch(0x100, taken=t)
         expect_correct = two_bit_counter_reference(outcomes, probe_taken=True)
-        res = p.touch("a", 0x100, taken=True)
+        res = p.touch(0x100, taken=True)
         assert res.direction_correct == expect_correct
         assert res.latency >= 20 if not expect_correct else res.latency < 20
 
     def test_flush_resets_history_and_counters(self):
         p = self.make()
         for _ in range(30):
-            p.touch("a", 0x400, taken=True)
-        p.flush_btb()
+            p.touch(0x400, taken=True)
+        p.btb.flush()
         assert p.flush_bhb() == 8
         assert p.bhb.history == 0 and all(c == 0 for c in p.bhb.counters)
-        res = p.touch("a", 0x400, taken=True)
+        res = p.touch(0x400, taken=True)
         assert not res.btb_hit and not res.direction_correct
 
 
@@ -362,7 +364,7 @@ def test_predictor_matches_reference_gshare(history_bits, branches):
     p = PredictorState(btb, BhbState(history_bits), mispredict_cycles=20)
     ref = ReferenceGshare(history_bits, 8, 2, 4, btb_hit=1, btb_miss=10, mispredict=20)
     for slot, taken in branches:
-        res = p.touch("a", slot * 4, taken)
+        res = p.touch(slot * 4, taken)
         assert (res.latency, res.btb_hit, res.direction_correct) == ref.touch(slot * 4, taken)
         assert p.bhb.history == ref.history
         assert p.bhb.counters == ref.counter_table()
@@ -378,20 +380,20 @@ class TestHierarchy:
 
     def test_miss_forwards_and_fills_inclusively(self):
         h = self.make()
-        cold = h.access("a", 0x40, 0x40)
+        cold = h.access(0x40, 0x40)
         assert cold == 6 + 12 + 100
-        assert h.resident_everywhere(0x40, 0x40)
-        warm = h.access("a", 0x40, 0x40)
+        assert resident_everywhere(h, 0x40, 0x40)
+        warm = h.access(0x40, 0x40)
         assert warm == 4
 
     def test_l2_hit_after_l1_eviction(self):
         h = self.make()
-        h.access("a", 0x40, 0x40)
+        h.access(0x40, 0x40)
         # evict from the 2-way L1 set without evicting from the larger L2
         span1 = 16 * 64
-        h.access("a", 0x40 + span1, 0x40 + span1)
-        h.access("a", 0x40 + 2 * span1, 0x40 + 2 * span1)
-        assert h.access("a", 0x40, 0x40) == 6 + 8
+        h.access(0x40 + span1, 0x40 + span1)
+        h.access(0x40 + 2 * span1, 0x40 + 2 * span1)
+        assert h.access(0x40, 0x40) == 6 + 8
 
     def test_levels_must_be_distinct(self):
         # a missed level is filled before the next is asked, so one cache
@@ -412,7 +414,7 @@ class TestMachine:
         }
         machine = Machine(geometries, LatencyModel(PARAMS), bhb_history_bits=4)
         assert set(machine.resource_ids()) == {"l1d", "l1i", "l2", "tlb", "btb", "bhb"}
-        machine.data_access("a", 0x40, 0x40, write=True)
+        machine.data_path.access(0x40, 0x40, "write")
         assert machine.flush("l1d") > PARAMS.flush_base_cycles
         assert machine.flush_worst_case("l1d") == (
             PARAMS.flush_base_cycles
