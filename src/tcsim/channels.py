@@ -148,7 +148,7 @@ def probe(sim: Simulator, resource: str, window) -> int:
         touch = sim.machine.predictor.touch
         for way in window:
             for addr in way:
-                latency += touch(addr, True).latency
+                latency += touch(addr, True)
         return latency
     access = sim.machine.cache(resource).access
     kind = "ifetch" if resource == "l1i" else "read"
@@ -198,7 +198,7 @@ def _bhb(profile, spec, alphabet, rng, build_kwargs):
             predictor.touch(branch, taken=(symbol == "taken"))
 
     def measure(it, trace):
-        return [(predictor.touch(branch, taken=True).latency,)]
+        return [(predictor.touch(branch, taken=True),)]
 
     return sim, send, measure, {}
 
@@ -412,6 +412,10 @@ def run_llc_side_channel(profile: PlatformProfile, spec: ChannelSpec,
     and re-probes each scheduling quantum; intervals between hot quanta on the
     hottest set decode the key. With disjoint colours the victim's set is
     outside the spy's reach and recovery degrades to guessing.
+
+    Only a victim miss changes a primed set, and only the square's set, so
+    the spy's re-probe is computed there alone: every other probe of a
+    primed set hits all its ways and reads the baseline.
     """
     system = build_scenario(profile, spec.scenario, **build_kwargs)
     sim = system.sim
@@ -436,19 +440,13 @@ def run_llc_side_channel(profile: PlatformProfile, spec: ChannelSpec,
 
     baseline = llc.geometry.ways * llc.params.hit_cycles
     trace = np.full((len(spy_sets), quanta), float(baseline))
-    row_of = {s: i for i, s in enumerate(spy_sets)}
     llc.probe_sets(spy_lines)
-    prev_mod = {s: llc.mod_count[s] for s in spy_sets}
-    touches = set(touch_quanta)
-    for q in range(quanta):
-        if q in touches:
-            llc.access(square_addr, square_addr)
-        changed = [s for s in spy_sets if llc.mod_count[s] != prev_mod[s]]
-        if changed:
-            results = llc.probe_sets({s: spy_lines[s] for s in changed})
-            for s, (lat, _) in results.items():
-                trace[row_of[s], q] = lat
-                prev_mod[s] = llc.mod_count[s]
+    square_set = llc.locate(square_addr, square_addr)[0]
+    for q in touch_quanta:
+        missed = llc.access(square_addr, square_addr) != llc.params.hit_cycles
+        if missed and square_set in spy_lines:
+            probed = llc.probe_sets({square_set: spy_lines[square_set]})
+            trace[spy_sets.index(square_set), q] = probed[square_set]
 
     recovered, hot_set = _decode_trace(trace, spy_sets, baseline, key_bits)
     accuracy = float(np.mean(recovered == key))

@@ -91,7 +91,10 @@ def cmd_analyze(args) -> int:
     record["source"] = str(args.samples)
     text = json.dumps(_jsonable(record), indent=2, sort_keys=True)
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        try:
+            Path(args.out).write_text(text + "\n")
+        except OSError as exc:
+            raise ConfigError(f"cannot write {args.out}: {exc.strerror}") from None
     print(text)
     return 0
 

@@ -66,7 +66,10 @@ def run_scenario(cfg: RunConfig, outdir) -> dict:
     """Run every requested channel under every requested scenario, measure
     leakage, and write report.json plus per-cell CSVs under ``outdir``."""
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use {outdir} as output directory: {exc.strerror}") from None
     profile = get_profile(cfg.profile)
     report = {
         "tool": "tcsim",

@@ -111,14 +111,13 @@ class SwitchConfig:
     """Domain-switch behaviour. ``pad_cycles`` of zero disables padding."""
 
     pad_cycles: int = 0
-    irq_margin_cycles: int = 0
     flush_targets: tuple = ()
     prefetch_shared: bool = False
     partition_irqs: bool = False
 
     def __post_init__(self):
-        if self.pad_cycles < 0 or self.irq_margin_cycles < 0:
-            raise ValueError("pad and margin must be non-negative")
+        if self.pad_cycles < 0:
+            raise ValueError("pad_cycles must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -166,7 +165,6 @@ class SwitchTrace:
 
 @dataclass
 class IrqState:
-    owner_image: int | None = None
     masked: bool = True
 
 
@@ -278,9 +276,7 @@ class Simulator:
             self.domains[image.owner].colours else None
         self.partition.release(owner_dom, image.frames)
         for irq in list(image.owned_irqs):
-            st = self.irqs.ensure(irq)
-            st.owner_image = None
-            st.masked = self.irqs.partition_irqs
+            self.irqs.ensure(irq).masked = self.irqs.partition_irqs
         image.owned_irqs.clear()
         del self.images[image_id]
 
@@ -291,7 +287,6 @@ class Simulator:
             img.owned_irqs.discard(irq)
         self.images[image_id].owned_irqs.add(irq)
         st = self.irqs.ensure(irq)
-        st.owner_image = image_id
         st.masked = True if self.cfg.partition_irqs else st.masked
 
     # -- domains and memory ------------------------------------------------

@@ -1,16 +1,16 @@
 """Models of shared stateful hardware resources with cycle-cost accounting.
 
 Set-associative caches (also used for TLBs and branch target buffers), a
-gshare-style direction predictor, and a multi-level inclusive data/instruction
-hierarchy. Replacement is exact LRU and caches are write-back: a write marks
-the line dirty, and dirty lines are charged one write-back each when evicted
-or flushed.
+gshare-style direction predictor, and a multi-level inclusive data hierarchy.
+Replacement is exact LRU and caches are write-back: a write marks the line
+dirty, and dirty lines are charged one write-back each when evicted or
+flushed.
 
 Each cache set is an insertion-ordered dict from tag to dirty bit, LRU first
 and MRU last, so a hit, a fill and an eviction are O(1) dict operations and a
-flush walks only the occupied sets, costing O(resident lines). Accesses
-return a plain int latency; a hit costs exactly ``hit_cycles``, which is
-strictly less than any miss.
+flush walks only the occupied sets, costing O(resident lines). Accesses and
+branch-predictor touches return a plain int latency; a hit costs exactly
+``hit_cycles``, which is strictly less than any miss.
 
 Everything here is a plain value: identical operation sequences applied to
 equal initial states give identical latencies and identical final states.
@@ -104,9 +104,7 @@ class CacheState:
     unique within a set by construction. A hit re-inserts its tag at the MRU
     end; a fill into a full set evicts the first (LRU) tag. The indices of
     non-empty sets are kept in an occupied-set index, so a flush costs
-    O(resident lines) rather than O(sets). ``mod_count`` per set increments
-    on every install or flush; read-only probes of resident lines do not bump
-    it (recency reordering is not observable through timing).
+    O(resident lines) rather than O(sets).
     """
 
     def __init__(self, geometry: CacheGeometry, params: LatencyParams, name: str = ""):
@@ -114,7 +112,6 @@ class CacheState:
         self.params = params
         self.name = name or geometry.level_name
         self.sets: list[dict[int, bool]] = [{} for _ in range(geometry.sets)]
-        self.mod_count: list[int] = [0] * geometry.sets
         self._occupied: set[int] = set()
         self._shift = geometry.line_bytes.bit_length() - 1
         self._mask = geometry.sets - 1
@@ -155,7 +152,6 @@ class CacheState:
         elif len(ways) >= self._ways and ways.pop(next(iter(ways))):
             latency += self._wb_cycles
         ways[tag] = kind == "write"
-        self.mod_count[set_idx] += 1
         return latency
 
     def probe_sets(self, lines_by_set: dict) -> dict:
@@ -163,10 +159,9 @@ class CacheState:
         (index-relevant addresses) in prime order. Equivalent to sequential
         ``access`` calls when the absent lines are the least recent, which
         holds for a prober that owns all resident lines of the set apart from
-        younger foreign installs. Returns {set_idx: (latency, misses)} and
-        leaves each probed set holding exactly the probed lines."""
+        younger foreign installs. Returns {set_idx: latency} and leaves each
+        probed set holding exactly the probed lines."""
         out = {}
-        hit_cycles = self._hit_cycles
         for set_idx, addrs in lines_by_set.items():
             tags = {a >> self._shift for a in addrs}
             if len(addrs) != self._ways or len(tags) != self._ways:
@@ -178,12 +173,9 @@ class CacheState:
             for tag in [t for t in ways if t not in tags]:  # displaced by the refill
                 if ways.pop(tag):
                     latency += self._wb_cycles
-            misses = 0
             for a in addrs:
-                cost = self.access(a, a)
-                latency += cost
-                misses += cost != hit_cycles
-            out[set_idx] = (latency, misses)
+                latency += self.access(a, a)
+            out[set_idx] = latency
         return out
 
     def flush(self) -> int:
@@ -195,7 +187,6 @@ class CacheState:
             ways = self.sets[i]
             cost += self._wb_cycles * sum(ways.values())
             ways.clear()
-            self.mod_count[i] += 1
         self._occupied.clear()
         return cost
 
@@ -244,7 +235,6 @@ class MemoryHierarchy:
             elif len(ways) >= level._ways and ways.pop(next(iter(ways))):
                 latency += level._wb_cycles
             ways[tag] = write
-            level.mod_count[set_idx] += 1
         return latency + self.memory_cycles
 
 
@@ -269,13 +259,6 @@ class BhbState:
         self.counters = [0] * (1 << self.history_bits)
 
 
-@dataclass(frozen=True)
-class PredictResult:
-    latency: int
-    btb_hit: bool
-    direction_correct: bool
-
-
 class PredictorState:
     """Branch machinery: a tagged target cache (BTB) plus a BhbState."""
 
@@ -286,9 +269,8 @@ class PredictorState:
         self.mispredict_cycles = mispredict_cycles
         self.bhb_flush_base = bhb_flush_base
         self._history_mask = (1 << bhb.history_bits) - 1
-        self._btb_hit_cycles = btb.params.hit_cycles
 
-    def touch(self, branch_addr: int, taken: bool) -> PredictResult:
+    def touch(self, branch_addr: int, taken: bool) -> int:
         """Execute one branch: predict direction from the counter table, look
         the target up in the BTB, then train both. Latency is the BTB
         hit/miss cost plus a mispredict penalty when the predicted direction
@@ -306,8 +288,7 @@ class PredictorState:
         elif counter > 0:
             counters[idx] = counter - 1
         bhb.history = ((history << 1) | taken) & self._history_mask
-        return PredictResult(btb_latency if correct else btb_latency + self.mispredict_cycles,
-                             btb_latency == self._btb_hit_cycles, correct)
+        return btb_latency if correct else btb_latency + self.mispredict_cycles
 
     def flush_bhb(self) -> int:
         self.bhb.reset()
@@ -318,8 +299,8 @@ class Machine:
     """All hardware resources of one simulated platform.
 
     Resources are addressable by short ids: l1d, l1i, l2, llc (when present),
-    tlb, btb, bhb. ``data_path``/``ifetch_path`` are the inclusive hierarchies
-    used for ordinary loads/stores and instruction fetches.
+    tlb, btb, bhb. ``data_path`` is the inclusive hierarchy that kernel
+    memory traffic and streamed workloads walk.
     """
 
     def __init__(self, geometries: dict, latency: LatencyModel, bhb_history_bits: int):
@@ -334,7 +315,6 @@ class Machine:
             bhb_flush_base=latency.params("bhb").flush_base_cycles)
         shared_tail = [self.caches[n] for n in ("l2", "llc") if n in self.caches]
         self.data_path = MemoryHierarchy([self.caches["l1d"]] + shared_tail, latency.memory_cycles)
-        self.ifetch_path = MemoryHierarchy([self.caches["l1i"]] + shared_tail, latency.memory_cycles)
 
     def resource_ids(self) -> list[str]:
         ids = [n for n in ("l1d", "l1i", "l2", "llc", "tlb", "btb") if n in self.caches]

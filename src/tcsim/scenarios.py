@@ -52,23 +52,21 @@ def split_colours(total: int, split: tuple[int, int]) -> tuple[set[int], set[int
     return set(range(first)), set(range(first, total))
 
 
-def pad_for(sim: Simulator, margin_pct: float) -> tuple[int, int]:
+def pad_for(sim: Simulator, margin_pct: float) -> int:
     """Auto pad: worst-case natural switch cost plus an interrupt-race margin."""
     worst = sim.worst_case_switch_cost()
-    margin = math.ceil(worst * margin_pct / 100)
-    return worst + margin, margin
+    return worst + math.ceil(worst * margin_pct / 100)
 
 
 def build_scenario(profile: PlatformProfile, scenario: str, *,
                    frames: int = 4096, colour_split: tuple[int, int] = (50, 50),
                    timeslice_cycles: int = 200_000, pad_cycles="auto",
-                   irq_margin_pct: float = 5.0, kparams: KernelParams = KernelParams(),
-                   flush_targets=None, partition_irqs=None,
-                   irq_owners: tuple = ()) -> ScenarioSystem:
-    """Build a two-domain system for one scenario. ``flush_targets``,
-    ``partition_irqs`` and ``pad_cycles`` can override the scenario defaults
-    (the flush-latency channel, for instance, runs the protected build with
-    padding disabled)."""
+                   irq_margin_pct: float = 5.0, irq_owners: tuple = ()) -> ScenarioSystem:
+    """Build a two-domain system for one scenario. ``pad_cycles`` overrides
+    the scenario's padding: ``"auto"`` pads protected builds only, to the
+    worst case plus ``irq_margin_pct``; a number pads any build to it, and 0
+    disables padding (the flush-latency channel runs the protected build that
+    way)."""
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}")
     colours = colour_count(profile.geometries[profile.partitioned_cache], profile.page_bytes)
@@ -80,6 +78,7 @@ def build_scenario(profile: PlatformProfile, scenario: str, *,
         c0, c1 = set(), set()
         assignment = {SENDER: set(), RECEIVER: set()}
 
+    kparams = KernelParams()
     # boot memory is uncoloured reserve regardless of scenario
     partition = ColourPartition(frames, colours, kparams.image_frames + 1, assignment)
 
@@ -92,10 +91,6 @@ def build_scenario(profile: PlatformProfile, scenario: str, *,
     else:
         cfg = SwitchConfig(flush_targets=ON_CORE_RESOURCES, prefetch_shared=True,
                            partition_irqs=True)
-    if flush_targets is not None:
-        cfg = replace(cfg, flush_targets=tuple(flush_targets))
-    if partition_irqs is not None:
-        cfg = replace(cfg, partition_irqs=partition_irqs)
 
     machine = profile.build_machine()
     sim = Simulator(profile, machine, partition, cfg, kparams, timeslice_cycles)
@@ -110,11 +105,7 @@ def build_scenario(profile: PlatformProfile, scenario: str, *,
         sim.set_irq_owner(irq, sim.domains[dom].kernel_image)
 
     if scenario == "protected" or (pad_cycles != "auto" and pad_cycles):
-        if pad_cycles == "auto":
-            pad, margin = pad_for(sim, irq_margin_pct)
-        else:
-            pad = int(pad_cycles)
-            margin = math.ceil(pad * irq_margin_pct / (100 + irq_margin_pct))
+        pad = pad_for(sim, irq_margin_pct) if pad_cycles == "auto" else int(pad_cycles)
         if pad > 0:
-            sim.cfg = replace(sim.cfg, pad_cycles=pad, irq_margin_cycles=margin)
+            sim.cfg = replace(sim.cfg, pad_cycles=pad)
     return ScenarioSystem(sim, scenario, profile)

@@ -90,7 +90,6 @@ class ZeroLeakageBound:
     shuffle_mis: tuple
     mean: float
     sd: float
-    confidence: float = 0.95
     seed: int = 0
 
 
@@ -199,8 +198,7 @@ def zero_leakage_bound(inputs, outputs, shuffles: int = 100, seed: int = 0, *,
         mis.append(max(mi, 0.0))
     mean = float(np.mean(mis))
     sd = float(np.std(mis, ddof=1)) if shuffles > 1 else 0.0
-    return ZeroLeakageBound(mean + Z_95 * sd, shuffles, tuple(mis), mean, sd,
-                            seed=seed)
+    return ZeroLeakageBound(mean + Z_95 * sd, shuffles, tuple(mis), mean, sd, seed)
 
 
 def leak_verdict(inputs, outputs, shuffles: int = 100, seed: int = 0, *,

@@ -198,7 +198,11 @@ class TestCli:
                                       "analyze zero shuffles", "analyze one shuffle",
                                       "analyze zero grid points",
                                       "analyze one grid point",
-                                      "analyze negative seed"])
+                                      "analyze negative seed",
+                                      "config is a directory", "config not utf-8",
+                                      "run out is a file", "run out under a file",
+                                      "analyze out is a directory",
+                                      "analyze out in a missing directory"])
     def test_bad_input_exits_2_with_one_line(self, case, tmp_path, capsys):
         configs = {
             "unknown profile": MINI.replace("profile = haswell", "profile = nope"),
@@ -227,12 +231,25 @@ class TestCli:
             "too few frames": MINI.replace("run = bhb", "run = kernel")
                                   .replace("raw, protected", "full_flush")
             + "\n[domains]\nframes = 1024\n",
+            "run out is a file": MINI,
+            "run out under a file": MINI,
         }
         out = tmp_path / "out"
-        if case in configs:
+        existing = tmp_path / "existing"
+        existing.write_text("keep\n")
+        paths = {"run out is a file": existing, "run out under a file": existing / "sub",
+                 "analyze out is a directory": tmp_path,
+                 "analyze out in a missing directory": out / "record.json"}
+        if case == "config is a directory":
+            argv = ["run", str(tmp_path), "-o", str(out)]
+        elif case == "config not utf-8":
+            cfg_path = tmp_path / "latin.cfg"
+            cfg_path.write_bytes(MINI.replace("haswell", "has\xe9ll").encode("latin-1"))
+            argv = ["run", str(cfg_path), "-o", str(out)]
+        elif case in configs:
             cfg_path = tmp_path / "bad.cfg"
             cfg_path.write_text(configs[case])
-            argv = ["run", str(cfg_path), "-o", str(out)]
+            argv = ["run", str(cfg_path), "-o", str(paths.get(case, out))]
         elif case == "switch-cost profile":
             argv = ["switch-cost", "nope", "raw"]
         elif case == "analyze missing csv":
@@ -249,7 +266,8 @@ class TestCli:
                      "analyze negative seed": ["--seed", "-1"]}
             samples = tmp_path / "samples.csv"
             samples.write_text(rows.get(case, good))
-            argv = ["analyze", str(samples), *flags.get(case, []), "-o", str(out)]
+            argv = ["analyze", str(samples), *flags.get(case, []),
+                    "-o", str(paths.get(case, out))]
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -258,6 +276,7 @@ class TestCli:
         if case not in ("too few iterations", "too few frames"):
             assert not out.exists()  # rejected before anything was written
         assert not (out / "report.json").exists()
+        assert existing.read_text() == "keep\n"
 
     def test_console_script_installed(self):
         proc = subprocess.run([sys.executable, "-m", "tcsim.cli", "profiles"],

@@ -135,7 +135,7 @@ class TestIrqOwnership:
         img = sim.domains[SENDER].kernel_image
         sim.set_irq_owner(7, img)
         sim.destroy_kernel(img)
-        assert sim.irqs.irqs[7].owner_image is None
+        assert not any(7 in image.owned_irqs for image in sim.images.values())
         assert 7 not in sim.irqs.unmasked()
 
 
