@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from tcsim.kernel import Simulator
-from tcsim.microarch import CacheState
+from tcsim.microarch import CacheState, colour_count
 from tcsim.profiles import PlatformProfile
 from tcsim.scenarios import RECEIVER, SENDER, build_scenario
 
@@ -121,13 +121,10 @@ def _physical_window(sim: Simulator, domain: str, cache: CacheState,
     return [[pa for _, pa in frame] for frame in frames]
 
 
-def _first_colour(sim: Simulator, domain: str) -> int | None:
-    colours = sim.domains[domain].colours
-    if colours:
-        return min(colours)
-    # uncoloured scenarios probe the boot image's colour so the kernel
+def _first_colour(sim: Simulator, domain: str) -> int:
+    # uncoloured domains probe the boot image's colour so the kernel
     # footprint lands inside the window
-    return 0
+    return min(sim.partition.domain_colours.get(domain) or (0,))
 
 
 def probe_window(sim: Simulator, domain: str, resource: str) -> list[list[int]]:
@@ -274,7 +271,7 @@ def _interrupt(profile, spec, alphabet, rng, build_kwargs):
     sim = build_scenario(profile, spec.scenario, **build_kwargs).sim
     irq = 1
     sim.irqs.ensure(irq)
-    if spec.scenario == "protected":
+    if sim.cfg.partition_irqs:
         sim.set_irq_owner(irq, sim.domains[SENDER].kernel_image)
     slice_cycles = sim.domains[RECEIVER].timeslice_cycles
     period = slice_cycles // 10
@@ -293,7 +290,7 @@ def _interrupt(profile, spec, alphabet, rng, build_kwargs):
             offset = phases[it]
             sim.irqs.ensure(irq).masked = True  # pending until sender acks
             rows = [(offset,), (base - offset - handler,)]
-        if armed and spec.scenario != "protected":
+        if armed and not sim.cfg.partition_irqs:
             sim.irqs.ensure(irq).masked = False  # sender acks in its next slice
         return rows
 
@@ -461,20 +458,16 @@ def _spy_coverage(sim: Simulator, domain: str, llc: CacheState) -> dict:
     geo = llc.geometry
     page = sim.profile.page_bytes
     per = sim.profile.lines_per_page
-    llc_colours = geo.sets // per
-    coloured = bool(sim.domains[domain].colours)
-    if coloured:
-        part_geo = sim.profile.geometries[sim.profile.partitioned_cache]
-        part_colours = part_geo.size_bytes // (part_geo.ways * page)
-        reachable = {c for c in range(llc_colours)
-                     if c % part_colours in sim.domains[domain].colours}
-    else:
-        reachable = set(range(llc_colours))
+    partition = sim.partition
+    llc_colours = colour_count(geo, page)
+    owned = partition.domain_colours.get(domain)
+    reachable = {c for c in range(llc_colours)
+                 if not owned or c % partition.colours in owned}
     buckets: dict[int, list[int]] = {c: [] for c in reachable}
     needed = geo.ways * len(reachable)
     allocated = 0
     while allocated < needed:
-        f = sim.partition.allocate_many(domain if coloured else None, 1)[0]
+        f = partition.allocate(domain)[0]
         c = f % llc_colours
         if len(buckets.get(c, [])) < geo.ways:
             buckets[c].append(f * page)

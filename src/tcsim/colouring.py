@@ -6,7 +6,13 @@ count of the designated physically-indexed cache: the equivalence class of
 cache sets it can occupy (Kessler & Hill 1992). Giving domains disjoint
 colour sets therefore gives them disjoint cache partitions. The partition
 also keeps a reserve pool (boot memory and, in unpartitioned scenarios,
-everything) from which uncoloured allocations are served.
+everything).
+
+``ColourPartition.allocate`` is the only place that decides where a domain's
+pages come from: a domain that owns colours draws from its own pool, taking
+each page from the colour with the most pages left (lowest colour first);
+``None``, or a domain that owns no colours, draws from the reserve, which
+drains its lowest non-empty colour first.
 """
 
 from __future__ import annotations
@@ -31,7 +37,12 @@ class ColourPartition:
     ``boot`` pages are boot memory: they head the reserve of their colour,
     newest first, whichever domain owns that colour. Every other page joins
     the pool of the domain owning its colour (the reserve when none does) in
-    ascending order. A domain of ``None`` names the reserve.
+    ascending order. ``allocate`` is the only way pages leave: a coloured
+    pool gives from the colour with the most pages left (lowest colour
+    first), the reserve from its lowest non-empty colour. Wherever a domain
+    is named, ``None`` and a domain that owns no colours both name the
+    reserve. Each domain's colours are kept here only, in
+    ``domain_colours``.
     """
 
     def __init__(self, frames: int, colours: int, boot: int,
@@ -60,47 +71,38 @@ class ColourPartition:
             self.reserve[c] = pages
 
     def _pool(self, domain: str | None) -> dict[int, deque[int]]:
-        return self.reserve if domain is None else self.pools[domain]
+        """The domain's coloured pool; the reserve for ``None`` and for a
+        domain that owns no colours."""
+        return self.pools[domain] if self.domain_colours.get(domain) else self.reserve
 
     def pool_size(self, domain: str | None) -> int:
         return sum(len(v) for v in self._pool(domain).values())
 
-    def _take(self, pool: dict[int, deque[int]], colour: int | None, who: str) -> int:
-        if colour is not None:
-            pages = pool.get(colour)
-            if not pages:
-                raise PoolExhausted(f"no colour-{colour} frame left for {who}")
-            return pages.popleft()
-        for c in sorted(pool):
-            if pool[c]:
-                return pool[c].popleft()
-        raise PoolExhausted(f"no frame left for {who}")
-
-    def allocate_frame(self, domain: str, colour: int | None = None) -> int:
-        """Take one page from the domain's coloured pool. Round-robins over
-        the domain's colours unless a specific colour is requested."""
-        pool = self.pools[domain]
-        if colour is not None:
-            if colour not in self.domain_colours[domain]:
-                raise PoolExhausted(
-                    f"colour {colour} not owned by domain {domain!r}")
-            return self._take(pool, colour, domain)
-        colours = [c for c in sorted(self.domain_colours[domain]) if pool.get(c)]
-        if not colours:
-            raise PoolExhausted(f"no frame left for {domain}")
-        best = max(len(pool[c]) for c in colours)
-        pick = next(c for c in colours if len(pool[c]) == best)
-        return pool[pick].popleft()
-
-    def allocate_reserve(self, colour: int | None = None) -> int:
-        """Take one page from the uncoloured reserve (boot memory, and all
-        memory in scenarios without colouring)."""
-        return self._take(self.reserve, colour, "reserve")
-
-    def allocate_many(self, domain: str | None, n: int, colour: int | None = None) -> list[int]:
-        alloc = (lambda c: self.allocate_reserve(c)) if domain is None \
-            else (lambda c: self.allocate_frame(domain, c))
-        return [alloc(colour) for _ in range(n)]
+    def allocate(self, domain: str | None, n: int = 1,
+                 colour: int | None = None) -> list[int]:
+        """Take ``n`` pages from the domain's pool, all of ``colour`` when
+        one is given. Without a colour, a coloured pool gives each page from
+        the colour with the most pages left (lowest colour first), and the
+        reserve from its lowest non-empty colour."""
+        pool = self._pool(domain)
+        owned = self.domain_colours.get(domain)
+        who = domain if owned else "reserve"
+        order = sorted(pool)
+        pages = []
+        for _ in range(n):
+            if colour is not None:
+                if owned and colour not in owned:
+                    raise PoolExhausted(f"colour {colour} not owned by domain {domain!r}")
+                pick = colour
+            elif owned:
+                pick = max(order, key=lambda c: len(pool[c]), default=None)
+            else:
+                pick = next((c for c in order if pool[c]), None)
+            if not pool.get(pick):
+                wanted = "" if colour is None else f"colour-{colour} "
+                raise PoolExhausted(f"no {wanted}frame left for {who}")
+            pages.append(pool[pick].popleft())
+        return pages
 
     def release(self, domain: str | None, pages: list[int]):
         """Return pages to the pool they were drawn from."""

@@ -12,10 +12,9 @@ from dataclasses import dataclass, fields
 
 from tcsim.channels import CHANNELS
 from tcsim.profiles import get_profile
-from tcsim.scenarios import RECEIVER, SENDER
+from tcsim.scenarios import RECEIVER, SCENARIOS, SENDER
 
 CHANNEL_NAMES = (*CHANNELS, "llc_side")
-SCENARIO_NAMES = ("raw", "full_flush", "protected")
 # the shuffle bound needs a sample sd; the KDE grid needs room for a kernel
 MIN_SHUFFLES = 2
 MIN_GRID_POINTS = 16
@@ -73,7 +72,7 @@ class RunConfig:
     irq_owners: tuple = ()
     # [channels]
     channels: tuple = ()
-    scenarios: tuple = SCENARIO_NAMES
+    scenarios: tuple = SCENARIOS
     iterations: int = 1200
     warmup: int = 8
     seed: int = 1
@@ -185,7 +184,7 @@ def _validate(cfg: RunConfig, source: str):
     if unknown:
         raise ConfigError(
             f"{source}: unknown channels {sorted(unknown)} (known: {', '.join(CHANNEL_NAMES)})")
-    bad = set(cfg.scenarios) - set(SCENARIO_NAMES)
+    bad = set(cfg.scenarios) - set(SCENARIOS)
     if bad:
         raise ConfigError(f"{source}: unknown scenarios {sorted(bad)}")
     if len(cfg.colour_split) != 2 or sum(cfg.colour_split) != 100 or min(cfg.colour_split) <= 0:

@@ -182,13 +182,12 @@ def profile_summary(profile: PlatformProfile) -> dict:
 
 # -- switch-cost table ------------------------------------------------------
 
-def _switch_workload(system, sim: Simulator, workload: str):
+def _switch_workload(sim: Simulator, workload: str):
     """One slice of the named receiver workload (a window probe)."""
     if workload == "idle":
         return lambda: None
-    name = "l2" if (workload == "llc" and "llc" not in sim.machine.caches) else workload
-    window = probe_window(sim, RECEIVER, name)
-    return lambda: probe(sim, name, window)
+    window = probe_window(sim, RECEIVER, workload)
+    return lambda: probe(sim, workload, window)
 
 
 def measure_switch_costs(profile: PlatformProfile, scenario: str,
@@ -199,9 +198,8 @@ def measure_switch_costs(profile: PlatformProfile, scenario: str,
     for workload in SWITCH_WORKLOADS:
         if workload == "llc" and "llc" not in profile.geometries:
             continue
-        system = build_scenario(profile, scenario, **build_kwargs)
-        sim = system.sim
-        run = _switch_workload(system, sim, workload)
+        sim = build_scenario(profile, scenario, **build_kwargs).sim
+        run = _switch_workload(sim, workload)
         trace = None
         for _ in range(rounds):
             sim.domain_switch(RECEIVER)

@@ -99,7 +99,6 @@ class Thread:
 @dataclass
 class Domain:
     id: str
-    colours: frozenset
     kernel_image: int
     timeslice_cycles: int
     threads: list[Thread] = field(default_factory=list)
@@ -219,12 +218,11 @@ class Simulator:
         self.irq_violations = 0
 
         line = profile.line_bytes
-        shared_frames = [partition.allocate_reserve() for _ in
-                         range(math.ceil(len(SHARED_REGION_NAMES) * line / profile.page_bytes))]
+        shared_frames = partition.allocate(
+            None, math.ceil(len(SHARED_REGION_NAMES) * line / profile.page_bytes))
         self.shared = SharedKernelData.at_boot(shared_frames, line, profile.page_bytes)
         self.initial_image = self._build_image(
-            owner=None,
-            frames=[partition.allocate_reserve() for _ in range(kparams.image_frames)],
+            owner=None, frames=partition.allocate(None, kparams.image_frames),
             is_initial=True)
         self.current_domain: str | None = None
 
@@ -243,19 +241,17 @@ class Simulator:
 
     def clone_kernel(self, source_id: int, owner: str) -> int:
         """Copy the source image's code, read-only data and stack into frames
-        from the owner's pool (reserve when the owner is uncoloured); the new
-        image serves the owner's system calls from then on."""
+        from the owner's pool; the new image serves the owner's system calls
+        from then on."""
         if source_id not in self.images:
             raise InvalidSource(f"no kernel image {source_id}")
         domain = self.domains[owner]
         n = self.kparams.image_frames
-        pool = owner if domain.colours else None
-        pool_size = self.partition.pool_size(pool)
+        pool_size = self.partition.pool_size(owner)
         if pool_size < n:
             raise PoolExhausted(
                 f"domain {owner!r} has {pool_size} frames, clone needs {n}")
-        frames = self.partition.allocate_many(pool, n)
-        image = self._build_image(owner, frames)
+        image = self._build_image(owner, self.partition.allocate(owner, n))
         domain.kernel_image = image.id
         return image.id
 
@@ -272,9 +268,7 @@ class Simulator:
                 for t in dom.threads:
                     t.suspended = True
                 dom.kernel_image = self.initial_image.id
-        owner_dom = image.owner if image.owner is not None and \
-            self.domains[image.owner].colours else None
-        self.partition.release(owner_dom, image.frames)
+        self.partition.release(image.owner, image.frames)
         for irq in list(image.owned_irqs):
             self.irqs.ensure(irq).masked = self.irqs.partition_irqs
         image.owned_irqs.clear()
@@ -291,12 +285,11 @@ class Simulator:
 
     # -- domains and memory ------------------------------------------------
 
-    def add_domain(self, domain_id: str, colours=frozenset(),
-                   timeslice_cycles: int | None = None) -> Domain:
+    def add_domain(self, domain_id: str, timeslice_cycles: int | None = None) -> Domain:
         # widely separated virtual ranges keep distinct domains' frameless
         # mappings from sharing tags while preserving set congruence
         base_vpage = 0x1000 + len(self.domains) * (1 << 20)
-        dom = Domain(domain_id, frozenset(colours), self.initial_image.id,
+        dom = Domain(domain_id, self.initial_image.id,
                      timeslice_cycles or self.timeslice_cycles,
                      threads=[Thread(f"{domain_id}.t0", domain_id)],
                      next_vpage=base_vpage)
@@ -316,10 +309,8 @@ class Simulator:
     def alloc_buffer(self, domain_id: str, n_frames: int,
                      colour: int | None = None) -> list[tuple[int, int]]:
         """Allocate frames for a workload buffer and map them at fresh virtual
-        pages. Returns per-line (vaddr, paddr) pairs in frame order. Coloured
-        domains draw from their pool, uncoloured ones from the reserve."""
-        frames = self.partition.allocate_many(
-            domain_id if self.domains[domain_id].colours else None, n_frames, colour)
+        pages. Returns per-line (vaddr, paddr) pairs in frame order."""
+        frames = self.partition.allocate(domain_id, n_frames, colour)
         page = self.profile.page_bytes
         line = self.profile.line_bytes
         pairs = []

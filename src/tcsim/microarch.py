@@ -295,6 +295,10 @@ class PredictorState:
         return self.bhb_flush_base
 
 
+# every cache-like resource a machine may have, in resource-id order
+CACHE_NAMES = ("l1d", "l1i", "l2", "llc", "tlb", "btb")
+
+
 class Machine:
     """All hardware resources of one simulated platform.
 
@@ -306,7 +310,7 @@ class Machine:
     def __init__(self, geometries: dict, latency: LatencyModel, bhb_history_bits: int):
         self.latency = latency
         self.caches: dict[str, CacheState] = {}
-        for name in ("l1d", "l1i", "l2", "llc", "tlb", "btb"):
+        for name in CACHE_NAMES:
             if name in geometries:
                 self.caches[name] = CacheState(geometries[name], latency.params(name), name)
         bhb = BhbState(bhb_history_bits)
@@ -317,8 +321,7 @@ class Machine:
         self.data_path = MemoryHierarchy([self.caches["l1d"]] + shared_tail, latency.memory_cycles)
 
     def resource_ids(self) -> list[str]:
-        ids = [n for n in ("l1d", "l1i", "l2", "llc", "tlb", "btb") if n in self.caches]
-        return ids + ["bhb"]
+        return [*self.caches, "bhb"]
 
     def cache(self, name: str) -> CacheState:
         return self.caches[name]

@@ -71,34 +71,29 @@ def build_scenario(profile: PlatformProfile, scenario: str, *,
         raise ValueError(f"unknown scenario {scenario!r}")
     colours = colour_count(profile.geometries[profile.partitioned_cache], profile.page_bytes)
 
-    if scenario == "protected":
-        c0, c1 = split_colours(colours, colour_split)
-        assignment = {SENDER: c0, RECEIVER: c1}
-    else:
-        c0, c1 = set(), set()
-        assignment = {SENDER: set(), RECEIVER: set()}
+    shares = split_colours(colours, colour_split) if scenario == "protected" \
+        else (set(), set())
+    assignment = dict(zip((SENDER, RECEIVER), shares))
 
     kparams = KernelParams()
     # boot memory is uncoloured reserve regardless of scenario
     partition = ColourPartition(frames, colours, kparams.image_frames + 1, assignment)
 
+    machine = profile.build_machine()
     if scenario == "raw":
         cfg = SwitchConfig()
     elif scenario == "full_flush":
-        all_targets = tuple(n for n in ("l1d", "l1i", "tlb", "btb", "bhb", "l2", "llc")
-                            if n in profile.geometries or n == "bhb")
-        cfg = SwitchConfig(flush_targets=all_targets)
+        cfg = SwitchConfig(flush_targets=tuple(machine.resource_ids()))
     else:
         cfg = SwitchConfig(flush_targets=ON_CORE_RESOURCES, prefetch_shared=True,
                            partition_irqs=True)
 
-    machine = profile.build_machine()
     sim = Simulator(profile, machine, partition, cfg, kparams, timeslice_cycles)
-    sim.add_domain(SENDER, frozenset(c0))
-    sim.add_domain(RECEIVER, frozenset(c1))
+    for dom in assignment:
+        sim.add_domain(dom)
 
     if scenario in ("full_flush", "protected"):
-        for dom in (SENDER, RECEIVER):
+        for dom in assignment:
             sim.clone_kernel(sim.initial_image.id, dom)
 
     for irq, dom in irq_owners:

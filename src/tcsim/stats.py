@@ -34,10 +34,6 @@ class DegenerateAlphabet(ValueError):
     """Fewer than two distinct input symbols in the dataset."""
 
 
-class EmptyInputClass(ValueError):
-    """An input symbol has no samples."""
-
-
 def _quantile(ordered: np.ndarray, q: float) -> float:
     """Quantile q of sorted samples, bit-identical to ``np.percentile`` at
     100*q: numpy's linear rule at index (n-1)*q, interpolated in the two
@@ -209,25 +205,16 @@ def leak_verdict(inputs, outputs, shuffles: int = 100, seed: int = 0, *,
     return LeakVerdict(m.value_bits > m0.bound_bits, m, m0)
 
 
-def channel_matrix(inputs, outputs, bins: int,
-                   alphabet=None) -> tuple[list, np.ndarray, np.ndarray]:
+def channel_matrix(inputs, outputs, bins: int) -> tuple[list, np.ndarray, np.ndarray]:
     """Conditional probability of each output bin given each input symbol.
 
     Outputs are binned uniformly over their observed range; row (i) holds
-    count(i, b) / count(i). Returns (symbols, bin_edges, matrix). When an
-    explicit alphabet is given, every listed symbol must have samples.
+    count(i, b) / count(i). Returns (symbols, bin_edges, matrix).
     """
     if bins < 2:
         raise ValueError("bins must be >= 2")
     symbols, outputs, index = _index(inputs, outputs)
     groups = [outputs[i] for i in index]
-    if alphabet is not None:
-        missing = set(str(a) for a in alphabet) - set(str(s) for s in symbols)
-        if missing:
-            raise EmptyInputClass(f"no samples for symbols {sorted(missing)}")
-    for s, g in zip(symbols, groups):
-        if len(g) == 0:
-            raise EmptyInputClass(f"symbol {s!r} has no samples")
     out_all = np.concatenate(groups)
     lo, hi = float(out_all.min()), float(out_all.max())
     if hi <= lo:

@@ -348,7 +348,7 @@ class ReferencePartition:
             self.reserve.setdefault(f.colour, []).insert(0, f)
 
     def _pool(self, domain):
-        return self.reserve if domain is None else self.pools[domain]
+        return self.pools[domain] if self.domain_colours.get(domain) else self.reserve
 
     def pool_size(self, domain) -> int:
         return sum(len(v) for v in self._pool(domain).values())
@@ -363,7 +363,9 @@ class ReferencePartition:
                 return pool[c].pop(0).phys_addr // self.page_bytes
         raise PoolExhausted(f"no frame left for {who}")
 
-    def allocate_frame(self, domain, colour=None) -> int:
+    def _frame(self, domain, colour) -> int:
+        if not self.domain_colours.get(domain):
+            return self._take(self.reserve, colour, "reserve")
         pool = self.pools[domain]
         if colour is not None:
             if colour not in self.domain_colours[domain]:
@@ -377,13 +379,8 @@ class ReferencePartition:
         pick = next(c for c in colours if counts[c] == best)
         return pool[pick].pop(0).phys_addr // self.page_bytes
 
-    def allocate_reserve(self, colour=None) -> int:
-        return self._take(self.reserve, colour, "reserve")
-
-    def allocate_many(self, domain, n, colour=None) -> list[int]:
-        if domain is None:
-            return [self.allocate_reserve(colour) for _ in range(n)]
-        return [self.allocate_frame(domain, colour) for _ in range(n)]
+    def allocate(self, domain, n=1, colour=None) -> list[int]:
+        return [self._frame(domain, colour) for _ in range(n)]
 
     def release(self, domain, pages):
         for p in pages:

@@ -95,25 +95,24 @@ class TestAllocate:
     def test_exhaustion(self):
         part = partition(8, L2, {"a": {0}})
         assert part.pool_size("a") == 1
-        part.allocate_frame("a")
+        part.allocate("a")
         with pytest.raises(PoolExhausted):
-            part.allocate_frame("a")
+            part.allocate("a")
 
     def test_colour_filter(self):
         part = partition(64, L2, {"a": {2, 3}})
-        assert colour(part.allocate_frame("a", colour=3)) == 3
+        assert colour(part.allocate("a", colour=3)[0]) == 3
         with pytest.raises(PoolExhausted):
-            part.allocate_frame("a", colour=5)  # not owned
+            part.allocate("a", colour=5)  # not owned
 
     def test_allocations_respect_colour_set(self):
         part = partition(2048, LLC, {"a": set(range(64))})
-        for _ in range(1000):
-            assert colour(part.allocate_frame("a"), LLC) < 64
+        assert all(colour(p, LLC) < 64 for p in part.allocate("a", 1000))
 
     def test_release_returns_frames(self):
         part = partition(64, L2, {"a": {0, 1}})
         before = part.pool_size("a")
-        pages = part.allocate_many("a", 5)
+        pages = part.allocate("a", 5)
         part.release("a", pages)
         assert part.pool_size("a") == before
 
@@ -121,8 +120,8 @@ class TestAllocate:
         # every pair of frames allocated to different domains maps to
         # disjoint partitioned-cache sets
         part = partition(512, L2, {"a": {0, 1, 2, 3}, "b": {4, 5, 6, 7}})
-        got_a = [part.allocate_frame("a") for _ in range(50)]
-        got_b = [part.allocate_frame("b") for _ in range(50)]
+        got_a = part.allocate("a", 50)
+        got_b = part.allocate("b", 50)
         assert pools_cache_disjoint(got_a, got_b, L2, PAGE)
 
     def test_l2_colouring_implicitly_partitions_llc(self):
@@ -130,36 +129,49 @@ class TestAllocate:
         # much larger LLC, because the L2 colour is the low bits of the
         # LLC colour
         part = partition(1024, L2, {"a": {0, 1, 2, 3}, "b": {4, 5, 6, 7}})
-        got_a = [part.allocate_frame("a") for _ in range(60)]
-        got_b = [part.allocate_frame("b") for _ in range(60)]
+        got_a = part.allocate("a", 60)
+        got_b = part.allocate("b", 60)
         assert pools_cache_disjoint(got_a, got_b, LLC, PAGE)
 
     def test_reserve_allocation(self):
         part = partition(64, L2, {"a": {0}})
-        assert colour(part.allocate_reserve(colour=5)) == 5
+        assert colour(part.allocate(None, colour=5)[0]) == 5
 
     def test_boot_pages_head_the_reserve_newest_first(self):
         part = partition(64, L2, {"a": set(range(8))}, boot=20)
-        assert [part.allocate_reserve(colour=3) for _ in range(3)] == [19, 11, 3]
+        assert part.allocate(None, 3, colour=3) == [19, 11, 3]
         with pytest.raises(PoolExhausted):
-            part.allocate_reserve(colour=3)  # colour 3 past boot belongs to a
-        assert part.allocate_frame("a", colour=3) == 27
+            part.allocate(None, colour=3)  # colour 3 past boot belongs to a
+        assert part.allocate("a", colour=3) == [27]
+
+    @given(frames=st.integers(0, 160), boot=st.integers(0, 24),
+           requests=st.lists(st.tuples(st.integers(0, 6), st.none() | st.integers(0, 9)),
+                             max_size=20))
+    @settings(max_examples=60, deadline=None)
+    def test_uncoloured_domain_draws_what_the_reserve_would(self, frames, boot, requests):
+        assignment = {"a": set(), "b": {4, 5, 6, 7}}
+        got, want = (partition(frames, L2, assignment, boot) for _ in range(2))
+        for n, c in requests:
+            outcomes = []
+            for part, dom in ((got, "a"), (want, None)):
+                try:
+                    outcomes.append(part.allocate(dom, n, c))
+                except PoolExhausted as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1]
+        assert got.pool_size("a") == want.pool_size(None)
 
 
 def drain(part, domains):
     """Every page left, pool by pool, in allocation order."""
     out = []
-    for dom in domains:
+    for dom in [*domains, None]:
         while True:
             try:
-                out.append(part.allocate_frame(dom))
+                out += part.allocate(dom)
             except PoolExhausted:
                 break
-    while True:
-        try:
-            out.append(part.allocate_reserve())
-        except PoolExhausted:
-            return out
+    return out
 
 
 class TestAgainstReference:
@@ -181,10 +193,7 @@ class TestAgainstReference:
         assert drain(got, [SENDER, RECEIVER]) == drain(want, [SENDER, RECEIVER])
 
     OPS = st.lists(st.one_of(
-        st.tuples(st.just("frame"), st.sampled_from([SENDER, RECEIVER]),
-                  st.none() | st.integers(0, 9)),
-        st.tuples(st.just("reserve"), st.none() | st.integers(0, 9)),
-        st.tuples(st.just("many"), st.sampled_from([SENDER, RECEIVER, None]),
+        st.tuples(st.just("allocate"), st.sampled_from([SENDER, RECEIVER, None]),
                   st.integers(0, 6), st.none() | st.integers(0, 9)),
         st.tuples(st.just("release"), st.integers(0, 99)),
         st.tuples(st.just("clone"), st.sampled_from([SENDER, RECEIVER])),
@@ -192,13 +201,15 @@ class TestAgainstReference:
     ), max_size=30)
 
     @given(frames=st.integers(0, 160), colours=st.integers(1, 8),
-           boot=st.integers(0, 24),
+           boot=st.integers(0, 24), coloured=st.booleans(),
            owners=st.lists(st.sampled_from([SENDER, RECEIVER, None]),
                            min_size=8, max_size=8),
            ops=OPS)
     @settings(max_examples=150, deadline=None)
-    def test_same_pages_and_exhaustion(self, frames, colours, boot, owners, ops):
-        assignment = {d: {c for c in range(colours) if owners[c] == d}
+    def test_same_pages_and_exhaustion(self, frames, colours, boot, coloured, owners, ops):
+        # uncoloured: every page in the reserve, as in the raw and full_flush
+        # scenarios; coloured: any split, including a domain with no colours
+        assignment = {d: {c for c in range(colours) if coloured and owners[c] == d}
                       for d in (SENDER, RECEIVER)}
         kp = KernelParams(code_frames=2, data_frames=1, stack_frames=1)
         profile = get_profile("sabre")
@@ -212,7 +223,7 @@ class TestAgainstReference:
                 sims.append(str(exc))
                 continue
             for d in (SENDER, RECEIVER):
-                sim.add_domain(d, frozenset(assignment[d]))
+                sim.add_domain(d)
             sims.append(sim)
         if any(isinstance(s, str) for s in sims):
             assert sims[0] == sims[1]  # the boot image could not be built
@@ -221,12 +232,8 @@ class TestAgainstReference:
 
         def apply(sim, op):
             part = sim.partition
-            if op[0] == "frame":
-                return [part.allocate_frame(op[1], op[2])]
-            if op[0] == "reserve":
-                return [part.allocate_reserve(op[1])]
-            if op[0] == "many":
-                return part.allocate_many(op[1], op[2], op[3])
+            if op[0] == "allocate":
+                return part.allocate(op[1], op[2], op[3])
             if op[0] == "release":
                 pool, pages = held[op[1] % len(held)]
                 part.release(pool, pages)
@@ -250,8 +257,7 @@ class TestAgainstReference:
             assert results[0] == results[1], op
             if op[0] == "release":
                 held.pop(op[1] % len(held))
-            elif op[0] in ("frame", "reserve", "many") and isinstance(results[0], list):
-                pool = None if op[0] == "reserve" else op[1]
-                held.append((pool, results[0]))
+            elif op[0] == "allocate" and isinstance(results[0], list):
+                held.append((op[1], results[0]))
         assert drain(sims[0].partition, [SENDER, RECEIVER]) == \
             drain(sims[1].partition, [SENDER, RECEIVER])

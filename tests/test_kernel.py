@@ -58,7 +58,7 @@ class TestClone:
     def test_clone_frames_match_owner_colours(self):
         sim = protected()
         image = sim.images[sim.domains[SENDER].kernel_image]
-        colours = sim.domains[SENDER].colours
+        colours = sim.partition.domain_colours[SENDER]
         assert image.frames
         assert all(colour_of_frame(f * HASWELL.page_bytes, L2, HASWELL.page_bytes) in colours
                    for f in image.frames)
@@ -75,7 +75,7 @@ class TestClone:
         sim = system.sim
         while True:  # drain the sender pool
             try:
-                sim.partition.allocate_frame(SENDER)
+                sim.partition.allocate(SENDER)
             except PoolExhausted:
                 break
         with pytest.raises(PoolExhausted):
@@ -290,8 +290,10 @@ class TestWorstCaseBound:
         assert trace.pad_cycles >= trace.natural_cycles
 
     def test_scenario_flush_targets(self):
-        assert build_scenario(HASWELL, "raw").sim.cfg.flush_targets == ()
-        full = build_scenario(HASWELL, "full_flush").sim.cfg.flush_targets
-        assert set(full) == {"l1d", "l1i", "tlb", "btb", "bhb", "l2", "llc"}
-        prot = build_scenario(HASWELL, "protected").sim.cfg.flush_targets
-        assert set(prot) == set(ON_CORE_RESOURCES)
+        for name, shared in (("haswell", {"l2", "llc"}), ("sabre", {"l2"})):
+            profile = get_profile(name)
+            assert build_scenario(profile, "raw").sim.cfg.flush_targets == ()
+            full = build_scenario(profile, "full_flush").sim.cfg.flush_targets
+            assert set(full) == set(ON_CORE_RESOURCES) | shared
+            prot = build_scenario(profile, "protected").sim.cfg.flush_targets
+            assert set(prot) == set(ON_CORE_RESOURCES)

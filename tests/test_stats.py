@@ -13,7 +13,7 @@ from oracles import (analytic_mixture_mi, estimate_density,
                      gaussian_mixture_dataset, percentile_bandwidth,
                      quadrature_kde_mi, reference_bound, reference_mi)
 from tcsim import stats
-from tcsim.stats import (DegenerateAlphabet, EmptyInputClass, TooFewSamples,
+from tcsim.stats import (DegenerateAlphabet, TooFewSamples,
                          _quantile, channel_matrix, estimate_mi, leak_verdict,
                          silverman_bandwidth, zero_leakage_bound)
 
@@ -281,11 +281,6 @@ class TestChannelMatrix:
     def test_bins_validated(self):
         with pytest.raises(ValueError):
             channel_matrix([0, 1], [0.0, 1.0], bins=1)
-
-    def test_empty_input_class(self):
-        with pytest.raises(EmptyInputClass):
-            channel_matrix([0, 0, 1, 1], [0.0, 1.0, 2.0, 3.0], bins=4,
-                           alphabet=(0, 1, 2))
 
 
 @settings(max_examples=15, deadline=None)
