@@ -81,9 +81,7 @@ class ColourPartition:
     def allocate(self, domain: str | None, n: int = 1,
                  colour: int | None = None) -> list[int]:
         """Take ``n`` pages from the domain's pool, all of ``colour`` when
-        one is given. Without a colour, a coloured pool gives each page from
-        the colour with the most pages left (lowest colour first), and the
-        reserve from its lowest non-empty colour."""
+        one is given, else by the pool's picking rule (see the class)."""
         pool = self._pool(domain)
         owned = self.domain_colours.get(domain)
         who = domain if owned else "reserve"
