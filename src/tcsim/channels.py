@@ -127,32 +127,33 @@ def _first_colour(sim: Simulator, domain: str) -> int:
     return min(sim.partition.domain_colours.get(domain) or (0,))
 
 
-def probe_window(sim: Simulator, domain: str, resource: str) -> list[list[int]]:
-    """The domain's probe window on a resource, [way][set] in probe order:
-    the first ``WINDOW_SETS`` sets of a virtually indexed resource, or the
-    domain's first colour of a physically indexed one."""
+def probe_window(sim: Simulator, domain: str, resource: str) -> list[int]:
+    """The domain's probe window on a resource, its addresses in probe order
+    (way by way): the first ``WINDOW_SETS`` sets of a virtually indexed
+    resource, or the domain's first colour of a physically indexed one."""
     cache = sim.machine.cache(resource)
     if cache.geometry.indexing == "virtual":
-        return _virtual_window(sim, domain, cache, WINDOW_SETS)
-    return _physical_window(sim, domain, cache, _first_colour(sim, domain))
+        ways = _virtual_window(sim, domain, cache, WINDOW_SETS)
+    else:
+        ways = _physical_window(sim, domain, cache, _first_colour(sim, domain))
+    return [addr for way in ways for addr in way]
+
+
+def group_window(sim: Simulator, resource: str, lines: list[int]) -> tuple:
+    """A window ready for ``probe``: its lines in probe order, and the same
+    lines grouped by set of the resource (``CacheState.group``)."""
+    return lines, sim.machine.cache(resource).group(lines)
 
 
 def probe(sim: Simulator, resource: str, window) -> int:
-    """Access every window line in order; returns the total latency. BTB
-    lines are taken branches through the predictor, L1-I lines fetches."""
-    latency = 0
+    """Access every line of a ``group_window`` window, set by set, as if in
+    probe order; returns the total latency. BTB lines are taken branches
+    through the predictor, L1-I lines fetches."""
+    lines, groups = window
     if resource == "btb":
-        touch = sim.machine.predictor.touch
-        for way in window:
-            for addr in way:
-                latency += touch(addr, True)
-        return latency
-    access = sim.machine.cache(resource).access
+        return sim.machine.predictor.touch_window(groups, lines)
     kind = "ifetch" if resource == "l1i" else "read"
-    for way in window:
-        for addr in way:
-            latency += access(addr, addr, kind)
-    return latency
+    return sim.machine.cache(resource).probe_groups(groups, kind)
 
 
 # -- channel setup hooks ------------------------------------------------------
@@ -168,12 +169,15 @@ def _prime_probe(profile, spec, alphabet, rng, build_kwargs):
     if max(alphabet) > WINDOW_SETS:
         raise ValueError("touched-set symbol exceeds the probe window")
     sim = build_scenario(profile, spec.scenario, **build_kwargs).sim
-    recv_window = probe_window(sim, RECEIVER, resource)
-    send_lines = probe_window(sim, SENDER, resource)[0]
+    recv_window = group_window(sim, resource, probe_window(sim, RECEIVER, resource))
+    # the sender's first way covers at least WINDOW_SETS sets
+    send_lines = probe_window(sim, SENDER, resource)
+    send_windows = {count: group_window(sim, resource, send_lines[:count])
+                    for count in alphabet}
     probe(sim, resource, recv_window)
 
     def send(count):
-        probe(sim, resource, [send_lines[:count]])
+        probe(sim, resource, send_windows[count])
 
     def measure(it, trace):
         return [(probe(sim, resource, recv_window),)]
@@ -248,12 +252,11 @@ def _flush_latency(profile, spec, alphabet, rng, build_kwargs):
         raise ValueError("dirty-line symbol exceeds L1-D capacity")
     lines = [addr for way in _virtual_window(sim, SENDER, l1d, l1d.geometry.sets)
              for addr in way]
+    dirtied = {k: l1d.group(lines[:k]) for k in alphabet}
     slice_cycles = sim.domains[RECEIVER].timeslice_cycles
 
     def send(k):
-        access = l1d.access
-        for addr in lines[:k]:
-            access(addr, addr, "write")
+        l1d.probe_groups(dirtied[k], "write")
 
     def measure(it, trace):
         return [(slice_cycles + trace.total_elapsed, slice_cycles - trace.total_elapsed)]

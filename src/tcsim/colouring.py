@@ -81,24 +81,26 @@ class ColourPartition:
     def allocate(self, domain: str | None, n: int = 1,
                  colour: int | None = None) -> list[int]:
         """Take ``n`` pages from the domain's pool, all of ``colour`` when
-        one is given, else by the pool's picking rule (see the class)."""
+        one is given, else by the pool's picking rule (see the class). All
+        or nothing: when the pool cannot give ``n`` pages, raise
+        ``PoolExhausted`` and take none."""
         pool = self._pool(domain)
         owned = self.domain_colours.get(domain)
-        who = domain if owned else "reserve"
+        if n > 0 and colour is not None and owned and colour not in owned:
+            raise PoolExhausted(f"colour {colour} not owned by domain {domain!r}")
+        left = len(pool.get(colour, ())) if colour is not None else self.pool_size(domain)
+        if left < n:
+            wanted = "" if colour is None else f"colour-{colour} "
+            raise PoolExhausted(f"no {wanted}frame left for {domain if owned else 'reserve'}")
         order = sorted(pool)
         pages = []
         for _ in range(n):
             if colour is not None:
-                if owned and colour not in owned:
-                    raise PoolExhausted(f"colour {colour} not owned by domain {domain!r}")
                 pick = colour
             elif owned:
-                pick = max(order, key=lambda c: len(pool[c]), default=None)
+                pick = max(order, key=lambda c: len(pool[c]))
             else:
-                pick = next((c for c in order if pool[c]), None)
-            if not pool.get(pick):
-                wanted = "" if colour is None else f"colour-{colour} "
-                raise PoolExhausted(f"no {wanted}frame left for {who}")
+                pick = next(c for c in order if pool[c])
             pages.append(pool[pick].popleft())
         return pages
 

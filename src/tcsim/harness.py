@@ -10,13 +10,18 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import shutil
+import tempfile
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 import numpy as np
 
 import tcsim
-from tcsim.channels import (CHANNELS, ChannelSpec, SampleSet, probe,
-                            probe_window, run_channel, run_llc_side_channel)
+from tcsim.channels import (CHANNELS, ChannelSpec, SampleSet, group_window,
+                            probe, probe_window, run_channel,
+                            run_llc_side_channel)
 from tcsim.config import ConfigError, RunConfig
 from tcsim.kernel import Simulator
 from tcsim.microarch import colour_count
@@ -62,14 +67,50 @@ def _jsonable(obj):
     return obj
 
 
-def run_scenario(cfg: RunConfig, outdir) -> dict:
-    """Run every requested channel under every requested scenario, measure
-    leakage, and write report.json plus per-cell CSVs under ``outdir``."""
-    outdir = Path(outdir)
+@contextmanager
+def _staged(outdir: Path):
+    """Yield a fresh staging directory next to ``outdir``. When the body
+    completes, move what it wrote into ``outdir`` (made if missing), each
+    file replacing only a file of the same name. When it raises, remove the
+    staging directory and every directory made for it, so a failed run
+    leaves nothing behind."""
+    if outdir.exists() and not outdir.is_dir():
+        raise ConfigError(f"cannot use {outdir} as output directory: not a directory")
+    made = [d for d in (outdir, *outdir.parents) if not d.exists()]  # deepest first
     try:
-        outdir.mkdir(parents=True, exist_ok=True)
+        outdir.parent.mkdir(parents=True, exist_ok=True)
+        stage = Path(tempfile.mkdtemp(prefix=f".{outdir.name}.partial-", dir=outdir.parent))
     except OSError as exc:
         raise ConfigError(f"cannot use {outdir} as output directory: {exc.strerror}") from None
+    try:
+        yield stage
+        try:
+            outdir.mkdir(exist_ok=True)
+            for path in sorted(stage.iterdir()):
+                os.replace(path, outdir / path.name)
+        except OSError as exc:
+            raise ConfigError(f"cannot write to {outdir}: {exc.strerror}") from None
+        made = []
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
+        if made:  # the run failed, and outdir did not exist before it
+            shutil.rmtree(outdir, ignore_errors=True)
+            for d in made[1:]:
+                with suppress(OSError):
+                    d.rmdir()
+
+
+def run_scenario(cfg: RunConfig, outdir) -> dict:
+    """Run every requested channel under every requested scenario, measure
+    leakage, and write report.json plus per-cell CSVs under ``outdir``.
+    Outputs are staged and reach ``outdir`` only when the whole run
+    completes (see ``_staged``)."""
+    outdir = Path(outdir)
+    with _staged(outdir) as stage:
+        return _run(cfg, stage)
+
+
+def _run(cfg: RunConfig, outdir: Path) -> dict:
     profile = get_profile(cfg.profile)
     report = {
         "tool": "tcsim",
@@ -186,7 +227,7 @@ def _switch_workload(sim: Simulator, workload: str):
     """One slice of the named receiver workload (a window probe)."""
     if workload == "idle":
         return lambda: None
-    window = probe_window(sim, RECEIVER, workload)
+    window = group_window(sim, workload, probe_window(sim, RECEIVER, workload))
     return lambda: probe(sim, workload, window)
 
 

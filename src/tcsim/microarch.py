@@ -12,6 +12,14 @@ flush walks only the occupied sets, costing O(resident lines). Accesses and
 branch-predictor touches return a plain int latency; a hit costs exactly
 ``hit_cycles``, which is strictly less than any miss.
 
+A probe window (every line a prime&probe receiver or a switch workload
+touches, in probe order) is grouped by set once, and then probed set by set
+with exact fast paths: a set that still holds exactly its group's lines in
+probe order hits throughout and is left as it is, an empty set (after a
+flush) is filled in bulk, and any other set walks its lines one access at a
+time. Sets are independent and latencies are ints, so this leaves the
+latency and the state that accessing the lines in probe order leaves.
+
 Everything here is a plain value: identical operation sequences applied to
 equal initial states give identical latencies and identical final states.
 """
@@ -105,6 +113,14 @@ class CacheState:
     end; a fill into a full set evicts the first (LRU) tag. The indices of
     non-empty sets are kept in an occupied-set index, so a flush costs
     O(resident lines) rather than O(sets).
+
+    ``group`` and ``probe_groups`` probe a window set by set, in one of
+    three cases per set. Untouched: the set holds exactly the group's tags
+    in probe order and the kind is read or ifetch, so every line hits and
+    the set does not change. Empty: the group has at most ``ways`` distinct
+    lines, so every line misses, is installed dirty iff the kind is write,
+    and the set joins the occupied-set index. Anything else: the lines go
+    through ``access`` one by one.
     """
 
     def __init__(self, geometry: CacheGeometry, params: LatencyParams, name: str = ""):
@@ -154,13 +170,55 @@ class CacheState:
         ways[tag] = kind == "write"
         return latency
 
+    def group(self, addrs) -> list[tuple[int, list[int], bool]]:
+        """Group a window's lines by set, once, for ``probe_groups``. Each
+        address serves as both the virtual and the physical address, as in
+        every probe window, so a line is known by its tag alone. Returns, per
+        set in first-touch order, (set index, tags in probe order, whether
+        the tags are distinct and fit in the set's ways)."""
+        groups: dict[int, list[int]] = {}
+        for a in addrs:
+            set_idx, tag = self.locate(a, a)
+            groups.setdefault(set_idx, []).append(tag)
+        return [(i, tags, len(set(tags)) == len(tags) <= self._ways)
+                for i, tags in groups.items()]
+
+    def probe_groups(self, groups, kind: str = "read") -> int:
+        """Access every line of a grouped window (``group``) set by set, in
+        the three cases the class describes; returns the total latency and
+        leaves the state that ``access`` on each line in probe order
+        leaves."""
+        sets = self.sets
+        shift = self._shift
+        write = kind == "write"
+        latency = 0
+        for set_idx, tags, fits in groups:
+            ways = sets[set_idx]
+            if not ways:
+                if fits:
+                    ways.update(dict.fromkeys(tags, write))
+                    self._occupied.add(set_idx)
+                    latency += len(tags) * self._miss_cycles
+                    continue
+            elif not write and list(ways) == tags:
+                latency += len(tags) * self._hit_cycles
+                continue
+            for tag in tags:
+                addr = tag << shift
+                latency += self.access(addr, addr, kind)
+        return latency
+
     def probe_sets(self, lines_by_set: dict) -> dict:
         """Probe whole sets at once: for each set, re-access the given lines
         (index-relevant addresses) in prime order. Equivalent to sequential
         ``access`` calls when the absent lines are the least recent, which
         holds for a prober that owns all resident lines of the set apart from
         younger foreign installs. Returns {set_idx: latency} and leaves each
-        probed set holding exactly the probed lines."""
+        probed set holding exactly the probed lines. It is not
+        ``probe_groups``: it drops the set's foreign lines before the refill
+        instead of evicting in LRU order as it goes, which matches sequential
+        access only under the precondition above, and the
+        ``haswell-llc-side`` golden digests pin that behaviour."""
         out = {}
         for set_idx, addrs in lines_by_set.items():
             tags = {a >> self._shift for a in addrs}
@@ -271,24 +329,42 @@ class PredictorState:
         self._history_mask = (1 << bhb.history_bits) - 1
 
     def touch(self, branch_addr: int, taken: bool) -> int:
-        """Execute one branch: predict direction from the counter table, look
-        the target up in the BTB, then train both. Latency is the BTB
+        """Execute one branch: look the target up in the BTB and predict the
+        direction from the counter table, then train both. Latency is the BTB
         hit/miss cost plus a mispredict penalty when the predicted direction
         disagrees with the outcome."""
+        btb_latency = self.btb.access(branch_addr, branch_addr, "ifetch")
+        return btb_latency + self._direction((branch_addr,), taken)
+
+    def touch_window(self, groups, branches: list[int]) -> int:
+        """Execute taken ``branches`` in order, ``groups`` being the same
+        branches grouped by ``btb.group``: the BTB probes them set by set,
+        then the direction predictor runs over them in order. The BTB and the
+        direction predictor share no state, so this equals ``touch(b, True)``
+        for each branch in order."""
+        return self.btb.probe_groups(groups, "ifetch") + self._direction(branches, True)
+
+    def _direction(self, branches, taken: bool) -> int:
+        """Predict each branch's direction from its 2-bit counter, then
+        saturate the counter towards the outcome and shift the outcome into
+        the history. Returns the total mispredict penalty."""
         bhb = self.bhb
         counters = bhb.counters
         history = bhb.history
-        idx = ((branch_addr >> 2) ^ history) & self._history_mask
-        counter = counters[idx]
-        correct = (counter >= 2) == taken
-        btb_latency = self.btb.access(branch_addr, branch_addr, "ifetch")
-        if taken:
-            if counter < 3:
-                counters[idx] = counter + 1
-        elif counter > 0:
-            counters[idx] = counter - 1
-        bhb.history = ((history << 1) | taken) & self._history_mask
-        return btb_latency if correct else btb_latency + self.mispredict_cycles
+        mask = self._history_mask
+        wrong = 0
+        for addr in branches:
+            idx = ((addr >> 2) ^ history) & mask
+            counter = counters[idx]
+            wrong += (counter >= 2) != taken
+            if taken:
+                if counter < 3:
+                    counters[idx] = counter + 1
+            elif counter > 0:
+                counters[idx] = counter - 1
+            history = ((history << 1) | taken) & mask
+        bhb.history = history
+        return wrong * self.mispredict_cycles
 
     def flush_bhb(self) -> int:
         self.bhb.reset()

@@ -380,7 +380,22 @@ class ReferencePartition:
         return pool[pick].pop(0).phys_addr // self.page_bytes
 
     def allocate(self, domain, n=1, colour=None) -> list[int]:
-        return [self._frame(domain, colour) for _ in range(n)]
+        # all or nothing: a request that runs out puts back what it took
+        pool = self._pool(domain)
+        saved = {c: list(frames) for c, frames in pool.items()}
+        try:
+            return [self._frame(domain, colour) for _ in range(n)]
+        except PoolExhausted:
+            pool.clear()
+            pool.update(saved)
+            raise
+
+    def page_lists(self, domain) -> dict[int, list[int]]:
+        """The domain's pool (the reserve for None) as page numbers per
+        non-empty colour, in allocation order."""
+        pool = self.reserve if domain is None else self.pools[domain]
+        return {c: [f.phys_addr // self.page_bytes for f in frames]
+                for c, frames in sorted(pool.items()) if frames}
 
     def release(self, domain, pages):
         for p in pages:

@@ -109,6 +109,25 @@ class TestAllocate:
         part = partition(2048, LLC, {"a": set(range(64))})
         assert all(colour(p, LLC) < 64 for p in part.allocate("a", 1000))
 
+    def test_failed_request_takes_nothing(self):
+        # 24 pages of 8 colours: colour 0 holds pages 0, 8 and 16
+        part = partition(24, L2, {"a": {0}})
+        before = pool_pages(part, "a")
+        with pytest.raises(PoolExhausted, match="no frame left for a"):
+            part.allocate("a", 5)
+        assert pool_pages(part, "a") == before == [0, 8, 16]
+        assert part.allocate("a", 3) == [0, 8, 16]
+
+    def test_failed_colour_request_takes_nothing(self):
+        part = partition(24, L2, {"a": {1, 2}}, boot=4)
+        before = pool_pages(part, "a"), pool_pages(part, None)
+        with pytest.raises(PoolExhausted, match="no colour-2 frame left for a"):
+            part.allocate("a", 4, colour=2)
+        with pytest.raises(PoolExhausted, match="no colour-3 frame left for reserve"):
+            part.allocate(None, 4, colour=3)  # boot page 3, then 11 and 19
+        assert (pool_pages(part, "a"), pool_pages(part, None)) == before
+        assert part.allocate(None, 3, colour=3) == [3, 11, 19]
+
     def test_release_returns_frames(self):
         part = partition(64, L2, {"a": {0, 1}})
         before = part.pool_size("a")
@@ -172,6 +191,17 @@ def drain(part, domains):
             except PoolExhausted:
                 break
     return out
+
+
+def pool_lists(part) -> dict:
+    """Every pool, the reserve included, as page numbers per non-empty
+    colour in allocation order."""
+    domains = [*part.pools, None]
+    if isinstance(part, ReferencePartition):
+        return {d: part.page_lists(d) for d in domains}
+    return {d: {c: list(q) for c, q in sorted((part.reserve if d is None
+                                                else part.pools[d]).items()) if q}
+            for d in domains}
 
 
 class TestAgainstReference:
@@ -255,6 +285,9 @@ class TestAgainstReference:
                 except (PoolExhausted, CannotDestroyInitial) as exc:
                     results.append((type(exc), str(exc)))
             assert results[0] == results[1], op
+            # pools equal after every op, so a failed request that kept part
+            # of what it took would show here
+            assert pool_lists(sims[0].partition) == pool_lists(sims[1].partition), op
             if op[0] == "release":
                 held.pop(op[1] % len(held))
             elif op[0] == "allocate" and isinstance(results[0], list):

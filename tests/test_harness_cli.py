@@ -179,10 +179,37 @@ class TestCli:
         assert "idle" in out and "l1d" in out
 
     def test_pad_overrun_exit_code(self, tmp_path):
+        # the bhb raw cell completes before the protected cell overruns, yet
+        # neither its files nor the directories made for them are left
         bad = MINI + "\n[switch]\npad_cycles = 10\n"
         cfg_path = tmp_path / "bad.cfg"
         cfg_path.write_text(bad)
-        assert main(["run", str(cfg_path), "-o", str(tmp_path / "out")]) == 3
+        assert main(["run", str(cfg_path), "-o", str(tmp_path / "runs" / "out")]) == 3
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg"]
+
+    def test_pad_overrun_in_an_existing_directory(self, tmp_path):
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(MINI + "\n[switch]\npad_cycles = 10\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "report.json").write_text("older run\n")
+        assert main(["run", str(cfg_path), "-o", str(out)]) == 3
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg", "out"]
+        assert sorted(p.name for p in out.iterdir()) == ["report.json"]
+        assert (out / "report.json").read_text() == "older run\n"
+
+    def test_run_into_an_existing_directory(self, tmp_path):
+        cfg_path = tmp_path / "mini.cfg"
+        cfg_path.write_text(MINI)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "notes.txt").write_text("keep\n")
+        (out / "report.json").write_text("older run\n")
+        assert main(["run", str(cfg_path), "-o", str(out)]) == 0
+        assert (out / "notes.txt").read_text() == "keep\n"
+        assert json.loads((out / "report.json").read_text())["tool"] == "tcsim"
+        assert (out / "bhb_raw.csv").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["mini.cfg", "out"]
 
     @pytest.mark.parametrize("case", ["unknown profile", "unknown irq owner",
                                       "negative pad", "negative irq margin",
@@ -273,10 +300,11 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("config error: ")
         assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
-        if case not in ("too few iterations", "too few frames"):
-            assert not out.exists()  # rejected before anything was written
-        assert not (out / "report.json").exists()
+        assert not out.exists()  # nothing written, or what was written removed
         assert existing.read_text() == "keep\n"
+        # no staging directory left beside the output
+        assert {p.name for p in tmp_path.iterdir()} <= {
+            "existing", "bad.cfg", "latin.cfg", "samples.csv"}
 
     def test_console_script_installed(self):
         proc = subprocess.run([sys.executable, "-m", "tcsim.cli", "profiles"],

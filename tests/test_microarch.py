@@ -289,6 +289,102 @@ def test_reprobing_the_missed_set_equals_reprobing_every_set(spy, ops):
         assert every.snapshot() == missed.snapshot()
 
 
+# (sets, ways) of the caches a grouped window is probed on
+WINDOW_SHAPES = ((4, 2), (8, 4), (2, 8))
+KINDS = ("read", "ifetch", "write")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["physical", "virtual"]), st.sampled_from(WINDOW_SHAPES), st.data())
+def test_grouped_probe_matches_sequential_access(indexing, shape, data):
+    # three windows: a prime&probe-shaped one (way by way over the first
+    # sets, at most one way more than the cache has), the same lines in
+    # another order, and any lines (repeats allowed), probed between foreign
+    # accesses (lines up to 63, clean or dirty) and flushes. Probing a
+    # window twice reaches the untouched case, probing it after a flush the
+    # empty one, and a foreign line, another order or an overflowing group
+    # the walk. ``offset`` bytes into each line: a window line is known by
+    # its tag alone.
+    sets, ways = shape
+    n_ways, n_sets = data.draw(st.integers(1, ways + 1)), data.draw(st.integers(1, sets))
+    base = [w * sets + s for w in range(n_ways) for s in range(n_sets)]
+    windows = [base, data.draw(st.permutations(base)),
+               data.draw(st.lists(st.integers(0, 39), max_size=24))]
+    offset = data.draw(st.integers(0, 63))
+    ops = data.draw(st.lists(st.one_of(
+        st.tuples(st.just("probe"), st.integers(0, 2), st.sampled_from(KINDS)),
+        st.tuples(st.just("access"), st.integers(0, 63), st.sampled_from(KINDS)),
+        st.tuples(st.just("flush"), st.just(0), st.just(""))), max_size=30))
+    grouped, sequential = (small_cache(sets, ways, indexing=indexing) for _ in range(2))
+    groups = [grouped.group([line * 64 + offset for line in window]) for window in windows]
+    for op, a, kind in ops:
+        if op == "probe":
+            addrs = [line * 64 + offset for line in windows[a]]
+            want = sum(sequential.access(x, x, kind) for x in addrs)
+            assert grouped.probe_groups(groups[a], kind) == want
+        elif op == "access":
+            assert grouped.access(a * 64, a * 64, kind) == sequential.access(a * 64, a * 64, kind)
+        else:
+            assert grouped.flush() == sequential.flush()
+        assert grouped.snapshot() == sequential.snapshot()
+        assert grouped._occupied == occupied_sets(grouped) == sequential._occupied
+
+
+class TestProbeGroups:
+    def test_groups_keep_probe_order_per_set(self):
+        c = small_cache(sets=4, ways=2)
+        # line n sits in set n % 4 with tag n
+        assert c.group([64 * n + 3 for n in (5, 1, 9, 2, 13)]) == [
+            (1, [5, 1, 9, 13], False), (2, [2], True)]
+        assert c.group([64, 64]) == [(1, [1, 1], False)]  # a repeated line never fills in bulk
+
+    def test_untouched_empty_and_walked_sets(self):
+        c = small_cache(sets=4, ways=2)
+        groups = c.group([0, 64, 256, 320])  # two lines in each of sets 0 and 1
+        assert c.probe_groups(groups, "write") == 4 * PARAMS.miss_cycles
+        assert c.snapshot()[:2] == [[(0, True), (4, True)], [(1, True), (5, True)]]
+        assert c.probe_groups(groups) == 4 * PARAMS.hit_cycles
+        c.access(512, 512)  # line 8 displaces line 0 from set 0
+        # set 0 misses twice, evicting dirty line 4 and then line 8; set 1 hits
+        assert c.probe_groups(groups) == (
+            2 * PARAMS.miss_cycles + PARAMS.writeback_cycles_per_line + 2 * PARAMS.hit_cycles)
+        assert c.snapshot()[:2] == [[(0, False), (4, False)], [(1, True), (5, True)]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 6),
+       st.lists(st.tuples(st.integers(0, 40), st.booleans()), max_size=60),
+       st.lists(st.integers(0, 40), max_size=24), st.data())
+def test_btb_window_matches_reference_gshare(history_bits, before, branches, data):
+    # a BTB of 8 sets x 2 ways; the window is probed repeatedly between
+    # single branches and BTB flushes, so every set case is reached
+    btb = CacheState(CacheGeometry(8 * 2 * 4, 2, 4, "virtual", "btb"),
+                     LatencyParams(1, 10, 0, 16))
+    p = PredictorState(btb, BhbState(history_bits), mispredict_cycles=20)
+    touched = PredictorState(CacheState(btb.geometry, btb.params),
+                             BhbState(history_bits), mispredict_cycles=20)
+    ref = ReferenceGshare(history_bits, 8, 2, 4, btb_hit=1, btb_miss=10, mispredict=20)
+    addrs = [slot * 4 for slot in branches]
+    groups = btb.group(addrs)
+    ops = data.draw(st.lists(st.sampled_from(["window", "flush"]), max_size=6))
+    for slot, taken in before:
+        p.touch(slot * 4, taken)
+        touched.touch(slot * 4, taken)
+        ref.touch(slot * 4, taken)
+    for op in ops:
+        if op == "flush":
+            p.btb.flush()
+            touched.btb.flush()
+            ref.btb = ReferenceLru(8, 2, 4)
+            continue
+        want = sum(ref.touch(a, True)[0] for a in addrs)
+        assert sum(touched.touch(a, True) for a in addrs) == want
+        assert p.touch_window(groups, addrs) == want
+        assert p.btb.snapshot() == touched.btb.snapshot() == ref.btb.snapshot()
+        assert p.bhb.history == touched.bhb.history == ref.history
+        assert p.bhb.counters == touched.bhb.counters == ref.counter_table()
+
+
 class TestProbeSets:
     def test_probe_equivalent_to_sequential_access(self):
         # foreign lines installed after the prime are younger than every
