@@ -211,7 +211,9 @@ def _kernel(profile, spec, alphabet, rng, build_kwargs):
 
     The receiver's probe buffer is loaded through the full hierarchy (its
     size matches the L1, so kernel lines cannot hide there), and the output is
-    the number of probe lines missing from the partitioned cache."""
+    the number of probe lines missing from the partitioned cache just before
+    each is read. The buffer is grouped once and probed set by set
+    (``MemoryHierarchy.probe``)."""
     bad = set(alphabet) - set(SYSCALLS)
     if bad:
         raise ValueError(f"unknown syscalls {sorted(bad)}")
@@ -225,14 +227,11 @@ def _kernel(profile, spec, alphabet, rng, build_kwargs):
         for _ in range(3):
             sim.syscall(SENDER, symbol)
 
+    data_path = sim.machine.data_path
+    window = data_path.group(pairs)
+
     def measure(it=None, trace=None):
-        lookup, access = cache.lookup, sim.machine.data_path.access
-        misses = 0
-        for va, pa in pairs:
-            if not lookup(va, pa):
-                misses += 1
-            access(va, pa)
-        return [(misses,)]
+        return [(data_path.probe(window, cache)[1],)]
 
     measure()
     return sim, send, measure, {"probe_lines": len(pairs),

@@ -70,10 +70,9 @@ def _jsonable(obj):
 @contextmanager
 def _staged(outdir: Path):
     """Yield a fresh staging directory next to ``outdir``. When the body
-    completes, move what it wrote into ``outdir`` (made if missing), each
-    file replacing only a file of the same name. When it raises, remove the
-    staging directory and every directory made for it, so a failed run
-    leaves nothing behind."""
+    completes, move what it wrote into ``outdir`` (``_move_in``). When it
+    raises, remove the staging directory and every directory made for it,
+    so a failed run leaves nothing behind."""
     if outdir.exists() and not outdir.is_dir():
         raise ConfigError(f"cannot use {outdir} as output directory: not a directory")
     made = [d for d in (outdir, *outdir.parents) if not d.exists()]  # deepest first
@@ -84,12 +83,7 @@ def _staged(outdir: Path):
         raise ConfigError(f"cannot use {outdir} as output directory: {exc.strerror}") from None
     try:
         yield stage
-        try:
-            outdir.mkdir(exist_ok=True)
-            for path in sorted(stage.iterdir()):
-                os.replace(path, outdir / path.name)
-        except OSError as exc:
-            raise ConfigError(f"cannot write to {outdir}: {exc.strerror}") from None
+        _move_in(stage, outdir)
         made = []
     finally:
         shutil.rmtree(stage, ignore_errors=True)
@@ -98,6 +92,34 @@ def _staged(outdir: Path):
             for d in made[1:]:
                 with suppress(OSError):
                     d.rmdir()
+
+
+def _move_in(stage: Path, outdir: Path):
+    """Move every file of ``stage`` into ``outdir`` (made if missing), all
+    or nothing: a file of the same name is set aside first, and when a move
+    fails the files moved in are removed and the set-aside ones put back,
+    so ``outdir`` is left as it was."""
+    try:
+        outdir.mkdir(exist_ok=True)
+        aside = Path(tempfile.mkdtemp(prefix=f".{outdir.name}.replaced-", dir=outdir.parent))
+    except OSError as exc:
+        raise ConfigError(f"cannot write to {outdir}: {exc.strerror}") from None
+    moved = []
+    try:
+        for path in sorted(stage.iterdir()):
+            target = outdir / path.name
+            if os.path.lexists(target):
+                os.replace(target, aside / path.name)
+            os.replace(path, target)
+            moved.append(target)
+    except OSError as exc:
+        for target in moved:
+            target.unlink()
+        for path in aside.iterdir():
+            os.replace(path, outdir / path.name)
+        aside.rmdir()
+        raise ConfigError(f"cannot write to {outdir}: {exc.strerror}") from None
+    shutil.rmtree(aside)
 
 
 def run_scenario(cfg: RunConfig, outdir) -> dict:
@@ -286,10 +308,11 @@ def _stream_cycles(profile: PlatformProfile, working_set_bytes: int,
     line = profile.line_bytes
     per = page // line
     addrs = [f * page + j * line for f in frames for j in range(per)]
-    access = machine.data_path.access
+    data_path = machine.data_path
+    window = data_path.group([(a, a) for a in addrs])
     total = 0
     for p in range(passes):
-        cycles = sum(access(a, a) for a in addrs)
+        cycles = data_path.probe(window)[0]
         if p > 0:  # skip the cold pass
             total += cycles
     return total

@@ -12,12 +12,15 @@ flush walks only the occupied sets, costing O(resident lines). Accesses and
 branch-predictor touches return a plain int latency; a hit costs exactly
 ``hit_cycles``, which is strictly less than any miss.
 
-A probe window (every line a prime&probe receiver or a switch workload
-touches, in probe order) is grouped by set once, and then probed set by set
-with exact fast paths: a set that still holds exactly its group's lines in
-probe order hits throughout and is left as it is, an empty set (after a
-flush) is filled in bulk, and any other set walks its lines one access at a
-time. Sets are independent and latencies are ints, so this leaves the
+A probe window (every line a prime&probe receiver, a switch workload or the
+kernel channel's receiver touches, in probe order) is grouped by set once,
+and then probed set by set with exact fast paths: a set that still holds
+exactly its group's lines in probe order hits throughout and is left as it
+is, a group of distinct lines whose first ``ways`` lines are all absent
+misses throughout and streams through the set in bulk, and any other set
+walks its lines one access at a time. A hierarchy probes such a window level
+by level, each level's missed lines going on to the next. Levels share no
+state, sets are independent and latencies are ints, so this leaves the
 latency and the state that accessing the lines in probe order leaves.
 
 Everything here is a plain value: identical operation sequences applied to
@@ -114,13 +117,18 @@ class CacheState:
     non-empty sets are kept in an occupied-set index, so a flush costs
     O(resident lines) rather than O(sets).
 
-    ``group`` and ``probe_groups`` probe a window set by set, in one of
-    three cases per set. Untouched: the set holds exactly the group's tags
-    in probe order and the kind is read or ifetch, so every line hits and
-    the set does not change. Empty: the group has at most ``ways`` distinct
-    lines, so every line misses, is installed dirty iff the kind is write,
-    and the set joins the occupied-set index. Anything else: the lines go
-    through ``access`` one by one.
+    ``probe_window`` accesses a window's lines set by set, each set's group
+    of lines in order by one of three rules; ``probe_groups`` and every
+    level of a hierarchy's ``probe`` use it. Untouched: the set holds
+    exactly the group's tags in probe order and the kind is read or ifetch,
+    so every line hits and the set does not change. Streaming: the group's
+    tags are distinct and none of its first ``ways`` tags is resident, so
+    every line misses (a later tag can only have been resident in an entry
+    that ``ways`` earlier misses pushed out); the set becomes the last
+    ``ways`` entries of (old entries, then the group, dirty iff the kind is
+    write), and every dirty entry dropped costs one write-back. An empty set
+    is the simplest streaming case. Walk: anything else goes through
+    ``access`` line by line.
     """
 
     def __init__(self, geometry: CacheGeometry, params: LatencyParams, name: str = ""):
@@ -170,43 +178,103 @@ class CacheState:
         ways[tag] = kind == "write"
         return latency
 
-    def group(self, addrs) -> list[tuple[int, list[int], bool]]:
+    def group(self, addrs) -> list[tuple[int, list[int], bool, None]]:
         """Group a window's lines by set, once, for ``probe_groups``. Each
         address serves as both the virtual and the physical address, as in
-        every probe window, so a line is known by its tag alone. Returns, per
-        set in first-touch order, (set index, tags in probe order, whether
-        the tags are distinct and fit in the set's ways)."""
+        every single-cache probe window, so a line is known by its tag
+        alone. Returns, per set in first-touch order, (set index, tags in
+        probe order, whether the tags are distinct, None: no positions)."""
         groups: dict[int, list[int]] = {}
         for a in addrs:
             set_idx, tag = self.locate(a, a)
             groups.setdefault(set_idx, []).append(tag)
-        return [(i, tags, len(set(tags)) == len(tags) <= self._ways)
-                for i, tags in groups.items()]
+        return [(i, tags, len(set(tags)) == len(tags), None) for i, tags in groups.items()]
 
     def probe_groups(self, groups, kind: str = "read") -> int:
-        """Access every line of a grouped window (``group``) set by set, in
-        the three cases the class describes; returns the total latency and
-        leaves the state that ``access`` on each line in probe order
-        leaves."""
+        """Access every line of a grouped window (``group``) set by set;
+        returns the total latency and leaves the state that ``access`` on
+        each line in probe order leaves."""
+        return self.probe_window(groups, kind)[0]
+
+    def probe_window(self, groups, kind: str = "read", reached: set[int] | None = None,
+                     look: bool = False) -> tuple[int, int, list[int]]:
+        """Access the lines of ``groups`` set by set, each group (set index,
+        tags in probe order, whether they are distinct, their positions in a
+        hierarchy's window or None) by the untouched, streaming or walk rule
+        (see the class). Returns the latency; with ``look``, how many lines
+        were absent just before their access (else 0); and the positions of
+        the lines that hit, for groups that have them.
+
+        A hierarchy level passes ``reached``, the positions of the lines
+        that reach it, when some lines hit at a level above. A group all of
+        whose lines reach follows the rules; one that only some reach is
+        walked, accessing those alone and, with ``look``, looking every line
+        up in its place; one that no line reaches keeps its state, and with
+        ``look`` its absent lines are counted as it stands."""
         sets = self.sets
-        shift = self._shift
         write = kind == "write"
-        latency = 0
-        for set_idx, tags, fits in groups:
+        nways, hit, miss, wb = self._ways, self._hit_cycles, self._miss_cycles, self._wb_cycles
+        latency = absent = 0
+        stopped: list[int] = []
+        for set_idx, tags, distinct, positions in groups:
             ways = sets[set_idx]
-            if not ways:
-                if fits:
-                    ways.update(dict.fromkeys(tags, write))
-                    self._occupied.add(set_idx)
-                    latency += len(tags) * self._miss_cycles
+            n = len(tags)
+            reach = None
+            if reached is not None and not reached.issuperset(positions):
+                reach = [p in reached for p in positions]
+                if not any(reach):
+                    if look:
+                        absent += sum(tag not in ways for tag in tags)
                     continue
-            elif not write and list(ways) == tags:
-                latency += len(tags) * self._hit_cycles
+            elif not write and len(ways) == n and list(ways) == tags:  # untouched
+                latency += n * hit
+                if positions is not None:
+                    stopped.extend(positions)
                 continue
-            for tag in tags:
-                addr = tag << shift
-                latency += self.access(addr, addr, kind)
-        return latency
+            elif distinct and (not ways or ways.keys().isdisjoint(tags[:nways])):  # streaming
+                dirty = 0
+                if n > nways:  # every old entry and the group's first n - ways go
+                    dirty = sum(ways.values()) + (n - nways if write else 0)
+                    ways.clear()
+                elif ways:  # the LRU entries pushed out, if any
+                    for _ in range(len(ways) + n - nways):
+                        dirty += ways.pop(next(iter(ways)))
+                ways.update(dict.fromkeys(tags[-nways:], write))
+                self._occupied.add(set_idx)
+                latency += n * miss + dirty * wb
+                if look:
+                    absent += n
+                continue
+            cycles, hits, gone = self._walk(set_idx, tags, kind, reach, look)
+            latency += cycles
+            absent += gone
+            if positions is not None:
+                stopped.extend([positions[j] for j in hits])
+        return latency, absent, stopped
+
+    def _walk(self, set_idx: int, tags: list[int], kind: str, reach: list[bool] | None,
+              look: bool) -> tuple[int, list[int], int]:
+        """The walk rule: ``access`` each line of set ``set_idx`` in order
+        (only those whose ``reach`` flag is set, when given), after a
+        ``lookup`` of every line when ``look``. Returns the latency, the
+        indices into ``tags`` of the lines that hit, and the number looked
+        up absent. ``vaddr`` indexes this set if the cache is virtually
+        indexed; a physically indexed one takes the set from the tag."""
+        shift = self._shift
+        vaddr = set_idx << shift
+        hit_cycles = self._hit_cycles
+        latency = absent = 0
+        hits = []
+        for j, tag in enumerate(tags):
+            paddr = tag << shift
+            if look and not self.lookup(vaddr, paddr):
+                absent += 1
+            if reach is None or reach[j]:
+                cycles = self.access(vaddr, paddr, kind)
+                latency += cycles
+                if cycles == hit_cycles:
+                    hits.append(j)
+        return latency, hits, absent
 
     def probe_sets(self, lines_by_set: dict) -> dict:
         """Probe whole sets at once: for each set, re-access the given lines
@@ -265,7 +333,8 @@ class MemoryHierarchy:
     An access walks the levels in order and does at each what
     ``CacheState.access`` does, inline, until one hits: the levels are
     distinct caches, so installing at a missed level before asking the next
-    leaves the same state as filling after the walk.
+    leaves the same state as filling after the walk. A grouped window is
+    read level by level instead (``group``, ``probe``).
     """
 
     def __init__(self, levels: list[CacheState], memory_cycles: int):
@@ -294,6 +363,58 @@ class MemoryHierarchy:
                 latency += level._wb_cycles
             ways[tag] = write
         return latency + self.memory_cycles
+
+    def group(self, pairs) -> tuple[int, list]:
+        """Group a window of (vaddr, paddr) lines in probe order, once, for
+        ``probe``. Returns the number of lines and, per level, the groups,
+        per set in first-touch order (set index, tags, whether the tags are
+        distinct, the lines' positions in the window), and each position's
+        group."""
+        per_level = []
+        for level in self.levels:
+            sets: dict[int, int] = {}  # set index -> group number
+            groups, group_of = [], []
+            for pos, (vaddr, paddr) in enumerate(pairs):
+                set_idx, tag = level.locate(vaddr, paddr)
+                g = sets.setdefault(set_idx, len(groups))
+                if g == len(groups):
+                    groups.append((set_idx, [], []))
+                groups[g][1].append(pos)
+                groups[g][2].append(tag)
+                group_of.append(g)
+            per_level.append(([(i, tags, len(set(tags)) == len(tags), positions)
+                               for i, positions, tags in groups], group_of))
+        return len(pairs), per_level
+
+    def probe(self, window, observe: CacheState | None = None) -> tuple[int, int]:
+        """Read every line of a grouped window (``group``), as ``access`` on
+        each line in probe order would. Returns the total latency and the
+        number of lines missing from ``observe``, one of the levels, just
+        before their access: what ``observe.lookup`` then ``access``, line by
+        line, counts.
+
+        Each level probes its own sets with ``CacheState.probe_window`` and
+        hands the lines that missed to the next. A level visits only the
+        sets those lines fall in, except ``observe``, where a line that hit
+        above is still looked up in its place in its set."""
+        if observe is not None and observe not in self.levels:
+            raise ValueError("the observed cache is not a level of this hierarchy")
+        n_lines, per_level = window
+        latency = absent = hit_lines = 0
+        reached = None  # positions of the lines that reach this level; None: all
+        last = self.levels[-1]
+        for level, (groups, group_of) in zip(self.levels, per_level):
+            look = level is observe
+            if reached is not None and not look:
+                groups = [groups[g] for g in {group_of[p] for p in reached}]
+            cycles, gone, stopped = level.probe_window(groups, "read", reached, look)
+            latency += cycles
+            absent += gone
+            hit_lines += len(stopped)
+            if stopped and level is not last:
+                reached = (set(range(n_lines)) if reached is None
+                           else reached).difference(stopped)
+        return latency + (n_lines - hit_lines) * self.memory_cycles, absent
 
 
 @dataclass

@@ -1,7 +1,9 @@
 """Config parsing, harness orchestration, and CLI surface tests."""
 
+import errno
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -209,6 +211,35 @@ class TestCli:
         assert (out / "notes.txt").read_text() == "keep\n"
         assert json.loads((out / "report.json").read_text())["tool"] == "tcsim"
         assert (out / "bhb_raw.csv").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["mini.cfg", "out"]
+
+    def test_failed_move_into_an_existing_directory_restores_it(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        # the move of the second staged file (bhb_protected_matrix.csv, after
+        # bhb_protected.csv) fails: both had older versions, which were set
+        # aside, and the first had already been replaced
+        cfg_path = tmp_path / "mini.cfg"
+        cfg_path.write_text(MINI)
+        out = tmp_path / "out"
+        out.mkdir()
+        older = {name: f"older {name}\n".encode() for name in
+                 ("bhb_protected.csv", "bhb_protected_matrix.csv", "report.json", "notes.txt")}
+        for name, data in older.items():
+            (out / name).write_bytes(data)
+        replace, staged = os.replace, []
+
+        def failing_replace(src, dst):
+            if Path(src).parent.name.startswith(".out.partial-"):
+                staged.append(Path(src).name)
+                if len(staged) == 2:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        assert main(["run", str(cfg_path), "-o", str(out)]) == 2
+        assert staged == ["bhb_protected.csv", "bhb_protected_matrix.csv"]
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == older
         assert sorted(p.name for p in tmp_path.iterdir()) == ["mini.cfg", "out"]
 
     @pytest.mark.parametrize("case", ["unknown profile", "unknown irq owner",

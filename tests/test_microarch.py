@@ -335,8 +335,8 @@ class TestProbeGroups:
         c = small_cache(sets=4, ways=2)
         # line n sits in set n % 4 with tag n
         assert c.group([64 * n + 3 for n in (5, 1, 9, 2, 13)]) == [
-            (1, [5, 1, 9, 13], False), (2, [2], True)]
-        assert c.group([64, 64]) == [(1, [1, 1], False)]  # a repeated line never fills in bulk
+            (1, [5, 1, 9, 13], True, None), (2, [2], True, None)]
+        assert c.group([64, 64]) == [(1, [1, 1], False, None)]  # a repeated line never streams
 
     def test_untouched_empty_and_walked_sets(self):
         c = small_cache(sets=4, ways=2)
@@ -349,6 +349,133 @@ class TestProbeGroups:
         assert c.probe_groups(groups) == (
             2 * PARAMS.miss_cycles + PARAMS.writeback_cycles_per_line + 2 * PARAMS.hit_cycles)
         assert c.snapshot()[:2] == [[(0, False), (4, False)], [(1, True), (5, True)]]
+
+
+def no_walk(*args):
+    raise AssertionError("the set was walked")
+
+
+class TestStreaming:
+    # every case probes one set of a twin cache line by line too, and the
+    # probed cache's ``access`` fails if called, so the set must stream
+
+    def probe_both(self, ways, before, tags, kind):
+        c, seq = (small_cache(sets=4, ways=ways) for _ in range(2))
+        for tag, k in before:
+            c.access(tag * 64, tag * 64, k)
+            seq.access(tag * 64, tag * 64, k)
+        want = sum(seq.access(t * 64, t * 64, kind) for t in tags)
+        c.access = no_walk
+        assert c.probe_window([(0, tags, True, None)], kind, look=True) == (want, len(tags), [])
+        assert c.snapshot() == seq.snapshot()
+        assert c._occupied == occupied_sets(c) == seq._occupied
+        return want, c.snapshot()[0]
+
+    def test_non_empty_disjoint_set(self):
+        # set 0 holds lines 0 (dirty) and 4; three new lines push out the LRU line 0
+        latency, final = self.probe_both(4, [(0, "write"), (4, "read")], [8, 12, 16], "read")
+        assert latency == 3 * PARAMS.miss_cycles + PARAMS.writeback_cycles_per_line
+        assert final == [(4, False), (8, False), (12, False), (16, False)]
+
+    def test_later_tags_resident_still_miss(self):
+        # lines 8 and 0 are resident but come after the first two (= ways)
+        # tags of the group; the two misses before them have pushed them out
+        latency, final = self.probe_both(2, [(8, "read"), (0, "read")], [4, 12, 8, 0], "read")
+        assert latency == 4 * PARAMS.miss_cycles
+        assert final == [(8, False), (0, False)]
+
+    def test_write_group_evicts_dirty_entries(self):
+        # old dirty line 0 and the group's own first two dirty lines are pushed out
+        latency, final = self.probe_both(2, [(0, "write")], [4, 8, 12, 16], "write")
+        assert latency == 4 * PARAMS.miss_cycles + 3 * PARAMS.writeback_cycles_per_line
+        assert final == [(12, True), (16, True)]
+
+    def test_resident_head_or_repeats_walk(self):
+        c = small_cache(sets=4, ways=2)
+        c.access(4 * 64, 4 * 64)
+        c.access = no_walk
+        for tags, distinct in (([0, 4], True), ([8, 8], False)):
+            with pytest.raises(AssertionError, match="walked"):
+                c.probe_groups([(0, tags, distinct, None)])
+
+
+# scaled-down platforms, 64-byte lines and 512-byte pages: (sets, ways,
+# indexing, latency) per level, and the observed (partitioned) level. Like
+# sabre, the L1 gets twice its ways per set from the kernel buffer; like
+# haswell, the buffer fills the L1 exactly and the L2 is observed above an LLC
+HIERARCHY_SHAPES = {
+    "sabre": ([(8, 2, "virtual", LatencyParams(4, 6, 6, 10)),
+               (32, 4, "physical", LatencyParams(8, 12, 8, 20))], 1),
+    "haswell": ([(8, 4, "virtual", LatencyParams(4, 6, 6, 10)),
+                 (16, 4, "physical", LatencyParams(8, 12, 8, 20)),
+                 (64, 8, "physical", LatencyParams(20, 30, 10, 40))], 1),
+}
+PAGE = 512
+
+
+def shaped_hierarchy(shape):
+    levels, observed = HIERARCHY_SHAPES[shape]
+    caches = [CacheState(CacheGeometry(s * w * 64, w, 64, idx), p) for s, w, idx, p in levels]
+    return MemoryHierarchy(caches, memory_cycles=100), caches[observed]
+
+
+def kernel_buffer(observed, colour, first_frame, first_vpage):
+    """Like ``alloc_buffer``: ``ways`` frames of one colour of the observed
+    cache, mapped at consecutive fresh virtual pages, as (vaddr, paddr) per
+    line."""
+    colours = colour_count(observed.geometry, PAGE)
+    frames = [(first_frame + k) * colours + colour % colours
+              for k in range(observed.geometry.ways)]
+    return [((first_vpage + i) * PAGE + off, f * PAGE + off)
+            for i, f in enumerate(frames) for off in range(0, PAGE, 64)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(HIERARCHY_SHAPES)), st.data())
+def test_hierarchy_probe_matches_lookup_then_access(shape, data):
+    # the kernel buffer, an L1-fitting window and a window of any lines
+    # (repeats allowed, virtual index moved off the physical one), probed
+    # between foreign reads and writes and flushes of single levels
+    h, observed = shaped_hierarchy(shape)
+    ref, ref_observed = shaped_hierarchy(shape)
+    l1 = h.levels[0].geometry
+    buffer = kernel_buffer(observed, data.draw(st.integers(0, 3)),
+                           data.draw(st.integers(0, 3)), data.draw(st.integers(0, 40)))
+    fitting = [(pa + 64 * data.draw(st.integers(0, 3)), pa)
+               for pa in range(0, data.draw(st.integers(1, l1.lines)) * 64, 64)]
+    any_lines = [((v + p) * 64, p * 64) for v, p in data.draw(st.lists(
+        st.tuples(st.integers(0, 7), st.integers(0, 127)), min_size=1, max_size=40))]
+    windows = [buffer, fitting, any_lines]
+    grouped = [h.group(w) for w in windows]
+    ops = data.draw(st.lists(st.one_of(
+        st.tuples(st.just("probe"), st.integers(0, 2)),
+        st.tuples(st.just("access"), st.tuples(st.integers(0, 7), st.integers(0, 127),
+                                               st.booleans())),
+        st.tuples(st.just("flush"), st.integers(0, len(h.levels) - 1))), max_size=12))
+    for op, arg in [("probe", 0)] + ops:
+        if op == "probe":
+            want_latency = want_absent = 0
+            for vaddr, paddr in windows[arg]:
+                want_absent += not ref_observed.lookup(vaddr, paddr)
+                want_latency += ref.access(vaddr, paddr)
+            assert h.probe(grouped[arg], observed) == (want_latency, want_absent)
+        elif op == "access":
+            v, p, write = arg
+            kind = "write" if write else "read"
+            assert h.access((v + p) * 64, p * 64, kind) == ref.access((v + p) * 64, p * 64, kind)
+        else:
+            assert h.levels[arg].flush() == ref.levels[arg].flush()
+        for level, ref_level in zip(h.levels, ref.levels):
+            assert level.snapshot() == ref_level.snapshot()
+            assert level._occupied == occupied_sets(level) == ref_level._occupied
+
+
+def test_hierarchy_probe_observes_only_its_levels():
+    h, _ = shaped_hierarchy("sabre")
+    window = h.group([(0, 0)])
+    assert h.probe(window) == (6 + 12 + 100, 0)
+    with pytest.raises(ValueError):
+        h.probe(window, small_cache())
 
 
 @settings(max_examples=100, deadline=None)
