@@ -2,20 +2,22 @@
 
     python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workloads W [W ...]
         --seeds S [S ...] --out BENCH_N.json [--claim WORKLOAD:METRIC]
-        [--held-out SEED] [--seconds 25] [--parent-rev REV] [--purpose TEXT]
+        [--held-out SEED] [--purpose TEXT]
 
-Pair i runs ``perfbench/run.py --workload W --seed S_i --seconds T --trace 0``
-once in each checkout, from that checkout's root, one run at a time. The
-parent runs first in odd pairs (counting from 1) and the change first in
-even ones. Each side's end-to-end metrics are summarised by median and
-quartiles, with the bound and better direction that the change's
-BENCHMARK.json gives them. A claimed gain is met when the change is better in
-at least nine tenths of the pairs (ties count for neither side) and the
-medians differ, in the better direction, by more than the distance between
-the parent's quartiles. A held-out seed gets one more pair on the claimed
-workload. The output file is rewritten after every pair, so an interrupted
-run keeps what it measured. Nothing under either checkout is written except
-by perfbench itself.
+Both directories are git checkouts; the record names the commit of each.
+Pair i runs ``perfbench/run.py --workload W --seed S_i --trace 0`` once in
+each checkout, from that checkout's root, one run at a time, for
+perfbench's own default run length. The parent runs first in odd pairs
+(counting from 1) and the change first in even ones. Each side's end-to-end
+metrics are summarised by median and quartiles, with the bound and better
+direction that the change's BENCHMARK.json gives them. A claimed gain is met
+when the change is better in at least nine tenths of the pairs (ties count
+for neither side), the medians differ, in the better direction, by more than
+the distance between the parent's quartiles, the change fails no more
+operations than the parent, and, with ``--held-out``, the change is also
+better in one more pair on that seed. The output file is rewritten after
+every pair, so an interrupted run keeps what it measured. Nothing under
+either checkout is written except by perfbench itself.
 """
 
 from __future__ import annotations
@@ -35,10 +37,19 @@ SIDES = ("parent", "change")
 GOLDEN = re.compile(r"\(golden: (.*)\)\s*$")
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def revision(checkout: Path) -> str:
+    """The short commit hash that ``checkout`` has checked out."""
+    proc = subprocess.run(["git", "-C", str(checkout), "rev-parse", "--short", "HEAD"],
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"{checkout}: not a git checkout: {proc.stderr.strip()}")
+    return proc.stdout.strip()
+
+
+def run_once(checkout: Path, workload: str, seed: int) -> dict:
     """One perfbench invocation; its end-to-end metrics and verdict."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -52,12 +63,11 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return out
 
 
-def run_pair(dirs: dict, workload: str, seed: int, parent_first: bool,
-             seconds: float) -> dict:
+def run_pair(dirs: dict, workload: str, seed: int, parent_first: bool) -> dict:
     order = list(SIDES) if parent_first else list(reversed(SIDES))
     pair = {"seed": seed, "order": order}
     for side in order:
-        pair[side] = run_once(dirs[side], workload, seed, seconds)
+        pair[side] = run_once(dirs[side], workload, seed)
         print(f"  {workload} seed {seed} {side}: run_s {pair[side].get('run_s')}",
               file=sys.stderr, flush=True)
     return pair
@@ -94,18 +104,30 @@ def summarise(pairs: list[dict], metrics: dict) -> dict:
     return summary
 
 
-def claim_verdict(pairs: list[dict], metric: str, direction: str) -> dict:
-    """The section-8 rule: nine tenths of the pairs won, and a median
-    difference beyond the parent's interquartile range."""
+def claim_verdict(pairs: list[dict], metric: str, direction: str,
+                  held: dict | None = None) -> dict:
+    """The claim rule: nine tenths of the pairs won, a median difference
+    beyond the parent's interquartile range, no more failed operations than
+    the parent, and the held-out pair ``held``, if any, won too."""
     parent = [p["parent"][metric] for p in pairs]
     change = [p["change"][metric] for p in pairs]
     wins = sum(better(c, p, direction) for c, p in zip(change, parent))
     q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
     diff = statistics.median(change) - statistics.median(parent)
     gain = -diff if direction == "lower" else diff
-    return {"change_better_pairs": wins, "pairs": len(pairs),
-            "median_difference": round(diff, 4), "parent_iqr": round(q3 - q1, 4),
-            "met": wins >= math.ceil(0.9 * len(pairs)) and gain > q3 - q1}
+    runs = pairs + ([held] if held else [])
+    failed = {side: sum(p[side]["failed"] for p in runs) for side in SIDES}
+    met = (wins >= math.ceil(0.9 * len(pairs)) and gain > q3 - q1
+           and failed["change"] <= failed["parent"])
+    verdict = {"change_better_pairs": wins, "pairs": len(pairs),
+               "median_difference": round(diff, 4), "parent_iqr": round(q3 - q1, 4),
+               "failed": failed}
+    if held is not None:
+        held["change_better"] = better(held["change"][metric], held["parent"][metric],
+                                       direction)
+        verdict["held_out_seed"] = held
+        met = met and held["change_better"]
+    return {**verdict, "met": met}
 
 
 def main(argv=None) -> int:
@@ -117,8 +139,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--claim", help="WORKLOAD:METRIC the change claims to improve")
     parser.add_argument("--held-out", type=int, help="one more seed for the claim")
-    parser.add_argument("--seconds", type=float, default=25.0)
-    parser.add_argument("--parent-rev", default="", help="the parent's commit, for the record")
     parser.add_argument("--purpose", default="")
     args = parser.parse_args(argv)
 
@@ -131,12 +151,14 @@ def main(argv=None) -> int:
         if workload not in args.workloads or metric not in metrics:
             parser.error("--claim must name a benchmarked workload and an end-to-end metric")
         claim = (workload, metric)
+    elif args.held_out is not None:
+        parser.error("--held-out needs --claim")
 
     record = {
         "purpose": args.purpose,
-        "command": f"python3 perfbench/run.py --workload W --seed S "
-                   f"--seconds {args.seconds:g} --trace 0",
-        "parent": args.parent_rev,
+        "command": "python3 perfbench/run.py --workload W --seed S --trace 0",
+        "parent": revision(dirs["parent"]),
+        "change": revision(dirs["change"]),
         "sides": "parent: the parent commit's files; change: this commit's files; "
                  "each in its own checkout directory, run from its root",
         "pairing": "pair i uses the i-th seed on both sides; odd i runs the parent first, "
@@ -154,7 +176,7 @@ def main(argv=None) -> int:
         pairs = []
         entry = record["workloads"][workload] = {"pairs": pairs}
         for i, seed in enumerate(args.seeds, start=1):
-            pairs.append(run_pair(dirs, workload, seed, i % 2 == 1, args.seconds))
+            pairs.append(run_pair(dirs, workload, seed, i % 2 == 1))
             runs = [p[side] for p in pairs for side in SIDES]
             entry.update(
                 summary=summarise(pairs, metrics),
@@ -165,14 +187,12 @@ def main(argv=None) -> int:
             save()
     if claim:
         workload, metric = claim
-        verdict = claim_verdict(record["workloads"][workload]["pairs"], metric,
-                                metrics[metric]["better"])
-        record["claim"] = {"workload": workload, "metric": metric, **verdict}
+        held = None
         if args.held_out is not None:
-            held = run_pair(dirs, workload, args.held_out, True, args.seconds)
-            held["change_better"] = better(held["change"][metric], held["parent"][metric],
-                                           metrics[metric]["better"])
-            record["claim"]["held_out_seed"] = held
+            held = run_pair(dirs, workload, args.held_out, True)
+        verdict = claim_verdict(record["workloads"][workload]["pairs"], metric,
+                                metrics[metric]["better"], held)
+        record["claim"] = {"workload": workload, "metric": metric, **verdict}
         save()
     return 0
 

@@ -117,7 +117,7 @@ class CacheState:
     non-empty sets are kept in an occupied-set index, so a flush costs
     O(resident lines) rather than O(sets).
 
-    ``probe_window`` accesses a window's lines set by set, each set's group
+    ``_probe_grouped`` accesses a window's lines set by set, each set's group
     of lines in order by one of three rules; ``probe_groups`` and every
     level of a hierarchy's ``probe`` use it. Untouched: the set holds
     exactly the group's tags in probe order and the kind is read or ifetch,
@@ -194,10 +194,10 @@ class CacheState:
         """Access every line of a grouped window (``group``) set by set;
         returns the total latency and leaves the state that ``access`` on
         each line in probe order leaves."""
-        return self.probe_window(groups, kind)[0]
+        return self._probe_grouped(groups, kind)[0]
 
-    def probe_window(self, groups, kind: str = "read", reached: set[int] | None = None,
-                     look: bool = False) -> tuple[int, int, list[int]]:
+    def _probe_grouped(self, groups, kind: str = "read", reached: set[int] | None = None,
+                       look: bool = False) -> tuple[int, int, list[int]]:
         """Access the lines of ``groups`` set by set, each group (set index,
         tags in probe order, whether they are distinct, their positions in a
         hierarchy's window or None) by the untouched, streaming or walk rule
@@ -210,46 +210,66 @@ class CacheState:
         whose lines reach follows the rules; one that only some reach is
         walked, accessing those alone and, with ``look``, looking every line
         up in its place; one that no line reaches keeps its state, and with
-        ``look`` its absent lines are counted as it stands."""
-        sets = self.sets
+        ``look`` its absent lines are counted as it stands. A walked group
+        without positions or ``look`` (a single cache's window) only calls
+        ``access``; the others go through ``_walk``, which also notes the
+        hits."""
+        sets, shift = self.sets, self._shift
         write = kind == "write"
         nways, hit, miss, wb = self._ways, self._hit_cycles, self._miss_cycles, self._wb_cycles
         latency = absent = 0
         stopped: list[int] = []
         for set_idx, tags, distinct, positions in groups:
             ways = sets[set_idx]
-            n = len(tags)
-            reach = None
             if reached is not None and not reached.issuperset(positions):
                 reach = [p in reached for p in positions]
-                if not any(reach):
-                    if look:
-                        absent += sum(tag not in ways for tag in tags)
-                    continue
-            elif not write and len(ways) == n and list(ways) == tags:  # untouched
+                if any(reach):
+                    cycles, hits, gone = self._walk(set_idx, tags, kind, reach, look)
+                    latency += cycles
+                    absent += gone
+                    stopped.extend([positions[j] for j in hits])
+                elif look:
+                    absent += sum(tag not in ways for tag in tags)
+                continue
+            n = len(tags)
+            if not ways:
+                streaming = distinct
+            elif not write and list(ways) == tags:  # untouched
                 latency += n * hit
                 if positions is not None:
                     stopped.extend(positions)
                 continue
-            elif distinct and (not ways or ways.keys().isdisjoint(tags[:nways])):  # streaming
-                dirty = 0
-                if n > nways:  # every old entry and the group's first n - ways go
-                    dirty = sum(ways.values()) + (n - nways if write else 0)
+            else:
+                streaming = distinct and ways.keys().isdisjoint(tags if n <= nways else tags[:nways])
+            if streaming:
+                latency += n * miss
+                if not ways:
+                    self._occupied.add(set_idx)
+                elif n >= nways:  # every old entry is pushed out
+                    latency += sum(ways.values()) * wb
                     ways.clear()
-                elif ways:  # the LRU entries pushed out, if any
-                    for _ in range(len(ways) + n - nways):
-                        dirty += ways.pop(next(iter(ways)))
-                ways.update(dict.fromkeys(tags[-nways:], write))
-                self._occupied.add(set_idx)
-                latency += n * miss + dirty * wb
+                else:  # the LRU entries pushed out, if any
+                    while len(ways) > nways - n:
+                        if ways.pop(next(iter(ways))):
+                            latency += wb
+                if n > nways:  # and so are the group's first n - ways lines
+                    if write:
+                        latency += (n - nways) * wb
+                    tags = tags[-nways:]
+                for tag in tags:
+                    ways[tag] = write
                 if look:
                     absent += n
-                continue
-            cycles, hits, gone = self._walk(set_idx, tags, kind, reach, look)
-            latency += cycles
-            absent += gone
-            if positions is not None:
-                stopped.extend([positions[j] for j in hits])
+            elif positions is None and not look:  # a single cache's window: nothing to track
+                for tag in tags:
+                    addr = tag << shift
+                    latency += self.access(addr, addr, kind)
+            else:
+                cycles, hits, gone = self._walk(set_idx, tags, kind, None, look)
+                latency += cycles
+                absent += gone
+                if positions is not None:
+                    stopped.extend([positions[j] for j in hits])
         return latency, absent, stopped
 
     def _walk(self, set_idx: int, tags: list[int], kind: str, reach: list[bool] | None,
@@ -393,7 +413,7 @@ class MemoryHierarchy:
         before their access: what ``observe.lookup`` then ``access``, line by
         line, counts.
 
-        Each level probes its own sets with ``CacheState.probe_window`` and
+        Each level probes its own sets with ``CacheState._probe_grouped`` and
         hands the lines that missed to the next. A level visits only the
         sets those lines fall in, except ``observe``, where a line that hit
         above is still looked up in its place in its set."""
@@ -407,7 +427,7 @@ class MemoryHierarchy:
             look = level is observe
             if reached is not None and not look:
                 groups = [groups[g] for g in {group_of[p] for p in reached}]
-            cycles, gone, stopped = level.probe_window(groups, "read", reached, look)
+            cycles, gone, stopped = level._probe_grouped(groups, "read", reached, look)
             latency += cycles
             absent += gone
             hit_lines += len(stopped)

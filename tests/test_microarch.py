@@ -366,7 +366,7 @@ class TestStreaming:
             seq.access(tag * 64, tag * 64, k)
         want = sum(seq.access(t * 64, t * 64, kind) for t in tags)
         c.access = no_walk
-        assert c.probe_window([(0, tags, True, None)], kind, look=True) == (want, len(tags), [])
+        assert c._probe_grouped([(0, tags, True, None)], kind, look=True) == (want, len(tags), [])
         assert c.snapshot() == seq.snapshot()
         assert c._occupied == occupied_sets(c) == seq._occupied
         return want, c.snapshot()[0]
