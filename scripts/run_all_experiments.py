@@ -12,7 +12,7 @@ import sys
 import time
 from pathlib import Path
 
-from tcsim.cli import builtin_config_names, resolve_config
+from tcsim.cli import builtin_config_names, print_cells, resolve_config
 from tcsim.harness import run_scenario
 
 
@@ -25,15 +25,7 @@ def main() -> int:
         cfg = resolve_config(name)
         report = run_scenario(cfg, outroot / name)
         print(f"\n== {name} ({time.monotonic() - t0:.1f}s)")
-        for channel, cells in report.get("channels", {}).items():
-            for scenario, cell in cells.items():
-                if "m_millibits" in cell:
-                    print(f"  {channel:14} {scenario:10} "
-                          f"M={cell['m_millibits']:9.2f} mb "
-                          f"M0={cell['m0_millibits']:9.2f} mb leak={cell['leak']}")
-                elif "recovery_accuracy" in cell:
-                    print(f"  {channel:14} {scenario:10} key recovery "
-                          f"{100 * cell['recovery_accuracy']:5.1f}%")
+        print_cells(report)
         if "switch_cost_table" in report:
             print("  switch-away cost (cycles):")
             for scenario, row in report["switch_cost_table"].items():

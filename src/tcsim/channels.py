@@ -131,7 +131,7 @@ def probe_window(sim: Simulator, domain: str, resource: str) -> list[int]:
     """The domain's probe window on a resource, its addresses in probe order
     (way by way): the first ``WINDOW_SETS`` sets of a virtually indexed
     resource, or the domain's first colour of a physically indexed one."""
-    cache = sim.machine.cache(resource)
+    cache = sim.machine.caches[resource]
     if cache.geometry.indexing == "virtual":
         ways = _virtual_window(sim, domain, cache, WINDOW_SETS)
     else:
@@ -142,18 +142,17 @@ def probe_window(sim: Simulator, domain: str, resource: str) -> list[int]:
 def group_window(sim: Simulator, resource: str, lines: list[int]) -> tuple:
     """A window ready for ``probe``: its lines in probe order, and the same
     lines grouped by set of the resource (``CacheState.group``)."""
-    return lines, sim.machine.cache(resource).group(lines)
+    return lines, sim.machine.caches[resource].group([(a, a) for a in lines])
 
 
 def probe(sim: Simulator, resource: str, window) -> int:
     """Access every line of a ``group_window`` window, set by set, as if in
     probe order; returns the total latency. BTB lines are taken branches
-    through the predictor, L1-I lines fetches."""
+    through the predictor."""
     lines, groups = window
     if resource == "btb":
         return sim.machine.predictor.touch_window(groups, lines)
-    kind = "ifetch" if resource == "l1i" else "read"
-    return sim.machine.cache(resource).probe_groups(groups, kind)
+    return sim.machine.caches[resource].probe_groups(groups)
 
 
 # -- channel setup hooks ------------------------------------------------------
@@ -219,7 +218,7 @@ def _kernel(profile, spec, alphabet, rng, build_kwargs):
         raise ValueError(f"unknown syscalls {sorted(bad)}")
     system = build_scenario(profile, spec.scenario, **build_kwargs)
     sim = system.sim
-    cache = sim.machine.cache(system.partitioned_cache)
+    cache = sim.machine.caches[system.partitioned_cache]
     pairs = sim.alloc_buffer(RECEIVER, cache.geometry.ways,
                              _first_colour(sim, RECEIVER))
 
@@ -246,16 +245,16 @@ def _flush_latency(profile, spec, alphabet, rng, build_kwargs):
     pad = build_kwargs.get("pad_cycles", "auto") if spec.scenario == "protected" else 0
     sim = build_scenario(profile, "protected",
                          **{**build_kwargs, "pad_cycles": pad}).sim
-    l1d = sim.machine.cache("l1d")
+    l1d = sim.machine.caches["l1d"]
     if max(alphabet) > l1d.geometry.lines:
         raise ValueError("dirty-line symbol exceeds L1-D capacity")
     lines = [addr for way in _virtual_window(sim, SENDER, l1d, l1d.geometry.sets)
              for addr in way]
-    dirtied = {k: l1d.group(lines[:k]) for k in alphabet}
+    dirtied = {k: l1d.group([(a, a) for a in lines[:k]]) for k in alphabet}
     slice_cycles = sim.domains[RECEIVER].timeslice_cycles
 
     def send(k):
-        l1d.probe_groups(dirtied[k], "write")
+        l1d.probe_groups(dirtied[k], True)
 
     def measure(it, trace):
         return [(slice_cycles + trace.total_elapsed, slice_cycles - trace.total_elapsed)]
@@ -419,7 +418,7 @@ def run_llc_side_channel(profile: PlatformProfile, spec: ChannelSpec,
     system = build_scenario(profile, spec.scenario, **build_kwargs)
     sim = system.sim
     llc_name = "llc" if "llc" in sim.machine.caches else system.partitioned_cache
-    llc = sim.machine.cache(llc_name)
+    llc = sim.machine.caches[llc_name]
     rng = np.random.default_rng(spec.seed)
     key = rng.integers(0, 2, size=key_bits) if key is None \
         else np.asarray(key, dtype=int)

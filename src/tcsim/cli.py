@@ -54,6 +54,13 @@ def cmd_run(args) -> int:
     except PoolExhausted as exc:
         raise ConfigError(f"{exc}: frames = {cfg.frames} is too few for this run") from None
     print(f"report written to {Path(args.out) / 'report.json'}")
+    print_cells(report)
+    return 0
+
+
+def print_cells(report: dict) -> None:
+    """Print one line per cell of a report: M and M0 with the leak verdict,
+    or the key recovery of the LLC side channel."""
     for channel, cells in report.get("channels", {}).items():
         for scenario, cell in cells.items():
             if "m_millibits" in cell:
@@ -62,7 +69,6 @@ def cmd_run(args) -> int:
             elif "recovery_accuracy" in cell:
                 print(f"  {channel:14} {scenario:10} key recovery "
                       f"{100 * cell['recovery_accuracy']:.1f}%")
-    return 0
 
 
 def cmd_analyze(args) -> int:

@@ -323,7 +323,7 @@ class Simulator:
 
     def _region_access(self, name: str, write: bool = False) -> int:
         addr = self.shared.regions[name]
-        return self.machine.data_path.access(addr, addr, "write" if write else "read")
+        return self.machine.data_path.access(addr, addr, write)
 
     def current_image(self) -> KernelImage:
         return self.images[self.domains[self.current_domain].kernel_image]

@@ -13,15 +13,9 @@ branch-predictor touches return a plain int latency; a hit costs exactly
 ``hit_cycles``, which is strictly less than any miss.
 
 A probe window (every line a prime&probe receiver, a switch workload or the
-kernel channel's receiver touches, in probe order) is grouped by set once,
-and then probed set by set with exact fast paths: a set that still holds
-exactly its group's lines in probe order hits throughout and is left as it
-is, a group of distinct lines whose first ``ways`` lines are all absent
-misses throughout and streams through the set in bulk, and any other set
-walks its lines one access at a time. A hierarchy probes such a window level
-by level, each level's missed lines going on to the next. Levels share no
-state, sets are independent and latencies are ints, so this leaves the
-latency and the state that accessing the lines in probe order leaves.
+kernel channel's receiver touches, in probe order) is grouped by set once
+and probed set by set by the exact rules that ``CacheState``'s docstring
+gives.
 
 Everything here is a plain value: identical operation sequences applied to
 equal initial states give identical latencies and identical final states.
@@ -48,7 +42,6 @@ class CacheGeometry:
     ways: int
     line_bytes: int
     indexing: str = "physical"  # "physical" or "virtual"
-    level_name: str = "cache"
 
     def __post_init__(self):
         if self.indexing not in ("physical", "virtual"):
@@ -117,24 +110,30 @@ class CacheState:
     non-empty sets are kept in an occupied-set index, so a flush costs
     O(resident lines) rather than O(sets).
 
-    ``_probe_grouped`` accesses a window's lines set by set, each set's group
-    of lines in order by one of three rules; ``probe_groups`` and every
-    level of a hierarchy's ``probe`` use it. Untouched: the set holds
-    exactly the group's tags in probe order and the kind is read or ifetch,
-    so every line hits and the set does not change. Streaming: the group's
-    tags are distinct and none of its first ``ways`` tags is resident, so
-    every line misses (a later tag can only have been resident in an entry
-    that ``ways`` earlier misses pushed out); the set becomes the last
-    ``ways`` entries of (old entries, then the group, dirty iff the kind is
-    write), and every dirty entry dropped costs one write-back. An empty set
-    is the simplest streaming case. Walk: anything else goes through
-    ``access`` line by line.
+    ``probe_groups`` accesses a grouped window's lines set by set, each
+    set's group of lines in probe order by one of three rules, for a single
+    cache and for every level of a hierarchy's ``probe``. Untouched: the set
+    holds exactly the group's tags in probe order and nothing is written, so
+    every line hits and the set does not change. Streaming: the group's tags
+    are distinct and none of its first ``ways`` tags is resident, so every
+    line misses (a later tag can only have been resident in an entry that
+    ``ways`` earlier misses pushed out); the set becomes the last ``ways``
+    entries of (old entries, then the group, dirty iff written), and every
+    dirty entry dropped costs one write-back. An empty set is the simplest
+    streaming case. Walk: anything else goes through ``access`` line by
+    line. At a hierarchy level only the lines that missed every level above
+    reach: a group that all its lines reach follows the rules, one that
+    some reach is walked, accessing those alone, and one that none reach
+    keeps its state. At the observed level every line, reaching or not, is
+    looked up in its place just before its turn. Levels share no state,
+    sets are independent and latencies are ints, so this leaves the latency
+    and the state that accessing the lines in probe order leaves.
     """
 
     def __init__(self, geometry: CacheGeometry, params: LatencyParams, name: str = ""):
         self.geometry = geometry
         self.params = params
-        self.name = name or geometry.level_name
+        self.name = name
         self.sets: list[dict[int, bool]] = [{} for _ in range(geometry.sets)]
         self._occupied: set[int] = set()
         self._shift = geometry.line_bytes.bit_length() - 1
@@ -157,8 +156,8 @@ class CacheState:
         index_addr = vaddr if self._virtual else paddr
         return (paddr >> self._shift) in self.sets[(index_addr >> self._shift) & self._mask]
 
-    def access(self, vaddr: int, paddr: int, kind: str = "read") -> int:
-        """One load/store/ifetch; returns its latency. A hit costs exactly
+    def access(self, vaddr: int, paddr: int, write: bool = False) -> int:
+        """One read or write; returns its latency. A hit costs exactly
         ``hit_cycles`` and refreshes LRU rank; a miss installs the line,
         evicting the LRU way of a full set (dirty eviction charges a
         write-back). A write marks the line dirty."""
@@ -168,76 +167,60 @@ class CacheState:
         tag = paddr >> shift
         dirty = ways.pop(tag, None)
         if dirty is not None:
-            ways[tag] = dirty or kind == "write"
+            ways[tag] = dirty or write
             return self._hit_cycles
         latency = self._miss_cycles
         if not ways:
             self._occupied.add(set_idx)
         elif len(ways) >= self._ways and ways.pop(next(iter(ways))):
             latency += self._wb_cycles
-        ways[tag] = kind == "write"
+        ways[tag] = write
         return latency
 
-    def group(self, addrs) -> list[tuple[int, list[int], bool, None]]:
-        """Group a window's lines by set, once, for ``probe_groups``. Each
-        address serves as both the virtual and the physical address, as in
-        every single-cache probe window, so a line is known by its tag
-        alone. Returns, per set in first-touch order, (set index, tags in
-        probe order, whether the tags are distinct, None: no positions)."""
-        groups: dict[int, list[int]] = {}
-        for a in addrs:
-            set_idx, tag = self.locate(a, a)
-            groups.setdefault(set_idx, []).append(tag)
-        return [(i, tags, len(set(tags)) == len(tags), None) for i, tags in groups.items()]
+    def group(self, pairs) -> list[tuple[int, list[int], bool, list[int]]]:
+        """Group a window of (vaddr, paddr) lines by set, once, for
+        ``probe_groups``. Returns, per set in first-touch order, (set index,
+        tags in probe order, whether the tags are distinct, the lines'
+        positions in the window)."""
+        groups: dict[int, tuple[list[int], list[int]]] = {}
+        for pos, (vaddr, paddr) in enumerate(pairs):
+            set_idx, tag = self.locate(vaddr, paddr)
+            group = groups.get(set_idx)
+            if group is None:
+                group = groups[set_idx] = ([], [])
+            group[0].append(tag)
+            group[1].append(pos)
+        return [(i, tags, len(set(tags)) == len(tags), positions)
+                for i, (tags, positions) in groups.items()]
 
-    def probe_groups(self, groups, kind: str = "read") -> int:
-        """Access every line of a grouped window (``group``) set by set;
-        returns the total latency and leaves the state that ``access`` on
-        each line in probe order leaves."""
-        return self._probe_grouped(groups, kind)[0]
-
-    def _probe_grouped(self, groups, kind: str = "read", reached: set[int] | None = None,
-                       look: bool = False) -> tuple[int, int, list[int]]:
-        """Access the lines of ``groups`` set by set, each group (set index,
-        tags in probe order, whether they are distinct, their positions in a
-        hierarchy's window or None) by the untouched, streaming or walk rule
-        (see the class). Returns the latency; with ``look``, how many lines
-        were absent just before their access (else 0); and the positions of
-        the lines that hit, for groups that have them.
-
-        A hierarchy level passes ``reached``, the positions of the lines
-        that reach it, when some lines hit at a level above. A group all of
-        whose lines reach follows the rules; one that only some reach is
-        walked, accessing those alone and, with ``look``, looking every line
-        up in its place; one that no line reaches keeps its state, and with
-        ``look`` its absent lines are counted as it stands. A walked group
-        without positions or ``look`` (a single cache's window) only calls
-        ``access``; the others go through ``_walk``, which also notes the
-        hits."""
+    def probe_groups(self, groups, write: bool = False, hits: list[int] | None = None,
+                     reached: set[int] | None = None, missing: list[int] | None = None) -> int:
+        """Access every line of a grouped window (``group``) set by set by
+        the rules in the class docstring; returns the total latency and
+        leaves the state that ``access`` on each line in probe order leaves.
+        A hierarchy level passes ``hits`` to collect the positions of the
+        lines that hit, ``reached``, the positions of the lines that reach
+        it when some hit above, and at the observed level ``missing`` to
+        collect those absent just before their turn. Without ``hits`` (a
+        single cache's window) a walked set only calls ``access``."""
         sets, shift = self.sets, self._shift
-        write = kind == "write"
         nways, hit, miss, wb = self._ways, self._hit_cycles, self._miss_cycles, self._wb_cycles
-        latency = absent = 0
-        stopped: list[int] = []
+        latency = 0
         for set_idx, tags, distinct, positions in groups:
             ways = sets[set_idx]
             if reached is not None and not reached.issuperset(positions):
-                reach = [p in reached for p in positions]
-                if any(reach):
-                    cycles, hits, gone = self._walk(set_idx, tags, kind, reach, look)
-                    latency += cycles
-                    absent += gone
-                    stopped.extend([positions[j] for j in hits])
-                elif look:
-                    absent += sum(tag not in ways for tag in tags)
+                if not reached.isdisjoint(positions):
+                    latency += self._walk(set_idx, tags, positions, write, hits, reached, missing)
+                elif missing is not None:
+                    missing.extend(p for p, tag in zip(positions, tags) if tag not in ways)
                 continue
             n = len(tags)
             if not ways:
                 streaming = distinct
             elif not write and list(ways) == tags:  # untouched
                 latency += n * hit
-                if positions is not None:
-                    stopped.extend(positions)
+                if hits is not None:
+                    hits.extend(positions)
                 continue
             else:
                 streaming = distinct and ways.keys().isdisjoint(tags if n <= nways else tags[:nways])
@@ -258,43 +241,37 @@ class CacheState:
                     tags = tags[-nways:]
                 for tag in tags:
                     ways[tag] = write
-                if look:
-                    absent += n
-            elif positions is None and not look:  # a single cache's window: nothing to track
+                if missing is not None:
+                    missing.extend(positions)
+            elif hits is None:  # a single cache's window: nothing to track
+                vaddr = set_idx << shift
                 for tag in tags:
-                    addr = tag << shift
-                    latency += self.access(addr, addr, kind)
+                    latency += self.access(vaddr, tag << shift, write)
             else:
-                cycles, hits, gone = self._walk(set_idx, tags, kind, None, look)
-                latency += cycles
-                absent += gone
-                if positions is not None:
-                    stopped.extend([positions[j] for j in hits])
-        return latency, absent, stopped
+                latency += self._walk(set_idx, tags, positions, write, hits, reached, missing)
+        return latency
 
-    def _walk(self, set_idx: int, tags: list[int], kind: str, reach: list[bool] | None,
-              look: bool) -> tuple[int, list[int], int]:
-        """The walk rule: ``access`` each line of set ``set_idx`` in order
-        (only those whose ``reach`` flag is set, when given), after a
-        ``lookup`` of every line when ``look``. Returns the latency, the
-        indices into ``tags`` of the lines that hit, and the number looked
-        up absent. ``vaddr`` indexes this set if the cache is virtually
-        indexed; a physically indexed one takes the set from the tag."""
+    def _walk(self, set_idx: int, tags: list[int], positions: list[int], write: bool,
+              hits: list[int], reached: set[int] | None, missing: list[int] | None) -> int:
+        """The walk rule on set ``set_idx``: ``access`` in order each line
+        that ``reached`` holds (all when None), collecting the hits'
+        positions, after a ``lookup`` of every line when ``missing`` collects
+        the absent ones. Returns the latency. ``vaddr`` gives a virtually
+        indexed cache the set; a physically indexed one takes it from the tag."""
         shift = self._shift
         vaddr = set_idx << shift
         hit_cycles = self._hit_cycles
-        latency = absent = 0
-        hits = []
-        for j, tag in enumerate(tags):
+        latency = 0
+        for tag, pos in zip(tags, positions):
             paddr = tag << shift
-            if look and not self.lookup(vaddr, paddr):
-                absent += 1
-            if reach is None or reach[j]:
-                cycles = self.access(vaddr, paddr, kind)
+            if missing is not None and not self.lookup(vaddr, paddr):
+                missing.append(pos)
+            if reached is None or pos in reached:
+                cycles = self.access(vaddr, paddr, write)
                 latency += cycles
                 if cycles == hit_cycles:
-                    hits.append(j)
-        return latency, hits, absent
+                    hits.append(pos)
+        return latency
 
     def probe_sets(self, lines_by_set: dict) -> dict:
         """Probe whole sets at once: for each set, re-access the given lines
@@ -354,7 +331,8 @@ class MemoryHierarchy:
     ``CacheState.access`` does, inline, until one hits: the levels are
     distinct caches, so installing at a missed level before asking the next
     leaves the same state as filling after the walk. A grouped window is
-    read level by level instead (``group``, ``probe``).
+    read level by level instead (``group``, ``probe``), by the rules in
+    ``CacheState``'s docstring.
     """
 
     def __init__(self, levels: list[CacheState], memory_cycles: int):
@@ -362,13 +340,12 @@ class MemoryHierarchy:
             raise ValueError("hierarchy levels must be distinct caches")
         self.levels = levels
         self.memory_cycles = memory_cycles
-        # what the walk reads of every level, gathered once
-        self._walk = [(lvl.sets, lvl._shift, lvl._mask, lvl._virtual, lvl) for lvl in levels]
+        # what ``access`` reads of every level, gathered once
+        self._path = [(lvl.sets, lvl._shift, lvl._mask, lvl._virtual, lvl) for lvl in levels]
 
-    def access(self, vaddr: int, paddr: int, kind: str = "read") -> int:
-        write = kind == "write"
+    def access(self, vaddr: int, paddr: int, write: bool = False) -> int:
         latency = 0
-        for sets, shift, mask, virtual, level in self._walk:
+        for sets, shift, mask, virtual, level in self._path:
             set_idx = ((vaddr if virtual else paddr) >> shift) & mask
             ways = sets[set_idx]
             tag = paddr >> shift
@@ -386,24 +363,16 @@ class MemoryHierarchy:
 
     def group(self, pairs) -> tuple[int, list]:
         """Group a window of (vaddr, paddr) lines in probe order, once, for
-        ``probe``. Returns the number of lines and, per level, the groups,
-        per set in first-touch order (set index, tags, whether the tags are
-        distinct, the lines' positions in the window), and each position's
-        group."""
+        ``probe``. Returns the number of lines and, per level, its groups
+        (``CacheState.group``) and each position's group."""
         per_level = []
         for level in self.levels:
-            sets: dict[int, int] = {}  # set index -> group number
-            groups, group_of = [], []
-            for pos, (vaddr, paddr) in enumerate(pairs):
-                set_idx, tag = level.locate(vaddr, paddr)
-                g = sets.setdefault(set_idx, len(groups))
-                if g == len(groups):
-                    groups.append((set_idx, [], []))
-                groups[g][1].append(pos)
-                groups[g][2].append(tag)
-                group_of.append(g)
-            per_level.append(([(i, tags, len(set(tags)) == len(tags), positions)
-                               for i, positions, tags in groups], group_of))
+            groups = level.group(pairs)
+            group_of = [0] * len(pairs)
+            for g, (_, _, _, positions) in enumerate(groups):
+                for pos in positions:
+                    group_of[pos] = g
+            per_level.append((groups, group_of))
         return len(pairs), per_level
 
     def probe(self, window, observe: CacheState | None = None) -> tuple[int, int]:
@@ -411,30 +380,25 @@ class MemoryHierarchy:
         each line in probe order would. Returns the total latency and the
         number of lines missing from ``observe``, one of the levels, just
         before their access: what ``observe.lookup`` then ``access``, line by
-        line, counts.
-
-        Each level probes its own sets with ``CacheState._probe_grouped`` and
-        hands the lines that missed to the next. A level visits only the
-        sets those lines fall in, except ``observe``, where a line that hit
-        above is still looked up in its place in its set."""
+        line, counts. Each level probes only the sets that the lines missed
+        above fall in, except ``observe``, which probes all of them."""
         if observe is not None and observe not in self.levels:
             raise ValueError("the observed cache is not a level of this hierarchy")
         n_lines, per_level = window
-        latency = absent = hit_lines = 0
+        latency = hit_lines = 0
+        missing: list[int] = []
         reached = None  # positions of the lines that reach this level; None: all
         last = self.levels[-1]
         for level, (groups, group_of) in zip(self.levels, per_level):
             look = level is observe
             if reached is not None and not look:
                 groups = [groups[g] for g in {group_of[p] for p in reached}]
-            cycles, gone, stopped = level._probe_grouped(groups, "read", reached, look)
-            latency += cycles
-            absent += gone
-            hit_lines += len(stopped)
-            if stopped and level is not last:
-                reached = (set(range(n_lines)) if reached is None
-                           else reached).difference(stopped)
-        return latency + (n_lines - hit_lines) * self.memory_cycles, absent
+            hits: list[int] = []
+            latency += level.probe_groups(groups, False, hits, reached, missing if look else None)
+            hit_lines += len(hits)
+            if hits and level is not last:
+                reached = (set(range(n_lines)) if reached is None else reached).difference(hits)
+        return latency + (n_lines - hit_lines) * self.memory_cycles, len(missing)
 
 
 @dataclass
@@ -445,13 +409,10 @@ class BhbState:
 
     history_bits: int
     history: int = 0
-    counters: list[int] = field(default_factory=list)
+    counters: list[int] = field(init=False)
 
     def __post_init__(self):
-        if not self.counters:
-            self.counters = [0] * (1 << self.history_bits)
-        if len(self.counters) != (1 << self.history_bits):
-            raise ValueError("pattern table size must be 2**history_bits")
+        self.reset()
 
     def reset(self):
         self.history = 0
@@ -474,7 +435,7 @@ class PredictorState:
         direction from the counter table, then train both. Latency is the BTB
         hit/miss cost plus a mispredict penalty when the predicted direction
         disagrees with the outcome."""
-        btb_latency = self.btb.access(branch_addr, branch_addr, "ifetch")
+        btb_latency = self.btb.access(branch_addr, branch_addr)
         return btb_latency + self._direction((branch_addr,), taken)
 
     def touch_window(self, groups, branches: list[int]) -> int:
@@ -483,7 +444,7 @@ class PredictorState:
         then the direction predictor runs over them in order. The BTB and the
         direction predictor share no state, so this equals ``touch(b, True)``
         for each branch in order."""
-        return self.btb.probe_groups(groups, "ifetch") + self._direction(branches, True)
+        return self.btb.probe_groups(groups) + self._direction(branches, True)
 
     def _direction(self, branches, taken: bool) -> int:
         """Predict each branch's direction from its 2-bit counter, then
@@ -539,9 +500,6 @@ class Machine:
 
     def resource_ids(self) -> list[str]:
         return [*self.caches, "bhb"]
-
-    def cache(self, name: str) -> CacheState:
-        return self.caches[name]
 
     def flush(self, name: str) -> int:
         if name == "bhb":

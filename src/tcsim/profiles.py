@@ -54,14 +54,14 @@ class PlatformProfile:
 def _haswell() -> PlatformProfile:
     line = 64
     geometries = {
-        "l1d": CacheGeometry(32 * KIB, 8, line, "virtual", "l1d"),
-        "l1i": CacheGeometry(32 * KIB, 8, line, "virtual", "l1i"),
-        "l2": CacheGeometry(256 * KIB, 8, line, "physical", "l2"),
-        "llc": CacheGeometry(8 * MIB, 16, line, "physical", "llc"),
+        "l1d": CacheGeometry(32 * KIB, 8, line, "virtual"),
+        "l1i": CacheGeometry(32 * KIB, 8, line, "virtual"),
+        "l2": CacheGeometry(256 * KIB, 8, line, "physical"),
+        "llc": CacheGeometry(8 * MIB, 16, line, "physical"),
         # unified second-level TLB: 1024 entries, 8-way; one entry per page
-        "tlb": CacheGeometry(1024 * 4096, 8, 4096, "virtual", "tlb"),
+        "tlb": CacheGeometry(1024 * 4096, 8, 4096, "virtual"),
         # branch target buffer: 4096 slots, 8-way, one slot per 4-byte target
-        "btb": CacheGeometry(4096 * 4, 8, 4, "virtual", "btb"),
+        "btb": CacheGeometry(4096 * 4, 8, 4, "virtual"),
     }
     latency = LatencyModel(
         default=LatencyParams(4, 12, 6, 256),
@@ -81,12 +81,12 @@ def _haswell() -> PlatformProfile:
 def _sabre() -> PlatformProfile:
     line = 32
     geometries = {
-        "l1d": CacheGeometry(32 * KIB, 4, line, "virtual", "l1d"),
-        "l1i": CacheGeometry(32 * KIB, 4, line, "virtual", "l1i"),
+        "l1d": CacheGeometry(32 * KIB, 4, line, "virtual"),
+        "l1i": CacheGeometry(32 * KIB, 4, line, "virtual"),
         # the 1 MiB L2 is the last-level cache on this platform
-        "l2": CacheGeometry(1 * MIB, 16, line, "physical", "l2"),
-        "tlb": CacheGeometry(128 * 4096, 2, 4096, "virtual", "tlb"),
-        "btb": CacheGeometry(512 * 4, 2, 4, "virtual", "btb"),
+        "l2": CacheGeometry(1 * MIB, 16, line, "physical"),
+        "tlb": CacheGeometry(128 * 4096, 2, 4096, "virtual"),
+        "btb": CacheGeometry(512 * 4, 2, 4, "virtual"),
     }
     latency = LatencyModel(
         default=LatencyParams(4, 14, 6, 320),

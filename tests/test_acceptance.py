@@ -216,7 +216,7 @@ def test_12_invariant_suite():
     c1 = CacheState(CacheGeometry(8 * KIB, 4, 64), params)
     c2 = CacheState(CacheGeometry(8 * KIB, 4, 64), params)
     for i in range(57):
-        c1.access(i * 64, i * 64, "write")
+        c1.access(i * 64, i * 64, True)
     c2.access(99 * 64, 99 * 64)
     c1.flush()
     c2.flush()

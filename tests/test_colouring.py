@@ -17,8 +17,8 @@ from tcsim.scenarios import RECEIVER, SENDER
 KIB = 1024
 MIB = 1024 * KIB
 PAGE = 4096
-LLC = CacheGeometry(8 * MIB, 16, 64, "physical", "llc")  # 128 colours
-L2 = CacheGeometry(256 * KIB, 8, 64, "physical", "l2")   # 8 colours
+LLC = CacheGeometry(8 * MIB, 16, 64, "physical")  # 128 colours
+L2 = CacheGeometry(256 * KIB, 8, 64, "physical")   # 8 colours
 
 
 def partition(frames, geometry, assignment, boot=0):
@@ -42,7 +42,7 @@ class TestColourOfFrame:
         assert colour_of_frame(PAGE * 5, LLC, PAGE) == 5
 
     def test_rejects_virtual_geometry(self):
-        l1 = CacheGeometry(32 * KIB, 8, 64, "virtual", "l1d")
+        l1 = CacheGeometry(32 * KIB, 8, 64, "virtual")
         with pytest.raises(ValueError):
             colour_of_frame(0, l1, PAGE)
 

@@ -155,13 +155,13 @@ class TestDomainSwitch:
 
     def test_padding_absorbs_flush_variance(self):
         sim = protected()
-        l1d = sim.machine.cache("l1d")
+        l1d = sim.machine.caches["l1d"]
         totals = []
         for it, dirty in enumerate((0, 100, 400)):
             sim.domain_switch(SENDER)
             for i in range(dirty):
                 addr = 0x100000 + i * 64
-                l1d.access(addr, addr, "write")
+                l1d.access(addr, addr, True)
             totals.append(sim.domain_switch(RECEIVER).total_elapsed)
         assert totals[0] == totals[1] == totals[2]
 
@@ -173,7 +173,7 @@ class TestDomainSwitch:
             sim.domain_switch(SENDER)
             for i in range(dirty):
                 addr = 0x100000 + i * 64
-                sim.machine.cache("l1d").access(addr, addr, "write")
+                sim.machine.caches["l1d"].access(addr, addr, True)
             totals.append(sim.domain_switch(RECEIVER).total_elapsed)
         assert totals[0] < totals[1] < totals[2]
 
@@ -185,9 +185,9 @@ class TestDomainSwitch:
 
     def test_flush_targets_cleared(self):
         sim = protected()
-        l1d = sim.machine.cache("l1d")
+        l1d = sim.machine.caches["l1d"]
         for i in range(50):
-            l1d.access(i * 64, i * 64, "write")
+            l1d.access(i * 64, i * 64, True)
         sim.domain_switch(RECEIVER)
         line = l1d.geometry.line_bytes
         shared_tags = {addr // line for addr in sim.shared.regions.values()}
@@ -280,12 +280,12 @@ class TestWorstCaseBound:
     def test_auto_pad_covers_fully_dirty_flush(self):
         system = build_scenario(HASWELL, "protected")
         sim = system.sim
-        l1d = sim.machine.cache("l1d")
+        l1d = sim.machine.caches["l1d"]
         sim.domain_switch(RECEIVER)
         sim.domain_switch(SENDER)
         for i in range(l1d.geometry.lines):  # every line dirty
             addr = 0x4000000 + (i * 64)
-            l1d.access(addr, addr, "write")
+            l1d.access(addr, addr, True)
         trace = sim.domain_switch(RECEIVER)  # must not overrun
         assert trace.pad_cycles >= trace.natural_cycles
 

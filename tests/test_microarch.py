@@ -88,8 +88,8 @@ class TestAccess:
 
     def test_dirty_eviction_charges_writeback(self):
         c = small_cache(sets=1, ways=2)
-        c.access(0 * 64, 0 * 64, "write")
-        c.access(1 * 64, 1 * 64, "write")
+        c.access(0 * 64, 0 * 64, True)
+        c.access(1 * 64, 1 * 64, True)
         latency = c.access(2 * 64, 2 * 64)
         assert latency == PARAMS.miss_cycles + PARAMS.writeback_cycles_per_line
         # the dirty LRU line 0 was evicted; line 2 is installed clean as MRU
@@ -97,7 +97,7 @@ class TestAccess:
 
     def test_write_marks_dirty_and_dirty_implies_valid(self):
         c = small_cache()
-        c.access(0x40, 0x40, "write")
+        c.access(0x40, 0x40, True)
         assert dirty_line_count(c) == 1
         assert c.lookup(0x40, 0x40)  # the dirty line is resident
         assert [pair for ways in c.snapshot() for pair in ways] == [(1, True)]
@@ -128,21 +128,21 @@ def occupied_sets(cache):
 @given(st.sampled_from(["physical", "virtual"]), st.sampled_from([(4, 2), (8, 4), (2, 8)]),
        st.integers(0, 7),
        st.lists(st.tuples(st.integers(0, 63) | st.integers(0, 3),
-                          st.sampled_from(["read", "write", "ifetch"])),
+                          st.booleans()),
                 min_size=1, max_size=200))
 def test_access_matches_reference_lru(indexing, shape, offset, ops):
-    # checked after every access of every kind; about half the accesses go
-    # to four hot lines, so accesses of each kind often hit resident lines,
+    # checked after every read and write; about half the accesses go to
+    # four hot lines, so reads and writes often hit resident lines,
     # and ``offset`` lines of translation move the virtual index away from
     # the physical one
     sets, ways = shape
     c = small_cache(sets=sets, ways=ways, indexing=indexing)
     ref = ReferenceLru(sets, ways, 64)
-    for line_no, kind in ops:
+    for line_no, write in ops:
         vaddr, paddr = (line_no + offset) * 64, line_no * 64
         index_addr = vaddr if indexing == "virtual" else paddr
-        ref_hit, ref_evicted = ref.access(index_addr, paddr, kind == "write")
-        latency = c.access(vaddr, paddr, kind)
+        ref_hit, ref_evicted = ref.access(index_addr, paddr, write)
+        latency = c.access(vaddr, paddr, write)
         assert (latency == PARAMS.hit_cycles) == ref_hit
         assert latency == ref_latency(PARAMS, ref_hit, ref_evicted)
         # resident tags, dirty bits and recency order; this pins the evicted
@@ -158,8 +158,8 @@ def test_access_matches_reference_lru(indexing, shape, offset, ops):
 def test_determinism_and_residency_bound(ops):
     c1 = small_cache(sets=8, ways=2)
     c2 = small_cache(sets=8, ways=2)
-    lat1 = [c1.access(ln * 64, ln * 64, "write" if w else "read") for ln, w in ops]
-    lat2 = [c2.access(ln * 64, ln * 64, "write" if w else "read") for ln, w in ops]
+    lat1 = [c1.access(ln * 64, ln * 64, w) for ln, w in ops]
+    lat2 = [c2.access(ln * 64, ln * 64, w) for ln, w in ops]
     assert lat1 == lat2
     assert c1.snapshot() == c2.snapshot()
     assert resident_line_count(c1) <= 16
@@ -198,7 +198,7 @@ def test_hierarchy_matches_reference_chain(depth, ops):
                 break
         else:
             expected += 100  # every level missed: memory
-        assert h.access(vaddr, paddr, "write" if write else "read") == expected
+        assert h.access(vaddr, paddr, write) == expected
     for level, ref in zip(levels, refs):
         assert level.snapshot() == ref.snapshot()
         assert level._occupied == occupied_sets(level)
@@ -212,14 +212,14 @@ class TestFlush:
     def test_flush_cost_counts_dirty_lines(self):
         c = small_cache(sets=8, ways=2)
         for i in range(5):
-            c.access(i * 64, i * 64, "write")  # five distinct sets
+            c.access(i * 64, i * 64, True)  # five distinct sets
         cost = c.flush()
         assert cost == PARAMS.flush_base_cycles + 5 * PARAMS.writeback_cycles_per_line
 
     def test_double_flush_idempotent(self):
         c = small_cache()
         for i in range(7):
-            c.access(i * 64, i * 64, "write")
+            c.access(i * 64, i * 64, True)
         c.flush()
         snap = c.snapshot()
         assert c.flush() == PARAMS.flush_base_cycles
@@ -228,7 +228,7 @@ class TestFlush:
     def test_flush_erases_history(self):
         c1, c2 = small_cache(), small_cache()
         for i in range(20):
-            c1.access(i * 64, i * 64, "write")
+            c1.access(i * 64, i * 64, True)
         c2.access(123 * 64, 123 * 64)
         c1.flush()
         c2.flush()
@@ -239,10 +239,10 @@ class TestFlush:
     def test_flush_cost_monotone_in_dirty_lines(self, k):
         big = small_cache(sets=64, ways=8)
         for i in range(k):
-            big.access(i * 64, i * 64, "write")
+            big.access(i * 64, i * 64, True)
         more = small_cache(sets=64, ways=8)
         for i in range(k + 1):
-            more.access(i * 64, i * 64, "write")
+            more.access(i * 64, i * 64, True)
         assert more.flush() >= big.flush()
 
 
@@ -255,7 +255,7 @@ def test_flush_costs_dirty_lines_and_empties_every_set(ops):
     c = small_cache(sets=sets, ways=ways)
     for op, a, b in ops:
         if op == "access":
-            c.access(a * 64, a * 64, "write" if b else "read")
+            c.access(a * 64, a * 64, b)
         else:
             c.probe_sets({a: [((b + j) * sets + a) * 64 for j in range(ways)]})
     before = c.snapshot()
@@ -279,9 +279,8 @@ def test_reprobing_the_missed_set_equals_reprobing_every_set(spy, ops):
     missed.probe_sets(lines)
     for set_idx, n, write in ops:
         addr = ((ways + n) * sets + set_idx) * 64  # six foreign lines per set
-        kind = "write" if write else "read"
-        latency = missed.access(addr, addr, kind)
-        assert every.access(addr, addr, kind) == latency
+        latency = missed.access(addr, addr, write)
+        assert every.access(addr, addr, write) == latency
         expected = dict.fromkeys(lines, ways * PARAMS.hit_cycles)
         if latency != PARAMS.hit_cycles and set_idx in lines:
             expected.update(missed.probe_sets({set_idx: lines[set_idx]}))
@@ -291,7 +290,6 @@ def test_reprobing_the_missed_set_equals_reprobing_every_set(spy, ops):
 
 # (sets, ways) of the caches a grouped window is probed on
 WINDOW_SHAPES = ((4, 2), (8, 4), (2, 8))
-KINDS = ("read", "ifetch", "write")
 
 
 @settings(max_examples=150, deadline=None)
@@ -304,7 +302,8 @@ def test_grouped_probe_matches_sequential_access(indexing, shape, data):
     # window twice reaches the untouched case, probing it after a flush the
     # empty one, and a foreign line, another order or an overflowing group
     # the walk. ``offset`` bytes into each line: a window line is known by
-    # its tag alone.
+    # its tag alone. A tracked probe also collects the positions of the
+    # lines that hit, as a hierarchy level does.
     sets, ways = shape
     n_ways, n_sets = data.draw(st.integers(1, ways + 1)), data.draw(st.integers(1, sets))
     base = [w * sets + s for w in range(n_ways) for s in range(n_sets)]
@@ -312,18 +311,22 @@ def test_grouped_probe_matches_sequential_access(indexing, shape, data):
                data.draw(st.lists(st.integers(0, 39), max_size=24))]
     offset = data.draw(st.integers(0, 63))
     ops = data.draw(st.lists(st.one_of(
-        st.tuples(st.just("probe"), st.integers(0, 2), st.sampled_from(KINDS)),
-        st.tuples(st.just("access"), st.integers(0, 63), st.sampled_from(KINDS)),
-        st.tuples(st.just("flush"), st.just(0), st.just(""))), max_size=30))
+        st.tuples(st.sampled_from(["probe", "track"]), st.integers(0, 2), st.booleans()),
+        st.tuples(st.just("access"), st.integers(0, 63), st.booleans()),
+        st.tuples(st.just("flush"), st.just(0), st.just(False))), max_size=30))
     grouped, sequential = (small_cache(sets, ways, indexing=indexing) for _ in range(2))
-    groups = [grouped.group([line * 64 + offset for line in window]) for window in windows]
-    for op, a, kind in ops:
-        if op == "probe":
-            addrs = [line * 64 + offset for line in windows[a]]
-            want = sum(sequential.access(x, x, kind) for x in addrs)
-            assert grouped.probe_groups(groups[a], kind) == want
+    addrs = [[line * 64 + offset for line in window] for window in windows]
+    groups = [grouped.group([(x, x) for x in window]) for window in addrs]
+    for op, a, write in ops:
+        if op in ("probe", "track"):
+            latencies = [sequential.access(x, x, write) for x in addrs[a]]
+            hits = [] if op == "track" else None
+            assert grouped.probe_groups(groups[a], write, hits) == sum(latencies)
+            if hits is not None:
+                assert sorted(hits) == [pos for pos, latency in enumerate(latencies)
+                                        if latency == PARAMS.hit_cycles]
         elif op == "access":
-            assert grouped.access(a * 64, a * 64, kind) == sequential.access(a * 64, a * 64, kind)
+            assert grouped.access(a * 64, a * 64, write) == sequential.access(a * 64, a * 64, write)
         else:
             assert grouped.flush() == sequential.flush()
         assert grouped.snapshot() == sequential.snapshot()
@@ -334,14 +337,15 @@ class TestProbeGroups:
     def test_groups_keep_probe_order_per_set(self):
         c = small_cache(sets=4, ways=2)
         # line n sits in set n % 4 with tag n
-        assert c.group([64 * n + 3 for n in (5, 1, 9, 2, 13)]) == [
-            (1, [5, 1, 9, 13], True, None), (2, [2], True, None)]
-        assert c.group([64, 64]) == [(1, [1, 1], False, None)]  # a repeated line never streams
+        assert c.group([(64 * n + 3, 64 * n + 3) for n in (5, 1, 9, 2, 13)]) == [
+            (1, [5, 1, 9, 13], True, [0, 1, 2, 4]), (2, [2], True, [3])]
+        # a repeated line never streams
+        assert c.group([(64, 64), (64, 64)]) == [(1, [1, 1], False, [0, 1])]
 
     def test_untouched_empty_and_walked_sets(self):
         c = small_cache(sets=4, ways=2)
-        groups = c.group([0, 64, 256, 320])  # two lines in each of sets 0 and 1
-        assert c.probe_groups(groups, "write") == 4 * PARAMS.miss_cycles
+        groups = c.group([(a, a) for a in (0, 64, 256, 320)])  # two lines in sets 0 and 1
+        assert c.probe_groups(groups, True) == 4 * PARAMS.miss_cycles
         assert c.snapshot()[:2] == [[(0, True), (4, True)], [(1, True), (5, True)]]
         assert c.probe_groups(groups) == 4 * PARAMS.hit_cycles
         c.access(512, 512)  # line 8 displaces line 0 from set 0
@@ -359,34 +363,36 @@ class TestStreaming:
     # every case probes one set of a twin cache line by line too, and the
     # probed cache's ``access`` fails if called, so the set must stream
 
-    def probe_both(self, ways, before, tags, kind):
+    def probe_both(self, ways, before, tags, write):
         c, seq = (small_cache(sets=4, ways=ways) for _ in range(2))
-        for tag, k in before:
-            c.access(tag * 64, tag * 64, k)
-            seq.access(tag * 64, tag * 64, k)
-        want = sum(seq.access(t * 64, t * 64, kind) for t in tags)
+        for tag, w in before:
+            c.access(tag * 64, tag * 64, w)
+            seq.access(tag * 64, tag * 64, w)
+        want = sum(seq.access(t * 64, t * 64, write) for t in tags)
         c.access = no_walk
-        assert c._probe_grouped([(0, tags, True, None)], kind, look=True) == (want, len(tags), [])
+        positions, hits, missing = list(range(len(tags))), [], []
+        assert c.probe_groups([(0, tags, True, positions)], write, hits, None, missing) == want
+        assert hits == [] and missing == positions
         assert c.snapshot() == seq.snapshot()
         assert c._occupied == occupied_sets(c) == seq._occupied
         return want, c.snapshot()[0]
 
     def test_non_empty_disjoint_set(self):
         # set 0 holds lines 0 (dirty) and 4; three new lines push out the LRU line 0
-        latency, final = self.probe_both(4, [(0, "write"), (4, "read")], [8, 12, 16], "read")
+        latency, final = self.probe_both(4, [(0, True), (4, False)], [8, 12, 16], False)
         assert latency == 3 * PARAMS.miss_cycles + PARAMS.writeback_cycles_per_line
         assert final == [(4, False), (8, False), (12, False), (16, False)]
 
     def test_later_tags_resident_still_miss(self):
         # lines 8 and 0 are resident but come after the first two (= ways)
         # tags of the group; the two misses before them have pushed them out
-        latency, final = self.probe_both(2, [(8, "read"), (0, "read")], [4, 12, 8, 0], "read")
+        latency, final = self.probe_both(2, [(8, False), (0, False)], [4, 12, 8, 0], False)
         assert latency == 4 * PARAMS.miss_cycles
         assert final == [(8, False), (0, False)]
 
     def test_write_group_evicts_dirty_entries(self):
         # old dirty line 0 and the group's own first two dirty lines are pushed out
-        latency, final = self.probe_both(2, [(0, "write")], [4, 8, 12, 16], "write")
+        latency, final = self.probe_both(2, [(0, True)], [4, 8, 12, 16], True)
         assert latency == 4 * PARAMS.miss_cycles + 3 * PARAMS.writeback_cycles_per_line
         assert final == [(12, True), (16, True)]
 
@@ -396,7 +402,7 @@ class TestStreaming:
         c.access = no_walk
         for tags, distinct in (([0, 4], True), ([8, 8], False)):
             with pytest.raises(AssertionError, match="walked"):
-                c.probe_groups([(0, tags, distinct, None)])
+                c.probe_groups([(0, tags, distinct, [0, 1])])
 
 
 # scaled-down platforms, 64-byte lines and 512-byte pages: (sets, ways,
@@ -461,8 +467,7 @@ def test_hierarchy_probe_matches_lookup_then_access(shape, data):
             assert h.probe(grouped[arg], observed) == (want_latency, want_absent)
         elif op == "access":
             v, p, write = arg
-            kind = "write" if write else "read"
-            assert h.access((v + p) * 64, p * 64, kind) == ref.access((v + p) * 64, p * 64, kind)
+            assert h.access((v + p) * 64, p * 64, write) == ref.access((v + p) * 64, p * 64, write)
         else:
             assert h.levels[arg].flush() == ref.levels[arg].flush()
         for level, ref_level in zip(h.levels, ref.levels):
@@ -485,14 +490,14 @@ def test_hierarchy_probe_observes_only_its_levels():
 def test_btb_window_matches_reference_gshare(history_bits, before, branches, data):
     # a BTB of 8 sets x 2 ways; the window is probed repeatedly between
     # single branches and BTB flushes, so every set case is reached
-    btb = CacheState(CacheGeometry(8 * 2 * 4, 2, 4, "virtual", "btb"),
+    btb = CacheState(CacheGeometry(8 * 2 * 4, 2, 4, "virtual"),
                      LatencyParams(1, 10, 0, 16))
     p = PredictorState(btb, BhbState(history_bits), mispredict_cycles=20)
     touched = PredictorState(CacheState(btb.geometry, btb.params),
                              BhbState(history_bits), mispredict_cycles=20)
     ref = ReferenceGshare(history_bits, 8, 2, 4, btb_hit=1, btb_miss=10, mispredict=20)
     addrs = [slot * 4 for slot in branches]
-    groups = btb.group(addrs)
+    groups = btb.group([(a, a) for a in addrs])
     ops = data.draw(st.lists(st.sampled_from(["window", "flush"]), max_size=6))
     for slot, taken in before:
         p.touch(slot * 4, taken)
@@ -549,7 +554,7 @@ class TestProbeSets:
 
 class TestPredictor:
     def make(self, history_bits=6):
-        btb_geo = CacheGeometry(64 * 4, 4, 4, "virtual", "btb")
+        btb_geo = CacheGeometry(64 * 4, 4, 4, "virtual")
         btb = CacheState(btb_geo, LatencyParams(1, 10, 0, 16))
         return PredictorState(btb, BhbState(history_bits), mispredict_cycles=20,
                               bhb_flush_base=8)
@@ -590,7 +595,7 @@ class TestPredictor:
        st.lists(st.tuples(st.integers(0, 40), st.booleans()), min_size=1, max_size=200))
 def test_predictor_matches_reference_gshare(history_bits, branches):
     # 41 branch slots over a BTB of 8 sets x 2 ways, so targets get evicted
-    btb = CacheState(CacheGeometry(8 * 2 * 4, 2, 4, "virtual", "btb"),
+    btb = CacheState(CacheGeometry(8 * 2 * 4, 2, 4, "virtual"),
                      LatencyParams(1, 10, 0, 16))
     p = PredictorState(btb, BhbState(history_bits), mispredict_cycles=20)
     ref = ReferenceGshare(history_bits, 8, 2, 4, btb_hit=1, btb_miss=10, mispredict=20)
@@ -604,9 +609,9 @@ def test_predictor_matches_reference_gshare(history_bits, branches):
 
 class TestHierarchy:
     def make(self):
-        l1 = CacheState(CacheGeometry(2 * KIB, 2, 64, "virtual", "l1"),
+        l1 = CacheState(CacheGeometry(2 * KIB, 2, 64, "virtual"),
                         LatencyParams(4, 6, 6, 10))
-        l2 = CacheState(CacheGeometry(8 * KIB, 4, 64, "physical", "l2"),
+        l2 = CacheState(CacheGeometry(8 * KIB, 4, 64, "physical"),
                         LatencyParams(8, 12, 8, 20))
         return MemoryHierarchy([l1, l2], memory_cycles=100)
 
@@ -638,15 +643,15 @@ class TestHierarchy:
 class TestMachine:
     def test_machine_resources_and_flush(self):
         geometries = {
-            "l1d": CacheGeometry(2 * KIB, 2, 64, "virtual", "l1d"),
-            "l1i": CacheGeometry(2 * KIB, 2, 64, "virtual", "l1i"),
-            "l2": CacheGeometry(8 * KIB, 4, 64, "physical", "l2"),
-            "tlb": CacheGeometry(16 * 4096, 2, 4096, "virtual", "tlb"),
-            "btb": CacheGeometry(64 * 4, 4, 4, "virtual", "btb"),
+            "l1d": CacheGeometry(2 * KIB, 2, 64, "virtual"),
+            "l1i": CacheGeometry(2 * KIB, 2, 64, "virtual"),
+            "l2": CacheGeometry(8 * KIB, 4, 64, "physical"),
+            "tlb": CacheGeometry(16 * 4096, 2, 4096, "virtual"),
+            "btb": CacheGeometry(64 * 4, 4, 4, "virtual"),
         }
         machine = Machine(geometries, LatencyModel(PARAMS), bhb_history_bits=4)
         assert set(machine.resource_ids()) == {"l1d", "l1i", "l2", "tlb", "btb", "bhb"}
-        machine.data_path.access(0x40, 0x40, "write")
+        machine.data_path.access(0x40, 0x40, True)
         assert machine.flush("l1d") > PARAMS.flush_base_cycles
         assert machine.flush_worst_case("l1d") == (
             PARAMS.flush_base_cycles
