@@ -142,7 +142,7 @@ def probe_window(sim: Simulator, domain: str, resource: str) -> list[int]:
 def group_window(sim: Simulator, resource: str, lines: list[int]) -> tuple:
     """A window ready for ``probe``: its lines in probe order, and the same
     lines grouped by set of the resource (``CacheState.group``)."""
-    return lines, sim.machine.caches[resource].group([(a, a) for a in lines])
+    return lines, sim.machine.caches[resource].group((a, a) for a in lines)
 
 
 def probe(sim: Simulator, resource: str, window) -> int:
@@ -250,7 +250,7 @@ def _flush_latency(profile, spec, alphabet, rng, build_kwargs):
         raise ValueError("dirty-line symbol exceeds L1-D capacity")
     lines = [addr for way in _virtual_window(sim, SENDER, l1d, l1d.geometry.sets)
              for addr in way]
-    dirtied = {k: l1d.group([(a, a) for a in lines[:k]]) for k in alphabet}
+    dirtied = {k: l1d.group((a, a) for a in lines[:k]) for k in alphabet}
     slice_cycles = sim.domains[RECEIVER].timeslice_cycles
 
     def send(k):
