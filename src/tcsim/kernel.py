@@ -350,6 +350,17 @@ class Simulator:
         owned = self.current_image().owned_irqs
         return self.irqs.unmasked() <= owned
 
+    def _count_irq_checks(self, steps: int):
+        """Count the IRQ invariant as checked after each of ``steps`` switch
+        steps, evaluating it once. That is exact for the steps on each side
+        of the domain change, since nothing else in a switch can move it:
+        masking the previous image's IRQs cannot change whether the unmasked
+        ones all belong to that image, nor unmasking the next image's whether
+        they all belong to the next."""
+        if self.cfg.partition_irqs:
+            self.irq_checks += steps
+            self.irq_violations += steps * (not self.check_irq_invariant())
+
     def domain_switch(self, next_domain: str) -> SwitchTrace:
         """Handle a preemption tick that schedules ``next_domain``."""
         kp = self.kparams
@@ -361,9 +372,6 @@ class Simulator:
 
         def step(number, name, cycles):
             steps.append(StepCost(number, name, cycles))
-            if self.cfg.partition_irqs:
-                self.irq_checks += 1
-                self.irq_violations += not self.check_irq_invariant()
 
         step(1, "lock", kp.lock_cycles + self._region_access("lock_word", write=True))
         step(2, "tick", kp.tick_cycles
@@ -382,6 +390,8 @@ class Simulator:
             + self._region_access("asid_table") \
             + self._region_access("idle_thread") \
             + self._region_access("fpu_owner")
+        before = len(steps)
+        self._count_irq_checks(before)
         self.current_domain = next_domain
         step(5, "thread_switch", cost)
         step(6, "unlock", kp.unlock_cycles + self._region_access("lock_word", write=True))
@@ -398,11 +408,13 @@ class Simulator:
         if kernel_switch:
             if self.cfg.pad_cycles > 0:
                 if natural > self.cfg.pad_cycles:
+                    self._count_irq_checks(len(steps) - before)
                     raise PadOverrun(
                         f"switch cost {natural} exceeds pad {self.cfg.pad_cycles}")
                 step(10, "pad", self.cfg.pad_cycles - natural)
             step(11, "reprogram_timer", kp.timer_cycles)
         step(12, "return", kp.return_cycles)
+        self._count_irq_checks(len(steps) - before)
         total = sum(s.cycles for s in steps)
         self.now += total
         return SwitchTrace(steps, kernel_switch, natural, self.cfg.pad_cycles, total)

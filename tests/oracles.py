@@ -7,10 +7,11 @@ direct Gaussian sum, the LRU reference is a dict-based re-implementation,
 the gshare reference keeps its history as a list of outcomes, the colour
 checks are brute force, and the reference partition is the
 one-Frame-per-page allocator that the page-number pools replaced. The
-shuffle-bound reference is the one exception: it is the plain form of the
-library's computation (regroup and fully re-estimate every shuffle,
-quartiles from ``np.percentile``), so that the grouped, sort-based library
-path can be held to the same bits.
+shuffle-bound reference and the domain-switch reference are the exceptions:
+each is the plain form of the library's computation (regroup and fully
+re-estimate every shuffle, quartiles from ``np.percentile``; check the IRQ
+invariant after every switch step), so that the library's shortcut can be
+held to the same bits and counts.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import numpy as np
 from scipy.integrate import simpson
 
 from tcsim.colouring import OverlappingColours, PoolExhausted
+from tcsim.kernel import SHARED_REGION_NAMES, PadOverrun, StepCost, SwitchTrace
 from tcsim.stats import (Z_95, DegenerateAlphabet, TooFewSamples,
                          silverman_bandwidth)
 
@@ -309,6 +311,62 @@ def resident_everywhere(hierarchy, vaddr: int, paddr: int) -> bool:
 
 def step_numbers(trace) -> list[int]:
     return [s.number for s in trace.steps]
+
+
+def reference_domain_switch(sim, next_domain: str) -> SwitchTrace:
+    """``Simulator.domain_switch`` with the IRQ invariant evaluated after
+    every step, as the step sequence defines it."""
+    kp = sim.kparams
+    prev_image = sim.current_image()
+    next_image = sim.images[sim.domains[next_domain].kernel_image]
+    kernel_switch = prev_image.id != next_image.id
+    steps = []
+
+    def step(number, name, cycles):
+        steps.append(StepCost(number, name, cycles))
+        if sim.cfg.partition_irqs:
+            sim.irq_checks += 1
+            sim.irq_violations += not sim.check_irq_invariant()
+
+    step(1, "lock", kp.lock_cycles + sim._region_access("lock_word", write=True))
+    step(2, "tick", kp.tick_cycles
+         + sim._region_access("sched_queues")
+         + sim._region_access("sched_bitmap")
+         + sim._region_access("current_decision", write=True))
+    if kernel_switch:
+        cost = kp.mask_cycles + sim._region_access("irq_state_table", write=True) \
+            + sim._region_access("current_irq")
+        sim.irqs.mask_owned(prev_image)
+        step(3, "mask_prev_irqs", cost)
+        step(4, "stack_switch", kp.stack_switch_cycles)
+    cost = kp.thread_switch_cycles \
+        + sim._region_access("current_thread", write=True) \
+        + sim._region_access("current_kernel", write=True) \
+        + sim._region_access("asid_table") \
+        + sim._region_access("idle_thread") \
+        + sim._region_access("fpu_owner")
+    sim.current_domain = next_domain
+    step(5, "thread_switch", cost)
+    step(6, "unlock", kp.unlock_cycles + sim._region_access("lock_word", write=True))
+    if kernel_switch:
+        sim.irqs.unmask_owned(next_image)
+        step(7, "unmask_next_irqs",
+             kp.unmask_cycles + sim._region_access("irq_state_table", write=True))
+        step(8, "flush", sum(sim.machine.flush(r) for r in sim.cfg.flush_targets))
+        if sim.cfg.prefetch_shared:
+            step(9, "prefetch_shared",
+                 sum(sim._region_access(n) for n in SHARED_REGION_NAMES))
+    natural = sum(s.cycles for s in steps)
+    if kernel_switch:
+        if sim.cfg.pad_cycles > 0:
+            if natural > sim.cfg.pad_cycles:
+                raise PadOverrun(f"switch cost {natural} exceeds pad {sim.cfg.pad_cycles}")
+            step(10, "pad", sim.cfg.pad_cycles - natural)
+        step(11, "reprogram_timer", kp.timer_cycles)
+    step(12, "return", kp.return_cycles)
+    total = sum(s.cycles for s in steps)
+    sim.now += total
+    return SwitchTrace(steps, kernel_switch, natural, sim.cfg.pad_cycles, total)
 
 
 @dataclass(frozen=True)

@@ -2,16 +2,20 @@
 prefetch determinism, and destruction round-trips."""
 
 from collections import Counter
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import colour_of_frame, pool_pages, pools_cache_disjoint, step_numbers
+from oracles import (colour_of_frame, pool_pages, pools_cache_disjoint,
+                     reference_domain_switch, step_numbers)
 from tcsim.colouring import PoolExhausted
 from tcsim.kernel import (SHARED_REGION_NAMES, CannotDestroyInitial,
                           InvalidImage, InvalidSource, KernelParams, PadOverrun)
 from tcsim.profiles import get_profile
 from tcsim.scenarios import (ON_CORE_RESOURCES, RECEIVER, SENDER, build_scenario,
-                             split_colours)
+                             pad_for, split_colours)
 
 HASWELL = get_profile("haswell")
 L2 = HASWELL.geometries["l2"]
@@ -130,6 +134,22 @@ class TestIrqOwnership:
         sim = system.sim
         assert 5 in sim.images[sim.domains[SENDER].kernel_image].owned_irqs
 
+    def test_unowned_unmasked_irq_violates_every_step_until_overrun(self):
+        sim = build_scenario(HASWELL, "protected", pad_cycles=10).sim
+        sim.irqs.ensure(9).masked = False  # owned by no image
+        with pytest.raises(PadOverrun):
+            sim.domain_switch(RECEIVER)
+        # steps 1-9 ran before the pad check raised; each counts once
+        assert sim.irq_checks == sim.irq_violations == 9
+
+    def test_unmasked_irq_of_next_image_violates_until_the_domain_changes(self):
+        sim = protected()
+        sim.set_irq_owner(4, sim.domains[RECEIVER].kernel_image)
+        sim.irqs.ensure(4).masked = False  # unmasked while the sender runs
+        sim.domain_switch(RECEIVER)
+        # steps 1-4 run on the sender's image, steps 5-12 on the receiver's
+        assert (sim.irq_checks, sim.irq_violations) == (12, 4)
+
     def test_destroyed_image_orphans_irqs(self):
         sim = protected()
         img = sim.domains[SENDER].kernel_image
@@ -218,6 +238,47 @@ class TestDomainSwitch:
         t2 = [sim2.domain_switch(d).total_elapsed
               for d in (SENDER, RECEIVER, SENDER)]
         assert set(t1) == set(t2) and len(set(t1)) == 1
+
+
+_IRQ_OPS = st.lists(st.one_of(
+    st.tuples(st.just("switch"), st.sampled_from([SENDER, RECEIVER])),
+    st.tuples(st.just("unmask"), st.integers(1, 3)),  # owned or not
+    st.tuples(st.just("mask"), st.integers(1, 3)),
+    st.tuples(st.just("own"), st.integers(1, 3), st.sampled_from([SENDER, RECEIVER])),
+    st.tuples(st.just("pad"), st.sampled_from([0, 10, "auto"])),  # 10 overruns
+), max_size=16)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["raw", "protected"]), _IRQ_OPS)
+def test_switch_matches_per_step_irq_reference(scenario, ops):
+    """domain_switch evaluates the IRQ invariant once per run of steps with
+    unchanged IRQ state; its traces, counts and machine state must equal
+    those of checking after every step, PadOverrun included."""
+    sims = [build_scenario(HASWELL, scenario).sim for _ in range(2)]
+    switches = (lambda sim, d: sim.domain_switch(d), reference_domain_switch)
+    for op in ops:
+        outcomes = []
+        for sim, switch in zip(sims, switches):
+            if op[0] == "switch":
+                try:
+                    outcomes.append(switch(sim, op[1]))
+                except PadOverrun as e:
+                    outcomes.append(str(e))
+            elif op[0] in ("unmask", "mask"):
+                sim.irqs.ensure(op[1]).masked = op[0] == "mask"
+            elif op[0] == "own":
+                sim.set_irq_owner(op[1], sim.domains[op[2]].kernel_image)
+            else:
+                pad = pad_for(sim, 5.0) if op[1] == "auto" else op[1]
+                sim.cfg = replace(sim.cfg, pad_cycles=pad)
+            outcomes.append((sim.irq_checks, sim.irq_violations, sim.now,
+                             sim.current_domain, sim.irqs.unmasked()))
+        assert outcomes[:len(outcomes) // 2] == outcomes[len(outcomes) // 2:]
+    fast, ref = (sim.machine for sim in sims)
+    for name in fast.caches:
+        assert fast.caches[name].snapshot() == ref.caches[name].snapshot()
+    assert fast.predictor.bhb == ref.predictor.bhb
 
 
 class TestSyscall:

@@ -77,6 +77,48 @@ def test_binned_density_has_one_value_per_grid_point(samples, h, step, points):
     assert np.all(np.isfinite(dens))
 
 
+def _at_offset(values: np.ndarray, offset: int) -> np.ndarray:
+    """A copy of ``values`` starting ``offset`` bytes past a 64-byte boundary."""
+    buf = np.empty(len(values) + 16)
+    start = (-buf.ctypes.data % 64 + offset) // 8
+    out = buf[start:start + len(values)]
+    out[...] = values
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data(), st.integers(16, 4097), st.integers(0, 2**32 - 1))
+def test_aligned_correlation_has_the_bits_of_convolve(data, points, seed):
+    # the kernel's capped radius keeps it no longer than the histogram;
+    # its values are not symmetric, so a missing reversal would show
+    radius = data.draw(st.integers(1, (points - 1) // 2), label="radius")
+    rng = np.random.default_rng(seed)
+    hist = np.zeros(points)
+    filled = rng.integers(0, points, rng.integers(1, 60))
+    hist[filled] = rng.random(len(filled)) * 10.0
+    kernel = rng.random(2 * radius + 1)
+    kernel /= kernel.sum()
+    want = np.convolve(hist, kernel, mode="same").view(np.int64)
+    reversed_kernel = kernel[::-1]
+    got = np.correlate(hist, stats._cache_aligned(reversed_kernel), mode="same")
+    assert np.array_equal(got.view(np.int64), want)
+    for hist_offset in range(0, 64, 8):
+        h = _at_offset(hist, hist_offset)
+        for kernel_offset in range(0, 64, 8):
+            k = _at_offset(reversed_kernel, kernel_offset)
+            got = np.correlate(h, k, mode="same")
+            assert np.array_equal(got.view(np.int64), want), (hist_offset, kernel_offset)
+
+
+def test_cache_aligned_copy_starts_on_a_cache_line():
+    rng = np.random.default_rng(13)
+    for n in range(1, 4098):
+        values = rng.random(n)
+        out = stats._cache_aligned(values[::-1])
+        assert out.ctypes.data % 64 == 0
+        assert np.array_equal(out, values[::-1])
+
+
 class TestEstimateMi:
     def test_constant_channel_exactly_zero(self):
         inputs = ["a"] * 50 + ["b"] * 50
