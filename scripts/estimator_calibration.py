@@ -64,18 +64,18 @@ def accuracy_study(n=10_000, repeats=5):
 
 
 def false_positive_study(n_datasets=100, n=1500, symbols=4, master=23):
-    false_count = 0
+    leak_free = 0
     for i in range(n_datasets):
         rng = np.random.default_rng(master * 1000 + i)
         inputs = rng.integers(0, symbols, n)
         outputs = rng.standard_normal(n)
         v = leak_verdict(inputs, outputs, shuffles=100, seed=master * 1000 + i + 7)
-        false_count += (not v.leak)
-    print(f"\nzero-dependence verdicts: {false_count}/{n_datasets} judged leak-free "
+        leak_free += (not v.leak)
+    print(f"\nzero-dependence verdicts: {leak_free}/{n_datasets} judged leak-free "
           f"(target: about 95%)")
     return {"datasets": n_datasets, "n": n, "symbols": symbols,
-            "judged_leak_free": false_count,
-            "false_positives": n_datasets - false_count}
+            "judged_leak_free": leak_free,
+            "false_positives": n_datasets - leak_free}
 
 
 def main() -> int:

@@ -15,9 +15,11 @@ Gaussian-sum density. The convolution is most of a verdict's time: one BLAS
 dot product per grid point, each reading the whole reversed kernel. That
 kernel is therefore handed over in a buffer that starts on a 64-byte cache
 line, where wide vector loads do not straddle two lines; it is the same
-arithmetic on the same values, so the densities keep their bits. A dataset is validated and grouped by symbol once; an
-output permutation only changes which values each symbol's index array
-picks, so every shuffle reuses the grouping.
+arithmetic on the same values, so the densities keep their bits.
+
+A dataset is validated and grouped by symbol once; an output permutation
+only changes which values each symbol's index array picks, so every shuffle
+reuses the grouping.
 """
 
 from __future__ import annotations

@@ -12,7 +12,8 @@ from oracles import (colour_of_frame, pool_pages, pools_cache_disjoint,
                      reference_domain_switch, step_numbers)
 from tcsim.colouring import PoolExhausted
 from tcsim.kernel import (SHARED_REGION_NAMES, CannotDestroyInitial,
-                          InvalidImage, InvalidSource, KernelParams, PadOverrun)
+                          InvalidImage, InvalidSource, KernelParams, PadOverrun,
+                          Simulator)
 from tcsim.profiles import get_profile
 from tcsim.scenarios import (ON_CORE_RESOURCES, RECEIVER, SENDER, build_scenario,
                              pad_for, split_colours)
@@ -249,36 +250,38 @@ _IRQ_OPS = st.lists(st.one_of(
 ), max_size=16)
 
 
+def _apply_irq_op(sim, switch, op):
+    """Apply one op of _IRQ_OPS; return what it shows of the simulator."""
+    outcome = None
+    if op[0] == "switch":
+        try:
+            outcome = switch(sim, op[1])
+        except PadOverrun as e:
+            outcome = str(e)
+    elif op[0] in ("unmask", "mask"):
+        sim.irqs.ensure(op[1]).masked = op[0] == "mask"
+    elif op[0] == "own":
+        sim.set_irq_owner(op[1], sim.domains[op[2]].kernel_image)
+    else:
+        pad = pad_for(sim, 5.0) if op[1] == "auto" else op[1]
+        sim.cfg = replace(sim.cfg, pad_cycles=pad)
+    return (outcome, sim.irq_checks, sim.irq_violations, sim.now,
+            sim.current_domain, sim.irqs.unmasked())
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(["raw", "protected"]), _IRQ_OPS)
 def test_switch_matches_per_step_irq_reference(scenario, ops):
-    """domain_switch evaluates the IRQ invariant once per run of steps with
-    unchanged IRQ state; its traces, counts and machine state must equal
-    those of checking after every step, PadOverrun included."""
-    sims = [build_scenario(HASWELL, scenario).sim for _ in range(2)]
-    switches = (lambda sim, d: sim.domain_switch(d), reference_domain_switch)
+    """domain_switch evaluates the IRQ invariant once per run of steps on
+    each side of the domain change; its traces, counts and machine state
+    must equal those of checking after every step, PadOverrun included."""
+    fast, ref = (build_scenario(HASWELL, scenario).sim for _ in range(2))
     for op in ops:
-        outcomes = []
-        for sim, switch in zip(sims, switches):
-            if op[0] == "switch":
-                try:
-                    outcomes.append(switch(sim, op[1]))
-                except PadOverrun as e:
-                    outcomes.append(str(e))
-            elif op[0] in ("unmask", "mask"):
-                sim.irqs.ensure(op[1]).masked = op[0] == "mask"
-            elif op[0] == "own":
-                sim.set_irq_owner(op[1], sim.domains[op[2]].kernel_image)
-            else:
-                pad = pad_for(sim, 5.0) if op[1] == "auto" else op[1]
-                sim.cfg = replace(sim.cfg, pad_cycles=pad)
-            outcomes.append((sim.irq_checks, sim.irq_violations, sim.now,
-                             sim.current_domain, sim.irqs.unmasked()))
-        assert outcomes[:len(outcomes) // 2] == outcomes[len(outcomes) // 2:]
-    fast, ref = (sim.machine for sim in sims)
-    for name in fast.caches:
-        assert fast.caches[name].snapshot() == ref.caches[name].snapshot()
-    assert fast.predictor.bhb == ref.predictor.bhb
+        assert _apply_irq_op(fast, Simulator.domain_switch, op) \
+            == _apply_irq_op(ref, reference_domain_switch, op)
+    for name in fast.machine.caches:
+        assert fast.machine.caches[name].snapshot() == ref.machine.caches[name].snapshot()
+    assert fast.machine.predictor.bhb == ref.machine.predictor.bhb
 
 
 class TestSyscall:
