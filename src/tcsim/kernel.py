@@ -221,6 +221,8 @@ class Simulator:
         shared_frames = partition.allocate(
             None, math.ceil(len(SHARED_REGION_NAMES) * line / profile.page_bytes))
         self.shared = SharedKernelData.at_boot(shared_frames, line, profile.page_bytes)
+        # each shared region's line address, in SHARED_REGION_NAMES order
+        self._region_lines = tuple(self.shared.regions[n] for n in SHARED_REGION_NAMES)
         self.initial_image = self._build_image(
             owner=None, frames=partition.allocate(None, kparams.image_frames),
             is_initial=True)
@@ -321,10 +323,6 @@ class Simulator:
 
     # -- kernel memory traffic ---------------------------------------------
 
-    def _region_access(self, name: str, write: bool = False) -> int:
-        addr = self.shared.regions[name]
-        return self.machine.data_path.access(addr, addr, write)
-
     def current_image(self) -> KernelImage:
         return self.images[self.domains[self.current_domain].kernel_image]
 
@@ -362,62 +360,67 @@ class Simulator:
             self.irq_violations += steps * (not self.check_irq_invariant())
 
     def domain_switch(self, next_domain: str) -> SwitchTrace:
-        """Handle a preemption tick that schedules ``next_domain``."""
-        kp = self.kparams
+        """Handle a preemption tick that schedules ``next_domain``: run the
+        switch steps in order and return their costs. Each step reads or
+        writes its shared regions line by line through the data path, in the
+        order the step names them; prefetching reads every region in
+        SHARED_REGION_NAMES order. ``natural`` is the cost of steps 1-9. A
+        padded kernel switch spins for the rest of ``pad_cycles``, or raises
+        ``PadOverrun`` when ``natural`` exceeds it, so ``total`` is
+        ``pad_cycles`` (``natural`` without a pad) plus the timer step of a
+        kernel switch and the return step."""
+        kp, cfg = self.kparams, self.cfg
         prev_image = self.current_image()
-        nxt = self.domains[next_domain]
-        next_image = self.images[nxt.kernel_image]
+        next_image = self.images[self.domains[next_domain].kernel_image]
         kernel_switch = prev_image.id != next_image.id
-        steps: list[StepCost] = []
-
-        def step(number, name, cycles):
-            steps.append(StepCost(number, name, cycles))
-
-        step(1, "lock", kp.lock_cycles + self._region_access("lock_word", write=True))
-        step(2, "tick", kp.tick_cycles
-             + self._region_access("sched_queues")
-             + self._region_access("sched_bitmap")
-             + self._region_access("current_decision", write=True))
+        access = self.machine.data_path.access
+        (queues, bitmap, decision, irq_table, irq, asid, thread, kernel, idle, fpu,
+         lock) = self._region_lines
+        steps = [StepCost(1, "lock", kp.lock_cycles + access(lock, lock, True)),
+                 StepCost(2, "tick", kp.tick_cycles + access(queues, queues)
+                          + access(bitmap, bitmap) + access(decision, decision, True))]
         if kernel_switch:
-            cost = kp.mask_cycles + self._region_access("irq_state_table", write=True) \
-                + self._region_access("current_irq")
+            cost = kp.mask_cycles + access(irq_table, irq_table, True) + access(irq, irq)
             self.irqs.mask_owned(prev_image)
-            step(3, "mask_prev_irqs", cost)
-            step(4, "stack_switch", kp.stack_switch_cycles)
-        cost = kp.thread_switch_cycles \
-            + self._region_access("current_thread", write=True) \
-            + self._region_access("current_kernel", write=True) \
-            + self._region_access("asid_table") \
-            + self._region_access("idle_thread") \
-            + self._region_access("fpu_owner")
+            steps.append(StepCost(3, "mask_prev_irqs", cost))
+            steps.append(StepCost(4, "stack_switch", kp.stack_switch_cycles))
+        cost = (kp.thread_switch_cycles + access(thread, thread, True)
+                + access(kernel, kernel, True) + access(asid, asid)
+                + access(idle, idle) + access(fpu, fpu))
         before = len(steps)
         self._count_irq_checks(before)
         self.current_domain = next_domain
-        step(5, "thread_switch", cost)
-        step(6, "unlock", kp.unlock_cycles + self._region_access("lock_word", write=True))
+        steps.append(StepCost(5, "thread_switch", cost))
+        steps.append(StepCost(6, "unlock", kp.unlock_cycles + access(lock, lock, True)))
         if kernel_switch:
             self.irqs.unmask_owned(next_image)
-            step(7, "unmask_next_irqs",
-                 kp.unmask_cycles + self._region_access("irq_state_table", write=True))
-            flush_cost = sum(self.machine.flush(r) for r in self.cfg.flush_targets)
-            step(8, "flush", flush_cost)
-            if self.cfg.prefetch_shared:
-                step(9, "prefetch_shared",
-                     sum(self._region_access(n) for n in SHARED_REGION_NAMES))
-        natural = sum(s.cycles for s in steps)
+            steps.append(StepCost(7, "unmask_next_irqs",
+                                  kp.unmask_cycles + access(irq_table, irq_table, True)))
+            flush = self.machine.flush
+            cost = 0
+            for resource in cfg.flush_targets:
+                cost += flush(resource)
+            steps.append(StepCost(8, "flush", cost))
+            if cfg.prefetch_shared:
+                cost = 0
+                for addr in self._region_lines:
+                    cost += access(addr, addr)
+                steps.append(StepCost(9, "prefetch_shared", cost))
+        natural = total = sum([s.cycles for s in steps])
         if kernel_switch:
-            if self.cfg.pad_cycles > 0:
-                if natural > self.cfg.pad_cycles:
+            if cfg.pad_cycles > 0:
+                if natural > cfg.pad_cycles:
                     self._count_irq_checks(len(steps) - before)
-                    raise PadOverrun(
-                        f"switch cost {natural} exceeds pad {self.cfg.pad_cycles}")
-                step(10, "pad", self.cfg.pad_cycles - natural)
-            step(11, "reprogram_timer", kp.timer_cycles)
-        step(12, "return", kp.return_cycles)
+                    raise PadOverrun(f"switch cost {natural} exceeds pad {cfg.pad_cycles}")
+                steps.append(StepCost(10, "pad", cfg.pad_cycles - natural))
+                total = cfg.pad_cycles
+            steps.append(StepCost(11, "reprogram_timer", kp.timer_cycles))
+            total += kp.timer_cycles
+        steps.append(StepCost(12, "return", kp.return_cycles))
+        total += kp.return_cycles
         self._count_irq_checks(len(steps) - before)
-        total = sum(s.cycles for s in steps)
         self.now += total
-        return SwitchTrace(steps, kernel_switch, natural, self.cfg.pad_cycles, total)
+        return SwitchTrace(steps, kernel_switch, natural, cfg.pad_cycles, total)
 
     def worst_case_switch_cost(self) -> int:
         """Conservative bound on the natural (pre-pad) cost of one kernel

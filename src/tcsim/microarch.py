@@ -306,9 +306,11 @@ class CacheState:
         per dirty line; the post-flush state is canonical regardless of
         history. Only occupied sets are visited."""
         cost = self.params.flush_base_cycles
+        sets, wb = self.sets, self._wb_cycles
         for i in self._occupied:
-            ways = self.sets[i]
-            cost += self._wb_cycles * sum(ways.values())
+            ways = sets[i]
+            if wb:  # dirty bits cost nothing where write-backs are free
+                cost += wb * sum(ways.values())
             ways.clear()
         self._occupied.clear()
         return cost
@@ -404,19 +406,21 @@ class MemoryHierarchy:
 @dataclass
 class BhbState:
     """Global-history direction predictor: shift register XOR-indexed into a
-    table of 2-bit saturating counters. Counters start at 0 (strongly
-    not-taken), so the first branch after a flush mispredicts if taken."""
+    table of 2-bit saturating counters, one byte each (values 0-3) in a
+    ``bytearray`` of ``1 << history_bits`` entries, so a reset is one zeroed
+    allocation. Counters start at 0 (strongly not-taken), so the first
+    branch after a flush mispredicts if taken."""
 
     history_bits: int
     history: int = 0
-    counters: list[int] = field(init=False)
+    counters: bytearray = field(init=False)
 
     def __post_init__(self):
         self.reset()
 
     def reset(self):
         self.history = 0
-        self.counters = [0] * (1 << self.history_bits)
+        self.counters = bytearray(1 << self.history_bits)
 
 
 class PredictorState:

@@ -314,9 +314,16 @@ def step_numbers(trace) -> list[int]:
 
 
 def reference_domain_switch(sim, next_domain: str) -> SwitchTrace:
-    """``Simulator.domain_switch`` with the IRQ invariant evaluated after
-    every step, as the step sequence defines it."""
+    """``Simulator.domain_switch`` as the step sequence defines it: each
+    region looked up by name in ``sim.shared.regions`` and accessed through
+    the data path, step costs and totals summed from the steps, and the IRQ
+    invariant evaluated after every step."""
     kp = sim.kparams
+
+    def region(name, write=False):
+        addr = sim.shared.regions[name]
+        return sim.machine.data_path.access(addr, addr, write)
+
     prev_image = sim.current_image()
     next_image = sim.images[sim.domains[next_domain].kernel_image]
     kernel_switch = prev_image.id != next_image.id
@@ -328,34 +335,34 @@ def reference_domain_switch(sim, next_domain: str) -> SwitchTrace:
             sim.irq_checks += 1
             sim.irq_violations += not sim.check_irq_invariant()
 
-    step(1, "lock", kp.lock_cycles + sim._region_access("lock_word", write=True))
+    step(1, "lock", kp.lock_cycles + region("lock_word", write=True))
     step(2, "tick", kp.tick_cycles
-         + sim._region_access("sched_queues")
-         + sim._region_access("sched_bitmap")
-         + sim._region_access("current_decision", write=True))
+         + region("sched_queues")
+         + region("sched_bitmap")
+         + region("current_decision", write=True))
     if kernel_switch:
-        cost = kp.mask_cycles + sim._region_access("irq_state_table", write=True) \
-            + sim._region_access("current_irq")
+        cost = kp.mask_cycles + region("irq_state_table", write=True) \
+            + region("current_irq")
         sim.irqs.mask_owned(prev_image)
         step(3, "mask_prev_irqs", cost)
         step(4, "stack_switch", kp.stack_switch_cycles)
     cost = kp.thread_switch_cycles \
-        + sim._region_access("current_thread", write=True) \
-        + sim._region_access("current_kernel", write=True) \
-        + sim._region_access("asid_table") \
-        + sim._region_access("idle_thread") \
-        + sim._region_access("fpu_owner")
+        + region("current_thread", write=True) \
+        + region("current_kernel", write=True) \
+        + region("asid_table") \
+        + region("idle_thread") \
+        + region("fpu_owner")
     sim.current_domain = next_domain
     step(5, "thread_switch", cost)
-    step(6, "unlock", kp.unlock_cycles + sim._region_access("lock_word", write=True))
+    step(6, "unlock", kp.unlock_cycles + region("lock_word", write=True))
     if kernel_switch:
         sim.irqs.unmask_owned(next_image)
         step(7, "unmask_next_irqs",
-             kp.unmask_cycles + sim._region_access("irq_state_table", write=True))
+             kp.unmask_cycles + region("irq_state_table", write=True))
         step(8, "flush", sum(sim.machine.flush(r) for r in sim.cfg.flush_targets))
         if sim.cfg.prefetch_shared:
             step(9, "prefetch_shared",
-                 sum(sim._region_access(n) for n in SHARED_REGION_NAMES))
+                 sum(region(n) for n in SHARED_REGION_NAMES))
     natural = sum(s.cycles for s in steps)
     if kernel_switch:
         if sim.cfg.pad_cycles > 0:

@@ -241,18 +241,28 @@ class TestDomainSwitch:
         assert set(t1) == set(t2) and len(set(t1)) == 1
 
 
-_IRQ_OPS = st.lists(st.one_of(
+_SWITCH_OPS = st.lists(st.one_of(
     st.tuples(st.just("switch"), st.sampled_from([SENDER, RECEIVER])),
     st.tuples(st.just("unmask"), st.integers(1, 3)),  # owned or not
     st.tuples(st.just("mask"), st.integers(1, 3)),
     st.tuples(st.just("own"), st.integers(1, 3), st.sampled_from([SENDER, RECEIVER])),
     st.tuples(st.just("pad"), st.sampled_from([0, 10, "auto"])),  # 10 overruns
+    # lines from a start line at a stride of 1 line, or of 64 (one L1 set)
+    st.tuples(st.just("write"), st.integers(0, 255), st.integers(1, 24),
+              st.sampled_from([1, 64])),
+    st.tuples(st.just("fetch"), st.integers(0, 255), st.integers(1, 24),
+              st.sampled_from([1, 64])),
+    st.tuples(st.just("branch"), st.integers(0, 255), st.booleans()),
 ), max_size=16)
 
 
-def _apply_irq_op(sim, switch, op):
-    """Apply one op of _IRQ_OPS; return what it shows of the simulator."""
+def _apply_switch_op(sim, switch, op):
+    """Apply one op of _SWITCH_OPS; return what it shows of the simulator.
+    ``write`` dirties lines down the data path, ``fetch`` fills L1-I and TLB
+    lines, and ``branch`` trains the predictor, so that switches write back,
+    flush and prefetch over varied state."""
     outcome = None
+    machine = sim.machine
     if op[0] == "switch":
         try:
             outcome = switch(sim, op[1])
@@ -262,25 +272,37 @@ def _apply_irq_op(sim, switch, op):
         sim.irqs.ensure(op[1]).masked = op[0] == "mask"
     elif op[0] == "own":
         sim.set_irq_owner(op[1], sim.domains[op[2]].kernel_image)
-    else:
+    elif op[0] == "pad":
         pad = pad_for(sim, 5.0) if op[1] == "auto" else op[1]
         sim.cfg = replace(sim.cfg, pad_cycles=pad)
+    elif op[0] == "branch":
+        outcome = machine.predictor.touch(op[1] * 4, op[2])
+    else:
+        _, start, count, stride = op
+        lines = [(start + i * stride) * HASWELL.line_bytes for i in range(count)]
+        if op[0] == "write":
+            outcome = [machine.data_path.access(a, a, True) for a in lines]
+        else:
+            outcome = [(machine.caches["l1i"].access(a, a), machine.caches["tlb"].access(a, a))
+                       for a in lines]
     return (outcome, sim.irq_checks, sim.irq_violations, sim.now,
             sim.current_domain, sim.irqs.unmasked())
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.sampled_from(["raw", "protected"]), _IRQ_OPS)
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["raw", "full_flush", "protected"]), _SWITCH_OPS)
 def test_switch_matches_per_step_irq_reference(scenario, ops):
-    """domain_switch evaluates the IRQ invariant once per run of steps on
-    each side of the domain change; its traces, counts and machine state
-    must equal those of checking after every step, PadOverrun included."""
+    """domain_switch resolves its region lines once, sums its costs without
+    per-step helpers and evaluates the IRQ invariant once per run of steps
+    on each side of the domain change; its traces, counts and machine state
+    must equal those of the per-step reference, PadOverrun included."""
     fast, ref = (build_scenario(HASWELL, scenario).sim for _ in range(2))
     for op in ops:
-        assert _apply_irq_op(fast, Simulator.domain_switch, op) \
-            == _apply_irq_op(ref, reference_domain_switch, op)
-    for name in fast.machine.caches:
-        assert fast.machine.caches[name].snapshot() == ref.machine.caches[name].snapshot()
+        assert _apply_switch_op(fast, Simulator.domain_switch, op) \
+            == _apply_switch_op(ref, reference_domain_switch, op)
+    for name, cache in fast.machine.caches.items():
+        assert cache.snapshot() == ref.machine.caches[name].snapshot()
+        assert cache._occupied == ref.machine.caches[name]._occupied
     assert fast.machine.predictor.bhb == ref.machine.predictor.bhb
 
 

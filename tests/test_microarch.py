@@ -10,6 +10,7 @@ from oracles import (ReferenceGshare, ReferenceLru, dirty_line_count,
 from tcsim.microarch import (BhbState, CacheGeometry, CacheState, LatencyModel,
                              LatencyParams, Machine, MemoryHierarchy,
                              PredictorState, colour_count)
+from tcsim.profiles import get_profile
 
 KIB = 1024
 PARAMS = LatencyParams(hit_cycles=4, miss_cycles=12, writeback_cycles_per_line=6,
@@ -265,6 +266,22 @@ def test_flush_costs_dirty_lines_and_empties_every_set(ops):
     assert resident_line_count(c) == 0 and dirty_line_count(c) == 0
 
 
+@pytest.mark.parametrize("profile", ["haswell", "sabre"])
+@pytest.mark.parametrize("written", [False, True])
+def test_every_profile_cache_flush_costs_base_plus_writebacks(profile, written):
+    # every set filled and one line per set evicted; when written, every
+    # third line is dirty, which write-back-free caches (TLB, BTB) ignore
+    for cache in get_profile(profile).build_machine().caches.values():
+        geo = cache.geometry
+        for i in range(geo.lines + geo.sets):
+            cache.access(i * geo.line_bytes, i * geo.line_bytes, written and i % 3 == 0)
+        dirty = dirty_line_count(cache)
+        assert (dirty > 0) == written
+        assert cache.flush() == (cache.params.flush_base_cycles
+                                 + cache.params.writeback_cycles_per_line * dirty)
+        assert resident_line_count(cache) == 0 and not cache._occupied
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sets(st.integers(0, 7), min_size=1),
        st.lists(st.tuples(st.integers(0, 7), st.integers(0, 5), st.booleans()), max_size=60))
@@ -514,7 +531,7 @@ def test_btb_window_matches_reference_gshare(history_bits, before, branches, dat
         assert p.touch_window(groups, addrs) == want
         assert p.btb.snapshot() == touched.btb.snapshot() == ref.btb.snapshot()
         assert p.bhb.history == touched.bhb.history == ref.history
-        assert p.bhb.counters == touched.bhb.counters == ref.counter_table()
+        assert list(p.bhb.counters) == list(touched.bhb.counters) == ref.counter_table()
 
 
 class TestProbeSets:
@@ -591,20 +608,29 @@ class TestPredictor:
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 6),
-       st.lists(st.tuples(st.integers(0, 40), st.booleans()), min_size=1, max_size=200))
-def test_predictor_matches_reference_gshare(history_bits, branches):
-    # 41 branch slots over a BTB of 8 sets x 2 ways, so targets get evicted
+@given(st.integers(0, 8), st.lists(st.one_of(
+    st.tuples(st.integers(0, 40), st.booleans()), st.just("flush")), min_size=1, max_size=200))
+def test_predictor_matches_reference_gshare(history_bits, ops):
+    # 41 branch slots over a BTB of 8 sets x 2 ways, so targets get evicted;
+    # a BHB flush zeroes the whole counter table and the history and leaves
+    # the BTB alone, and the reference forgets its outcomes and counters
     btb = CacheState(CacheGeometry(8 * 2 * 4, 2, 4, "virtual"),
                      LatencyParams(1, 10, 0, 16))
-    p = PredictorState(btb, BhbState(history_bits), mispredict_cycles=20)
+    p = PredictorState(btb, BhbState(history_bits), mispredict_cycles=20,
+                       bhb_flush_base=8)
     ref = ReferenceGshare(history_bits, 8, 2, 4, btb_hit=1, btb_miss=10, mispredict=20)
-    for slot, taken in branches:
-        # latencies 1, 10, 21 and 30 each name one (btb hit, direction) pair
-        assert p.touch(slot * 4, taken) == ref.touch(slot * 4, taken)[0]
+    for op in ops:
+        if op == "flush":
+            assert p.flush_bhb() == 8
+            ref.outcomes, ref.counters = [], {}
+            assert len(p.bhb.counters) == 1 << history_bits
+            assert not any(p.bhb.counters)
+        else:
+            # latencies 1, 10, 21 and 30 each name one (btb hit, direction) pair
+            assert p.touch(op[0] * 4, op[1]) == ref.touch(op[0] * 4, op[1])[0]
         assert p.btb.snapshot() == ref.btb.snapshot()
         assert p.bhb.history == ref.history
-        assert p.bhb.counters == ref.counter_table()
+        assert list(p.bhb.counters) == ref.counter_table()
 
 
 class TestHierarchy:
