@@ -10,7 +10,9 @@ each checkout, from that checkout's root, one run at a time, for
 perfbench's own default run length. The parent runs first in odd pairs
 (counting from 1) and the change first in even ones. Each side's end-to-end
 metrics are summarised by median and quartiles, with the bound and better
-direction that the change's BENCHMARK.json gives them. A claimed gain is met
+direction that the change's BENCHMARK.json gives them. Each run's unscaled
+wall seconds and speed scale, from ``run.py``'s summary line, are recorded
+too and summarised by their medians, ungated. A claimed gain is met
 when the change is better in at least nine tenths of the pairs (ties count
 for neither side), the medians differ, in the better direction, by more than
 the distance between the parent's quartiles, the change fails no more
@@ -35,6 +37,7 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 GOLDEN = re.compile(r"\(golden: (.*)\)\s*$")
+UNSCALED = re.compile(r"unscaled run_s \(wall\)\s+(\S+) s at speed scale (\S+)")
 
 
 def revision(checkout: Path) -> str:
@@ -51,15 +54,25 @@ def run_once(checkout: Path, workload: str, seed: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
-    lines = proc.stdout.strip().splitlines()
-    if proc.returncode != 0 or not lines:
+    if proc.returncode != 0 or not proc.stdout.strip():
         raise SystemExit(f"{checkout}: {' '.join(cmd[1:])} exited {proc.returncode}:\n"
                          f"{proc.stderr.strip()}")
+    return parse_run(proc.stdout)
+
+
+def parse_run(stdout: str) -> dict:
+    """A run's end-to-end metrics and verdict from ``run.py``'s stdout, plus
+    the unscaled wall seconds and speed scale of its summary line (medians
+    over the run's samples; None where the line is missing)."""
+    lines = stdout.strip().splitlines()
     result = json.loads(lines[-1])
     golden = next((m.group(1) for m in map(GOLDEN.search, lines) if m), "unknown")
+    unscaled = next((m for m in map(UNSCALED.search, lines) if m), None)
     out = {name: round(m["value"], 4) for name, m in result["metrics"].items()}
     out.update(attempted=result["attempted"], failed=result["failed"],
-               correct=result["correct"], golden=golden)
+               correct=result["correct"], golden=golden,
+               wall_s=float(unscaled.group(1)) if unscaled else None,
+               speed_scale=float(unscaled.group(2)) if unscaled else None)
     return out
 
 
@@ -101,6 +114,22 @@ def summarise(pairs: list[dict], metrics: dict) -> dict:
             "change_better_pairs": sum(better(c, p, spec["better"])
                                        for c, p in zip(values["change"], values["parent"])),
         }
+    return summary
+
+
+def summarise_unscaled(pairs: list[dict]) -> dict:
+    """Each side's median unscaled wall seconds and speed scale. They carry no
+    bound: they show whether a gain in scaled seconds is there in host
+    seconds too, since a change can also move the speed scale."""
+    summary = {}
+    for name in ("wall_s", "speed_scale"):
+        medians = {}
+        for side in SIDES:
+            values = [p[side][name] for p in pairs if p[side].get(name) is not None]
+            medians[side] = round(statistics.median(values), 4) if values else None
+        rel = (round(medians["change"] / medians["parent"] - 1, 4)
+               if None not in medians.values() else None)
+        summary[name] = {**medians, "change_vs_parent": rel}
     return summary
 
 
@@ -164,7 +193,9 @@ def main(argv=None) -> int:
         "pairing": "pair i uses the i-th seed on both sides; odd i runs the parent first, "
                    "even i the change first",
         "host": f"{platform.machine()}, {os.cpu_count()} CPUs; run_s and setup_s are "
-                "perfbench's speed-scaled seconds",
+                "perfbench's speed-scaled seconds; wall_s and speed_scale are each "
+                "run's unscaled wall-second and speed-scale medians, summarised "
+                "under 'unscaled' without a bound",
         "seeds": args.seeds,
         "workloads": {},
     }
@@ -180,6 +211,7 @@ def main(argv=None) -> int:
             runs = [p[side] for p in pairs for side in SIDES]
             entry.update(
                 summary=summarise(pairs, metrics),
+                unscaled=summarise_unscaled(pairs),
                 failed=sum(r["failed"] for r in runs),
                 attempted=sum(r["attempted"] for r in runs),
                 all_golden_match=all(r["golden"] == "match" for r in runs))

@@ -62,3 +62,42 @@ def test_failures_in_the_held_out_pair_count():
     held = {"seed": 12, "parent": run(1.40), "change": run(1.20, failed=1)}
     v = verdict(pairs(PARENT, FASTER), held)
     assert v["failed"]["change"] == 1 and not v["met"]
+
+
+RUN_STDOUT = """leak-stats seed=7 trace=0: 7 runs, 0 failed
+  run_s                                2.3787 s
+  setup_s                              0.163776 s
+  peak_rss_mib                         40.1602 MiB
+  unscaled run_s (wall)                2.83518 s at speed scale 0.8647
+  failed_frac                          0 (0/7)
+  digest                               0f3a (golden: match)
+{"correct": true, "attempted": 7, "failed": 0, "metrics": {"run_s": {"value": 2.378699612, "unit": "s"}, "setup_s": {"value": 0.16377609, "unit": "s"}, "peak_rss_mib": {"value": 40.16015625, "unit": "MiB"}}}
+"""
+
+
+def test_parse_run_reads_metrics_verdict_and_unscaled_line():
+    out = bench_pairs.parse_run(RUN_STDOUT)
+    assert out == {"run_s": 2.3787, "setup_s": 0.1638, "peak_rss_mib": 40.1602,
+                   "attempted": 7, "failed": 0, "correct": True, "golden": "match",
+                   "wall_s": 2.83518, "speed_scale": 0.8647}
+
+
+def test_parse_run_without_unscaled_line():
+    lines = [line for line in RUN_STDOUT.splitlines() if "unscaled" not in line]
+    out = bench_pairs.parse_run("\n".join(lines))
+    assert out["wall_s"] is None and out["speed_scale"] is None
+    assert out["run_s"] == 2.3787
+
+
+def test_unscaled_medians_per_side():
+    ps = pairs(PARENT, FASTER)
+    for p, wall, scale in zip(ps, [3.0, 2.0, 4.0], [0.9, 0.8, 1.0]):
+        p["parent"].update(wall_s=wall, speed_scale=scale)
+        p["change"].update(wall_s=wall / 2, speed_scale=scale - 0.1)
+    for p in ps[3:]:  # runs whose summary line was missing
+        for side in bench_pairs.SIDES:
+            p[side].update(wall_s=None, speed_scale=None)
+    summary = bench_pairs.summarise_unscaled(ps)
+    assert summary["wall_s"] == {"parent": 3.0, "change": 1.5, "change_vs_parent": -0.5}
+    assert summary["speed_scale"] == {"parent": 0.9, "change": 0.8,
+                                      "change_vs_parent": round(0.8 / 0.9 - 1, 4)}

@@ -4,6 +4,12 @@ Expected values for the mixture datasets were computed first with the
 independent quadrature oracles in oracles.py and frozen here.
 """
 
+import os
+import signal
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -289,6 +295,109 @@ class TestGroupedBound:
     def test_bandwidth_matches_percentile_rule(self, n):
         x = np.random.default_rng(n).standard_normal(n)
         assert silverman_bandwidth(x) == percentile_bandwidth(x)
+
+
+def _bits(v) -> tuple:
+    return (v.m.value_bits, v.m0.shuffle_mis, v.m0.bound_bits, v.leak)
+
+
+def _wait_for_exit(pid: int, timeout: float = 60.0) -> int:
+    """The exit status of child ``pid``; kills it after ``timeout`` seconds."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            return os.waitstatus_to_exitcode(status)
+        time.sleep(0.01)
+    os.kill(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)
+    raise AssertionError(f"child {pid} did not exit within {timeout} s")
+
+
+class TestHelperThread:
+    """Each MI estimate's densities are computed on the calling thread and
+    one helper thread; the bits must be those of one thread alone."""
+
+    def test_concurrent_verdicts_equal_serial_ones(self):
+        cases = [BOUND_CASES[c] for c in ("int symbols, unequal groups",
+                                          "str symbols", "ties")]
+        serial = [_bits(leak_verdict(*case, shuffles=15, seed=3)) for case in cases]
+        results = [None] * len(cases)
+
+        def run(i):
+            results[i] = _bits(leak_verdict(*cases[i], shuffles=15, seed=3))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(i,))
+                       for i in range(len(cases))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == serial
+
+    @pytest.mark.parametrize("failing", ["caller", "helper"])
+    def test_density_error_is_raised_and_leaves_no_trace(self, monkeypatch, failing):
+        inputs, outputs = BOUND_CASES["str symbols"]
+        _, outputs, index = stats._mi_plan(inputs, outputs)
+        groups = [outputs[i] for i in index]
+        caller = threading.get_ident()
+        helper_took_one = threading.Event()
+        real = stats._binned_density
+
+        def density(samples, *args):
+            on_caller = threading.get_ident() == caller
+            if not on_caller:
+                helper_took_one.set()
+            elif failing == "helper":
+                helper_took_one.wait(30)  # leave the helper a symbol to fail on
+            if on_caller == (failing == "caller"):
+                raise FloatingPointError("injected")
+            return real(samples, *args)
+
+        monkeypatch.setattr(stats, "_binned_density", density)
+        with pytest.raises(FloatingPointError, match="injected"):
+            stats._mi_bits(groups, float(outputs.min()), float(outputs.max()),
+                           4096, 1e-6)
+        monkeypatch.undo()
+        assert estimate_mi(inputs, outputs).value_bits == reference_mi(inputs, outputs)[0]
+        b = zero_leakage_bound(inputs, outputs, shuffles=5, seed=7)
+        assert b.shuffle_mis == reference_bound(inputs, outputs, shuffles=5, seed=7)[0]
+
+    def test_many_verdicts_start_at_most_one_thread(self):
+        before = threading.active_count()
+        inputs, outputs = BOUND_CASES["ties"]
+        for seed in range(20):
+            leak_verdict(inputs, outputs, shuffles=3, seed=seed)
+        assert threading.active_count() <= before + 1
+
+    def test_forked_child_gets_its_own_helper(self):
+        inputs, outputs = BOUND_CASES["int symbols, unequal groups"]
+        parent = _bits(leak_verdict(inputs, outputs, shuffles=10, seed=5))
+        read, write = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # the child: one verdict, then its bits and thread count
+            code = 1
+            try:
+                os.close(read)
+                bits = _bits(leak_verdict(inputs, outputs, shuffles=10, seed=5))
+                with os.fdopen(write, "w") as out:
+                    out.write(repr((bits, threading.active_count())))
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(write)
+        with os.fdopen(read) as got:
+            text = got.read()
+        assert _wait_for_exit(pid) == 0
+        bits, threads = eval(text)
+        assert bits == parent
+        assert threads == 2  # the child's main thread and a new helper
 
 
 # Signed zeros are left out: -0.0 and 0.0 tie in a sort, so which one a
