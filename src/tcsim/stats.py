@@ -25,7 +25,7 @@ The statistics use up to two cores. Each estimate's per-symbol densities are
 shared between the calling thread and one long-lived helper thread, started
 on the first estimate (importing the module starts none), and two
 convolutions run at once. Wall time falls and CPU time rises by about
-10-15%; the mixture, the MI sum and the order of the permutations are
+15%; the mixture, the MI sum and the order of the permutations are
 computed as before on the calling thread, so every bit is kept.
 """
 

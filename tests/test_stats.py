@@ -4,6 +4,7 @@ Expected values for the mixture datasets were computed first with the
 independent quadrature oracles in oracles.py and frozen here.
 """
 
+import ast
 import os
 import signal
 import sys
@@ -395,7 +396,7 @@ class TestHelperThread:
         with os.fdopen(read) as got:
             text = got.read()
         assert _wait_for_exit(pid) == 0
-        bits, threads = eval(text)
+        bits, threads = ast.literal_eval(text)
         assert bits == parent
         assert threads == 2  # the child's main thread and a new helper
 
