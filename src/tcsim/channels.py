@@ -377,10 +377,16 @@ def run_channel(profile: PlatformProfile, spec: ChannelSpec, **build_kwargs) -> 
 
 @dataclass
 class SideChannelResult:
-    """Cross-core spy trace and the key recovered from it."""
+    """Cross-core spy trace and the key recovered from it. The trace is
+    sparse: the spy's probe of each of its ``spy_sets`` sets reads
+    ``baseline`` cycles in each of ``quanta`` quanta, except at ``cells``,
+    (set, quantum, latency) in quantum order: the re-probes after a victim
+    miss, each above the baseline."""
 
-    trace: np.ndarray  # spy sets x quanta probe latencies
-    spy_sets: list
+    cells: list
+    baseline: int
+    quanta: int
+    spy_sets: int
     true_key: np.ndarray
     recovered_key: np.ndarray
     accuracy: float
@@ -390,9 +396,8 @@ class SideChannelResult:
     def trace_to_csv(self, path):
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
-            w.writerow(["set"] + [f"q{t}" for t in range(self.trace.shape[1])])
-            for s, row in zip(self.spy_sets, self.trace):
-                w.writerow([s] + [int(v) for v in row])
+            w.writerow(["set", "quantum", "latency"])
+            w.writerows(self.cells)
 
 
 GAP_ZERO = 2  # quanta between square touches encoding a 0 bit
@@ -411,9 +416,13 @@ def run_llc_side_channel(profile: PlatformProfile, spec: ChannelSpec,
     hottest set decode the key. With disjoint colours the victim's set is
     outside the spy's reach and recovery degrades to guessing.
 
-    Only a victim miss changes a primed set, and only the square's set, so
-    the spy's re-probe is computed there alone: every other probe of a
-    primed set hits all its ways and reads the baseline.
+    The spy primes and probes in exact LRU (``CacheState.group`` and
+    ``probe_groups``), in prime order, so one victim miss, which evicts the
+    set's LRU spy line, makes every spy line in that set miss in turn and
+    leaves the set primed again. Only a victim miss changes a primed set,
+    and only the square's set, so the spy's re-probe is computed there
+    alone: every other probe of a primed set hits all its ways and reads the
+    baseline.
     """
     system = build_scenario(profile, spec.scenario, **build_kwargs)
     sim = system.sim
@@ -425,7 +434,6 @@ def run_llc_side_channel(profile: PlatformProfile, spec: ChannelSpec,
     key_bits = len(key)
 
     spy_lines = _spy_coverage(sim, RECEIVER, llc)
-    spy_sets = sorted(spy_lines)
     victim_pairs = sim.alloc_buffer(SENDER, 1)
     square_addr = victim_pairs[0][1]
 
@@ -437,18 +445,19 @@ def run_llc_side_channel(profile: PlatformProfile, spec: ChannelSpec,
     quanta = touch_quanta[-1] + 2
 
     baseline = llc.geometry.ways * llc.params.hit_cycles
-    trace = np.full((len(spy_sets), quanta), float(baseline))
-    llc.probe_sets(spy_lines)
+    llc.probe_groups(llc.group((a, a) for lines in spy_lines.values() for a in lines))
     square_set = llc.locate(square_addr, square_addr)[0]
+    reprobe = llc.group((a, a) for a in spy_lines.get(square_set, ()))
+    cells = []
     for q in touch_quanta:
         missed = llc.access(square_addr, square_addr) != llc.params.hit_cycles
         if missed and square_set in spy_lines:
-            probed = llc.probe_sets({square_set: spy_lines[square_set]})
-            trace[spy_sets.index(square_set), q] = probed[square_set]
+            cells.append((square_set, q, llc.probe_groups(reprobe)))
 
-    recovered, hot_set = _decode_trace(trace, spy_sets, baseline, key_bits)
+    recovered, hot_set = _decode_trace(cells, key_bits)
     accuracy = float(np.mean(recovered == key))
-    return SideChannelResult(trace, spy_sets, key, recovered, accuracy, hot_set,
+    return SideChannelResult(cells, baseline, quanta, len(spy_lines), key, recovered,
+                             accuracy, hot_set,
                              _meta(spec, profile, None, key_bits=key_bits,
                                    gap_zero=GAP_ZERO, gap_one=GAP_ONE))
 
@@ -481,21 +490,20 @@ def _spy_coverage(sim: Simulator, domain: str, llc: CacheState) -> dict:
     return lines
 
 
-def _decode_trace(trace: np.ndarray, spy_sets: list, baseline: float,
-                  key_bits: int) -> tuple[np.ndarray, int | None]:
-    hot = trace > baseline
-    counts = hot.sum(axis=1)
-    if counts.max(initial=0) < key_bits + 1:
+def _decode_trace(cells: list, key_bits: int) -> tuple[np.ndarray, int | None]:
+    """The key from a sparse trace, each cell a hot quantum: the set with
+    the most of them, the lowest set on a tie, spaces its hot quanta by the
+    per-bit gaps. Below ``key_bits + 1`` hot quanta it is a guess."""
+    hot: dict[int, list[int]] = {}
+    for set_idx, q, _ in cells:
+        hot.setdefault(set_idx, []).append(q)
+    hot_set = min(hot, key=lambda s: (-len(hot[s]), s), default=None)
+    if hot_set is None or len(hot[hot_set]) < key_bits + 1:
         # nothing observable: report a flat all-zeros guess
         return np.zeros(key_bits, dtype=int), None
-    row = int(np.argmax(counts))
-    events = np.flatnonzero(hot[row])
-    gaps = np.diff(events)[:key_bits]
+    gaps = np.diff(hot[hot_set])[:key_bits]
     threshold = (GAP_ZERO + GAP_ONE) / 2
-    bits = (gaps > threshold).astype(int)
-    if len(bits) < key_bits:
-        bits = np.concatenate([bits, np.zeros(key_bits - len(bits), dtype=int)])
-    return bits, spy_sets[row]
+    return (gaps > threshold).astype(int), hot_set
 
 
 def _meta(spec: ChannelSpec, profile: PlatformProfile, resource: str | None,

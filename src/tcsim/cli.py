@@ -21,8 +21,7 @@ from tcsim.channels import SampleSet
 from tcsim.colouring import PoolExhausted
 from tcsim.config import (MIN_GRID_POINTS, MIN_SHUFFLES, ConfigError,
                           load_config, parse_config)
-from tcsim.harness import (_jsonable, measure_switch_costs, profile_summary,
-                           run_scenario)
+from tcsim.harness import measure_switch_costs, profile_summary, run_scenario
 from tcsim.kernel import PadOverrun
 from tcsim.profiles import BUILTIN_PROFILES, get_profile
 from tcsim.scenarios import SCENARIOS
@@ -95,7 +94,7 @@ def cmd_analyze(args) -> int:
         raise ConfigError(f"{args.samples}: {exc}") from None
     record = report_record(verdict)
     record["source"] = str(args.samples)
-    text = json.dumps(_jsonable(record), indent=2, sort_keys=True)
+    text = json.dumps(record, indent=2, sort_keys=True)
     if args.out:
         try:
             Path(args.out).write_text(text + "\n")

@@ -16,8 +16,6 @@ import tempfile
 from contextlib import contextmanager, suppress
 from pathlib import Path
 
-import numpy as np
-
 import tcsim
 from tcsim.channels import (CHANNELS, ChannelSpec, SampleSet, group_window,
                             probe, probe_window, run_channel,
@@ -49,22 +47,6 @@ def _build_kwargs(cfg: RunConfig) -> dict:
     return dict(frames=cfg.frames, colour_split=cfg.colour_split,
                 timeslice_cycles=cfg.timeslice_cycles, pad_cycles=cfg.pad_cycles,
                 irq_margin_pct=cfg.irq_margin_pct, irq_owners=cfg.irq_owners)
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    return obj
 
 
 @contextmanager
@@ -162,7 +144,6 @@ def _run(cfg: RunConfig, outdir: Path) -> dict:
             {"share": share, "working_set_bytes": ws,
              "slowdown": measure_colour_overhead(profile, ws, share)}
             for share in cfg.overhead_shares]
-    report = _jsonable(report)
     report_path = outdir / "report.json"
     report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return report
@@ -182,6 +163,9 @@ def _run_cell(profile, cfg: RunConfig, channel: str, scenario: str,
             "true_key": "".join(str(b) for b in result.true_key),
             "recovered_key": "".join(str(b) for b in result.recovered_key),
             "hot_set": result.hot_set,
+            "baseline_latency": result.baseline,
+            "quanta": result.quanta,
+            "spy_sets": result.spy_sets,
             "trace_csv": f"llc_side_{scenario}_trace.csv",
             "metadata": result.metadata,
         }

@@ -12,10 +12,11 @@ flush walks only the occupied sets, costing O(resident lines). Accesses and
 branch-predictor touches return a plain int latency; a hit costs exactly
 ``hit_cycles``, which is strictly less than any miss.
 
-A probe window (every line a prime&probe receiver, a switch workload or the
-kernel channel's receiver touches, in probe order) is grouped by set once
-and probed set by set by the exact rules that ``CacheState``'s docstring
-gives.
+A probe window (every line a prime&probe receiver, a switch workload, the
+kernel channel's receiver or the cross-core LLC spy touches, in probe order)
+is grouped by set once and probed set by set by the exact rules that
+``CacheState``'s docstring gives. That is the only set-wise probe: each rule
+leaves what exact LRU leaves.
 
 Everything here is a plain value: identical operation sequences applied to
 equal initial states give identical latencies and identical final states.
@@ -110,24 +111,25 @@ class CacheState:
     non-empty sets are kept in an occupied-set index, so a flush costs
     O(resident lines) rather than O(sets).
 
-    ``probe_groups`` accesses a grouped window's lines set by set, each
-    set's group of lines in probe order by one of three rules, for a single
-    cache and for every level of a hierarchy's ``probe``. Untouched: the set
-    holds exactly the group's tags in probe order and nothing is written, so
-    every line hits and the set does not change. Streaming: the group's tags
-    are distinct and none of its first ``ways`` tags is resident, so every
-    line misses (a later tag can only have been resident in an entry that
-    ``ways`` earlier misses pushed out); the set becomes the last ``ways``
-    entries of (old entries, then the group, dirty iff written), and every
-    dirty entry dropped costs one write-back. An empty set is the simplest
-    streaming case. Walk: anything else goes through ``access`` line by
-    line. At a hierarchy level only the lines that missed every level above
-    reach: a group that all its lines reach follows the rules, one that
-    some reach is walked, accessing those alone, and one that none reach
-    keeps its state. At the observed level every line, reaching or not, is
-    looked up in its place just before its turn. Levels share no state,
-    sets are independent and latencies are ints, so this leaves the latency
-    and the state that accessing the lines in probe order leaves.
+    ``probe_groups``, the one set-wise probe, accesses a grouped window's
+    lines set by set, each set's group of lines in probe order by one of
+    three rules, for a single cache and for every level of a hierarchy's
+    ``probe``. Untouched: the set holds exactly the group's tags in probe
+    order and nothing is written, so every line hits and the set does not
+    change. Streaming: the group's tags are distinct and none of its first
+    ``ways`` tags is resident, so every line misses (a later tag can only
+    have been resident in an entry that ``ways`` earlier misses pushed out);
+    the set becomes the last ``ways`` entries of (old entries, then the
+    group, dirty iff written), and every dirty entry dropped costs one
+    write-back. An empty set is the simplest streaming case. Walk: anything
+    else goes through ``access`` line by line. At a hierarchy level only the
+    lines that missed every level above reach: a group that all its lines
+    reach follows the rules, one that some reach is walked, accessing those
+    alone, and one that none reach keeps its state. At the observed level
+    every line, reaching or not, is looked up in its place just before its
+    turn. Levels share no state, sets are independent and latencies are
+    ints, so this leaves the latency and the state that accessing the lines
+    in probe order leaves.
     """
 
     def __init__(self, geometry: CacheGeometry, params: LatencyParams, name: str = ""):
@@ -272,34 +274,6 @@ class CacheState:
                 if cycles == hit_cycles:
                     hits.append(pos)
         return latency
-
-    def probe_sets(self, lines_by_set: dict) -> dict:
-        """Probe whole sets at once: for each set, re-access the given lines
-        (index-relevant addresses) in prime order. Equivalent to sequential
-        ``access`` calls when the absent lines are the least recent, which
-        holds for a prober that owns all resident lines of the set apart from
-        younger foreign installs. Returns {set_idx: latency} and leaves each
-        probed set holding exactly the probed lines. It is not
-        ``probe_groups``: it drops the set's foreign lines before the refill
-        instead of evicting in LRU order as it goes, which matches sequential
-        access only under the precondition above, and the
-        ``haswell-llc-side`` golden digests pin that behaviour."""
-        out = {}
-        for set_idx, addrs in lines_by_set.items():
-            tags = {a >> self._shift for a in addrs}
-            if len(addrs) != self._ways or len(tags) != self._ways:
-                raise ValueError("probe_sets requires exactly one line per way")
-            if any(self.locate(a, a)[0] != set_idx for a in addrs):
-                raise ValueError(f"probe_sets line outside set {set_idx}")
-            ways = self.sets[set_idx]
-            latency = 0
-            for tag in [t for t in ways if t not in tags]:  # displaced by the refill
-                if ways.pop(tag):
-                    latency += self._wb_cycles
-            for a in addrs:
-                latency += self.access(a, a)
-            out[set_idx] = latency
-        return out
 
     def flush(self) -> int:
         """Invalidate everything. Cost is the base cost plus one write-back

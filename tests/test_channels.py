@@ -166,16 +166,28 @@ class TestLlcSideChannel:
         assert np.array_equal(r.recovered_key, r.true_key)
 
     def test_trace_rows_baseline_except_hot(self):
+        # every listed cell is a hot probe of the victim's set, one per
+        # victim touch; every other probe reads the baseline
         r = run_llc_side_channel(HASWELL, spec("llc_side_channel", "raw", seed=48))
-        baseline = r.trace.min()
-        hot_rows = {i for i in range(r.trace.shape[0])
-                    if (r.trace[i] > baseline).any()}
-        assert hot_rows == {r.spy_sets.index(r.hot_set)}
+        assert {s for s, _, _ in r.cells} == {r.hot_set}
+        assert len(r.cells) == len(r.true_key) + 1
+        quanta = [q for _, q, _ in r.cells]
+        assert quanta == sorted(set(quanta)) and quanta[-1] < r.quanta
+        assert all(latency > r.baseline for _, _, latency in r.cells)
+        assert r.hot_set < HASWELL.geometries["llc"].sets and r.spy_sets > 1
 
     def test_protected_trace_flat(self):
         r = run_llc_side_channel(HASWELL, spec("llc_side_channel", "protected",
                                                seed=48))
-        assert float(r.trace.std()) == 0.0
+        assert r.cells == [] and r.spy_sets > 0
+
+    def test_decode_ties_go_to_the_lowest_set_and_short_traces_guess(self):
+        # two sets equally hot: the lower one decodes; gaps 4, 2 are 1, 0
+        cells = [(s, q, 9) for q in (0, 4, 6) for s in (7, 3)] + [(5, 8, 9)]
+        bits, hot_set = channels._decode_trace(cells, 2)
+        assert hot_set == 3 and list(bits) == [1, 0]
+        bits, hot_set = channels._decode_trace(cells, 3)
+        assert hot_set is None and list(bits) == [0, 0, 0]
 
     def test_sabre_llc_is_l2(self):
         r = run_llc_side_channel(SABRE, spec("llc_side_channel", "raw", seed=48))

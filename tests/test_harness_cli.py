@@ -359,7 +359,19 @@ switch_cost_table = false
         prot = report["channels"]["llc_side"]["protected"]
         assert raw["recovery_accuracy"] >= 0.9
         assert abs(prot["recovery_accuracy"] - 0.5) <= 0.05
-        assert (tmp_path / raw["trace_csv"]).exists()
+        # the sparse trace: one hot cell per victim touch, all on the hot
+        # set, each probe missing on every way; nothing when protected
+        llc = HASWELL.latency.params("llc")
+        ways = HASWELL.geometries["llc"].ways
+        assert raw["baseline_latency"] == prot["baseline_latency"] == ways * llc.hit_cycles
+        header, *rows = (tmp_path / raw["trace_csv"]).read_text().splitlines()
+        assert header == "set,quantum,latency"
+        assert len(rows) == cfg.llc_key_bits + 1
+        for row in rows:
+            set_idx, quantum, latency = map(int, row.split(","))
+            assert set_idx == raw["hot_set"] and 0 <= quantum < raw["quanta"]
+            assert latency == ways * llc.miss_cycles == 672
+        assert (tmp_path / prot["trace_csv"]).read_text().splitlines() == [header]
 
 
 # values a config key may plausibly take, keyed by config key; every other

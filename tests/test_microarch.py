@@ -258,7 +258,8 @@ def test_flush_costs_dirty_lines_and_empties_every_set(ops):
         if op == "access":
             c.access(a * 64, a * 64, b)
         else:
-            c.probe_sets({a: [((b + j) * sets + a) * 64 for j in range(ways)]})
+            lines = [((b + j) * sets + a) * 64 for j in range(ways)]
+            c.probe_groups(c.group([(x, x) for x in lines]))
     before = c.snapshot()
     dirty = sum(d for lines in before for _, d in lines)
     assert c.flush() == PARAMS.flush_base_cycles + PARAMS.writeback_cycles_per_line * dirty
@@ -286,22 +287,27 @@ def test_every_profile_cache_flush_costs_base_plus_writebacks(profile, written):
 @given(st.sets(st.integers(0, 7), min_size=1),
        st.lists(st.tuples(st.integers(0, 7), st.integers(0, 5), st.booleans()), max_size=60))
 def test_reprobing_the_missed_set_equals_reprobing_every_set(spy, ops):
-    # the rule the LLC side channel's spy relies on: after a prime, a foreign
-    # access changes a spy set only when it misses there, so re-probing only
-    # that set gives what re-probing every spy set gives
+    # the rule the LLC side channel's sparse trace relies on: after a prime,
+    # a foreign access changes a spy set only when it misses there, so
+    # re-probing only that set gives what re-probing every spy set gives;
+    # in exact LRU that re-probe misses on every line and primes the set again
     sets, ways = 8, 4
-    lines = {s: [(w * sets + s) * 64 for w in range(ways)] for s in sorted(spy)}
     every, missed = small_cache(sets=sets, ways=ways), small_cache(sets=sets, ways=ways)
-    every.probe_sets(lines)
-    missed.probe_sets(lines)
+    spy_sets = {s: every.group([((w * sets + s) * 64,) * 2 for w in range(ways)])
+                for s in sorted(spy)}
+    prime = [group for groups in spy_sets.values() for group in groups]
+    every.probe_groups(prime)
+    missed.probe_groups(prime)
     for set_idx, n, write in ops:
         addr = ((ways + n) * sets + set_idx) * 64  # six foreign lines per set
         latency = missed.access(addr, addr, write)
         assert every.access(addr, addr, write) == latency
-        expected = dict.fromkeys(lines, ways * PARAMS.hit_cycles)
-        if latency != PARAMS.hit_cycles and set_idx in lines:
-            expected.update(missed.probe_sets({set_idx: lines[set_idx]}))
-        assert every.probe_sets(lines) == expected
+        expected = dict.fromkeys(spy_sets, ways * PARAMS.hit_cycles)
+        if latency != PARAMS.hit_cycles and set_idx in spy_sets:
+            expected[set_idx] = missed.probe_groups(spy_sets[set_idx])
+            assert expected[set_idx] == (ways * PARAMS.miss_cycles
+                                         + write * PARAMS.writeback_cycles_per_line)
+        assert {s: every.probe_groups(g) for s, g in spy_sets.items()} == expected
         assert every.snapshot() == missed.snapshot()
 
 
@@ -532,41 +538,6 @@ def test_btb_window_matches_reference_gshare(history_bits, before, branches, dat
         assert p.btb.snapshot() == touched.btb.snapshot() == ref.btb.snapshot()
         assert p.bhb.history == touched.bhb.history == ref.history
         assert list(p.bhb.counters) == list(touched.bhb.counters) == ref.counter_table()
-
-
-class TestProbeSets:
-    def test_probe_equivalent_to_sequential_access(self):
-        # foreign lines installed after the prime are younger than every
-        # resident probe line, the regime probe_sets is specified for
-        ways, sets, line = 4, 8, 64
-        for foreign in (0, 1, 2, 3):
-            a = small_cache(sets=sets, ways=ways)
-            b = small_cache(sets=sets, ways=ways)
-            lines = [(w * sets + 2) * line for w in range(ways)]
-            for c in (a, b):
-                for addr in lines:
-                    c.access(addr, addr)
-                for i in range(foreign):
-                    v = (100 + i) * sets * line + 2 * line
-                    c.access(v, v)
-            seq_lat = sum(a.access(x, x) for x in reversed(lines))
-            got = b.probe_sets({2: list(reversed(lines))})
-            assert got == {2: seq_lat}
-            # each foreign line displaced one probe line, which misses
-            assert seq_lat == foreign * PARAMS.miss_cycles + (ways - foreign) * PARAMS.hit_cycles
-            assert a.snapshot() == b.snapshot()
-
-    def test_probe_requires_full_way_cover(self):
-        c = small_cache(sets=4, ways=4)
-        with pytest.raises(ValueError):
-            c.probe_sets({0: [0, 64]})
-        with pytest.raises(ValueError):  # a repeated line is not a way
-            c.probe_sets({0: [0, 256, 512, 768, 768]})
-
-    def test_probe_rejects_lines_of_another_set(self):
-        c = small_cache(sets=4, ways=4)
-        with pytest.raises(ValueError):
-            c.probe_sets({1: [w * 4 * 64 for w in range(4)]})
 
 
 class TestPredictor:
