@@ -12,14 +12,15 @@ perfbench's own default run length. The parent runs first in odd pairs
 metrics are summarised by median and quartiles, with the bound and better
 direction that the change's BENCHMARK.json gives them. Each run's unscaled
 wall seconds and speed scale, from ``run.py``'s summary line, are recorded
-too and summarised by their medians, ungated. A claimed gain is met
-when the change is better in at least nine tenths of the pairs (ties count
-for neither side), the medians differ, in the better direction, by more than
-the distance between the parent's quartiles, the change fails no more
-operations than the parent, and, with ``--held-out``, the change is also
-better in one more pair on that seed. The output file is rewritten after
-every pair, so an interrupted run keeps what it measured. Nothing under
-either checkout is written except by perfbench itself.
+too, summarised by their medians and, for wall seconds, by the number of
+pairs the change won, ungated. A claimed gain is met when the change is
+better in at least nine tenths of the pairs (ties count for neither side),
+the medians differ, in the better direction, by more than the distance
+between the parent's quartiles, the change fails no more operations than
+the parent, and, with ``--held-out``, the change is also better in one more
+pair on that seed. The output file is rewritten after every pair, so an
+interrupted run keeps what it measured. Nothing under either checkout is
+written except by perfbench itself.
 """
 
 from __future__ import annotations
@@ -118,9 +119,11 @@ def summarise(pairs: list[dict], metrics: dict) -> dict:
 
 
 def summarise_unscaled(pairs: list[dict]) -> dict:
-    """Each side's median unscaled wall seconds and speed scale. They carry no
-    bound: they show whether a gain in scaled seconds is there in host
-    seconds too, since a change can also move the speed scale."""
+    """Each side's median unscaled wall seconds and speed scale, and the
+    number of pairs in which the change took fewer wall seconds (ties and
+    pairs missing a side's value count for neither). They carry no bound:
+    they show whether a gain in scaled seconds is there in host seconds too,
+    since a change can also move the speed scale."""
     summary = {}
     for name in ("wall_s", "speed_scale"):
         medians = {}
@@ -130,6 +133,9 @@ def summarise_unscaled(pairs: list[dict]) -> dict:
         rel = (round(medians["change"] / medians["parent"] - 1, 4)
                if None not in medians.values() else None)
         summary[name] = {**medians, "change_vs_parent": rel}
+    walls = [(p["change"].get("wall_s"), p["parent"].get("wall_s")) for p in pairs]
+    summary["wall_s"]["change_better_pairs"] = sum(
+        better(c, w, "lower") for c, w in walls if None not in (c, w))
     return summary
 
 

@@ -21,12 +21,13 @@ A dataset is validated and grouped by symbol once; an output permutation
 only changes which values each symbol's index array picks, so every shuffle
 reuses the grouping.
 
-The statistics use up to two cores. Each estimate's per-symbol densities are
-shared between the calling thread and one long-lived helper thread, started
-on the first estimate (importing the module starts none), and two
-convolutions run at once. Wall time falls and CPU time rises by about
-15%; the mixture, the MI sum and the order of the permutations are
-computed as before on the calling thread, so every bit is kept.
+The statistics use up to two cores: a bound's shuffles are shared, a whole
+shuffle at a time, between the calling thread and one helper thread started
+by the first bound (importing the module starts none); M stays on the
+calling thread. Permutations are drawn in shuffle order and each MI is
+stored at its shuffle's index, so every bit is kept. Meeting once per
+shuffle, not once per estimate, a haswell-intra-core run took a fifth less
+wall time and 7% less CPU time than with each estimate's densities split.
 """
 
 from __future__ import annotations
@@ -174,7 +175,7 @@ _jobs = None  # the helper thread's job queue, made on first use
 
 def _forget_helper():
     """A forked child has no helper thread: drop the parent's job queue, so
-    that the child's next estimate starts a helper of its own."""
+    that the child's next bound starts a helper of its own."""
     global _jobs
     _jobs = None
 
@@ -187,53 +188,6 @@ def _serve(jobs):
         jobs.get()()
 
 
-def _densities(groups: list, bands: list, lo: float, step: float,
-               points: int) -> list:
-    """Each group's ``_binned_density``, computed on this thread and on the
-    helper thread at once: the convolution's BLAS loop releases the GIL.
-
-    Both threads take symbol indices from one range iterator, whose next()
-    hands out each index once, and store each density by its index. A
-    density is the same pure call whichever thread runs it, so the list has
-    the bits of computing it on one thread. The helper holds ``busy`` while
-    it works on this call; taking it afterwards waits for the density the
-    helper may still be computing. A job the helper takes up only after
-    that finds no index left and does nothing."""
-    global _jobs
-    if _jobs is None:
-        from queue import SimpleQueue
-        _jobs = SimpleQueue()
-        threading.Thread(target=_serve, args=(_jobs,), name="tcsim-stats",
-                         daemon=True).start()
-    dens = [None] * len(groups)
-    todo = iter(range(len(groups)))
-    busy = threading.Lock()
-    errors = []
-
-    def work():
-        for s in todo:
-            dens[s] = _binned_density(groups[s], bands[s], lo, step, points)
-
-    def help_out():
-        with busy:
-            try:
-                work()
-            except BaseException as exc:  # raised on the calling thread below
-                errors.append(exc)
-
-    _jobs.put(help_out)
-    try:
-        work()
-    finally:
-        for _ in todo:  # after an error, leave the helper nothing to take
-            pass
-        with busy:
-            pass
-    if errors:
-        raise errors[0]
-    return dens
-
-
 def _mi_bits(groups: list, out_min: float, out_max: float, grid_points: int,
              eps: float) -> tuple[float, list, float, float]:
     """Unclamped MI of per-symbol output groups whose pooled range is
@@ -244,7 +198,9 @@ def _mi_bits(groups: list, out_min: float, out_max: float, grid_points: int,
     hi = out_max + 3 * h_max
     step = (hi - lo) / (grid_points - 1)
     prior = 1.0 / len(groups)
-    dens = _densities(groups, bands, lo, step, grid_points)
+    dens = np.empty((len(groups), grid_points))
+    for s, (g, h) in enumerate(zip(groups, bands)):
+        dens[s] = _binned_density(g, h, lo, step, grid_points)
     mixture = prior * np.sum(dens, axis=0)
     mi = 0.0
     for f_i in dens:
@@ -278,16 +234,60 @@ def zero_leakage_bound(inputs, outputs, shuffles: int = 100, seed: int = 0, *,
     the MI estimate, and repeat; the bound is mean + 1.645*sd of the trials.
 
     Shuffle k's group for symbol s is ``outputs[perm[index_s]]``: the values,
-    in order, that regrouping ``outputs[perm]`` would give."""
+    in order, that regrouping ``outputs[perm]`` would give.
+
+    This thread and the helper run shuffles at once (the BLAS loops release
+    the GIL). Each takes the next index k and draws its permutation under
+    ``draw``, so draw k is shuffle k, and stores its MI at k. Then, or after
+    an error on either thread, the indices left are drained, and taking
+    ``busy``, which the helper holds while it works on this call, waits for
+    the shuffle it may still be computing; the first error is raised here."""
+    global _jobs
     _, outputs, index = _mi_plan(inputs, outputs)
     out_min, out_max = float(outputs.min()), float(outputs.max())
+    if _jobs is None:
+        from queue import SimpleQueue
+        _jobs = SimpleQueue()
+        threading.Thread(target=_serve, args=(_jobs,), name="tcsim-stats",
+                         daemon=True).start()
     rng = np.random.default_rng(seed)
-    mis = []
-    for _ in range(shuffles):
-        perm = rng.permutation(len(outputs))
-        mi = _mi_bits([outputs[perm[i]] for i in index], out_min, out_max,
-                      grid_points, eps)[0]
-        mis.append(max(mi, 0.0))
+    mis = [0.0] * shuffles
+    todo = iter(range(shuffles))
+    draw, busy, errors = threading.Lock(), threading.Lock(), []
+
+    def work():
+        while True:
+            with draw:
+                k = next(todo, None)
+                if k is None:
+                    return
+                perm = rng.permutation(len(outputs))
+            groups = [outputs[perm[i]] for i in index]
+            del perm
+            mis[k] = max(_mi_bits(groups, out_min, out_max, grid_points, eps)[0], 0.0)
+
+    def drain():
+        with draw:
+            for _ in todo:
+                pass
+
+    def help_out():
+        with busy:
+            try:
+                work()
+            except BaseException as exc:  # raised on the calling thread below
+                errors.append(exc)
+                drain()
+
+    _jobs.put(help_out)
+    try:
+        work()
+    finally:
+        drain()
+        with busy:
+            pass
+    if errors:
+        raise errors[0]
     mean = float(np.mean(mis))
     sd = float(np.std(mis, ddof=1)) if shuffles > 1 else 0.0
     return ZeroLeakageBound(mean + Z_95 * sd, shuffles, tuple(mis), mean, sd, seed)

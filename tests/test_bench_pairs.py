@@ -98,6 +98,15 @@ def test_unscaled_medians_per_side():
         for side in bench_pairs.SIDES:
             p[side].update(wall_s=None, speed_scale=None)
     summary = bench_pairs.summarise_unscaled(ps)
-    assert summary["wall_s"] == {"parent": 3.0, "change": 1.5, "change_vs_parent": -0.5}
+    assert summary["wall_s"] == {"parent": 3.0, "change": 1.5, "change_vs_parent": -0.5,
+                                 "change_better_pairs": 3}
     assert summary["speed_scale"] == {"parent": 0.9, "change": 0.8,
                                       "change_vs_parent": round(0.8 / 0.9 - 1, 4)}
+
+
+def test_unscaled_wall_pairs_won_skip_ties_and_missing_values():
+    ps = pairs(PARENT[:5], FASTER[:5])
+    walls = [(3.0, 2.0), (3.0, 3.5), (3.0, 3.0), (3.0, None), (None, 1.0)]
+    for p, (parent, change) in zip(ps, walls):
+        p["parent"]["wall_s"], p["change"]["wall_s"] = parent, change
+    assert bench_pairs.summarise_unscaled(ps)["wall_s"]["change_better_pairs"] == 1

@@ -316,8 +316,8 @@ def _wait_for_exit(pid: int, timeout: float = 60.0) -> int:
 
 
 class TestHelperThread:
-    """Each MI estimate's densities are computed on the calling thread and
-    one helper thread; the bits must be those of one thread alone."""
+    """A bound's shuffles are run on the calling thread and one helper
+    thread; the bits must be those of one thread alone."""
 
     def test_concurrent_verdicts_equal_serial_ones(self):
         cases = [BOUND_CASES[c] for c in ("int symbols, unequal groups",
@@ -343,32 +343,82 @@ class TestHelperThread:
         assert results == serial
 
     @pytest.mark.parametrize("failing", ["caller", "helper"])
-    def test_density_error_is_raised_and_leaves_no_trace(self, monkeypatch, failing):
+    def test_shuffle_error_is_raised_and_the_other_thread_takes_no_more(
+            self, monkeypatch, failing):
         inputs, outputs = BOUND_CASES["str symbols"]
-        _, outputs, index = stats._mi_plan(inputs, outputs)
-        groups = [outputs[i] for i in index]
+        other = "helper" if failing == "caller" else "caller"
         caller = threading.get_ident()
-        helper_took_one = threading.Event()
-        real = stats._binned_density
+        runs = {"caller": 0, "helper": 0}
+        started_after_error = []
+        failed = threading.Event()
+        real = stats._mi_bits
 
-        def density(samples, *args):
-            on_caller = threading.get_ident() == caller
-            if not on_caller:
-                helper_took_one.set()
-            elif failing == "helper":
-                helper_took_one.wait(30)  # leave the helper a symbol to fail on
-            if on_caller == (failing == "caller"):
+        def mi_bits(*args):
+            side = "caller" if threading.get_ident() == caller else "helper"
+            if side == other:
+                if failed.is_set():
+                    started_after_error.append(runs[side])
+                failed.wait(30)  # leave the failing thread the first shuffles
+            runs[side] += 1
+            if side == failing and runs[side] == 3:
+                failed.set()
                 raise FloatingPointError("injected")
-            return real(samples, *args)
+            return real(*args)
 
-        monkeypatch.setattr(stats, "_binned_density", density)
+        monkeypatch.setattr(stats, "_mi_bits", mi_bits)
         with pytest.raises(FloatingPointError, match="injected"):
-            stats._mi_bits(groups, float(outputs.min()), float(outputs.max()),
-                           4096, 1e-6)
+            zero_leakage_bound(inputs, outputs, shuffles=40, seed=7)
+        after_return = dict(runs)
+        time.sleep(0.2)  # a thread left running would start more shuffles
         monkeypatch.undo()
-        assert estimate_mi(inputs, outputs).value_bits == reference_mi(inputs, outputs)[0]
+        assert runs == after_return
+        assert runs[failing] == 3
+        # the other thread finishes the shuffle it was computing and at most
+        # one that it took before the drain; then it takes no more
+        assert runs[other] <= 2 and len(started_after_error) <= 1
+        if failing == "helper":
+            assert runs[other] >= 1
         b = zero_leakage_bound(inputs, outputs, shuffles=5, seed=7)
         assert b.shuffle_mis == reference_bound(inputs, outputs, shuffles=5, seed=7)[0]
+
+    def test_a_slow_caller_leaves_the_helper_most_shuffles_with_the_same_bits(
+            self, monkeypatch):
+        inputs, outputs = BOUND_CASES["int symbols, unequal groups"]
+        caller = threading.get_ident()
+        drawn = {"caller": [], "helper": []}  # draw numbers each thread took
+        taken = {}  # thread -> the draw number it is computing
+        done = []  # draw numbers in the order their MIs were computed
+        real_rng, real_mi = np.random.default_rng, stats._mi_bits
+
+        class SlowCallerDraws:
+            def __init__(self, seed):
+                self.rng, self.count = real_rng(seed), 0
+
+            def permutation(self, n):
+                on_caller = threading.get_ident() == caller
+                if on_caller:
+                    time.sleep(0.005)
+                drawn["caller" if on_caller else "helper"].append(self.count)
+                taken[threading.get_ident()] = self.count
+                self.count += 1
+                return self.rng.permutation(n)
+
+        def mi_bits(*args):
+            if threading.get_ident() == caller:
+                time.sleep(0.02)
+            out = real_mi(*args)
+            done.append(taken[threading.get_ident()])
+            return out
+
+        monkeypatch.setattr(np.random, "default_rng", SlowCallerDraws)
+        monkeypatch.setattr(stats, "_mi_bits", mi_bits)
+        b = zero_leakage_bound(inputs, outputs, shuffles=30, seed=7)
+        monkeypatch.undo()
+        assert drawn["caller"] and len(drawn["helper"]) > len(drawn["caller"])
+        assert sorted(done) == list(range(30)) and done != sorted(done)
+        ref_mis, ref_bound = reference_bound(inputs, outputs, shuffles=30, seed=7)
+        assert b.shuffle_mis == ref_mis
+        assert b.bound_bits == ref_bound
 
     def test_many_verdicts_start_at_most_one_thread(self):
         before = threading.active_count()
