@@ -83,6 +83,9 @@ class SampleSet:
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
             for row in reader:
+                if None in row or None in row.values():  # a long or short row
+                    raise ValueError(f"line {reader.line_num}: field count differs "
+                                     f"from the header's {len(reader.fieldnames)}")
                 inputs.append(row["input"])
                 outputs.append(float(row["output"]))
         return cls(inputs, np.array(outputs), metadata={"source": str(path)})

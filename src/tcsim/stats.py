@@ -22,18 +22,18 @@ only changes which values each symbol's index array picks, so every shuffle
 reuses the grouping.
 
 The statistics use up to two cores: a bound's shuffles are shared, a whole
-shuffle at a time, between the calling thread and one helper thread started
-by the first bound (importing the module starts none); M stays on the
-calling thread. Permutations are drawn in shuffle order and each MI is
-stored at its shuffle's index, so every bit is kept. Meeting once per
-shuffle, not once per estimate, a haswell-intra-core run took a fifth less
-wall time and 7% less CPU time than with each estimate's densities split.
+shuffle at a time, between the calling thread and a helper thread that the
+bound starts and joins (importing the module starts none, and no thread
+outlives a bound); M stays on the calling thread. Permutations are drawn
+in shuffle order and each MI is stored at its shuffle's index, so every
+bit is kept. Meeting once per shuffle, not once per estimate, a
+haswell-intra-core run took a fifth less wall time and 7% less CPU time
+than with each estimate's densities split.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import threading
 from dataclasses import dataclass, field
 
@@ -170,24 +170,6 @@ def _binned_density(samples: np.ndarray, h: float, lo: float, step: float,
     return dens / (len(samples) * step)
 
 
-_jobs = None  # the helper thread's job queue, made on first use
-
-
-def _forget_helper():
-    """A forked child has no helper thread: drop the parent's job queue, so
-    that the child's next bound starts a helper of its own."""
-    global _jobs
-    _jobs = None
-
-
-os.register_at_fork(after_in_child=_forget_helper)
-
-
-def _serve(jobs):
-    while True:
-        jobs.get()()
-
-
 def _mi_bits(groups: list, out_min: float, out_max: float, grid_points: int,
              eps: float) -> tuple[float, list, float, float]:
     """Unclamped MI of per-symbol output groups whose pooled range is
@@ -236,24 +218,18 @@ def zero_leakage_bound(inputs, outputs, shuffles: int = 100, seed: int = 0, *,
     Shuffle k's group for symbol s is ``outputs[perm[index_s]]``: the values,
     in order, that regrouping ``outputs[perm]`` would give.
 
-    This thread and the helper run shuffles at once (the BLAS loops release
-    the GIL). Each takes the next index k and draws its permutation under
-    ``draw``, so draw k is shuffle k, and stores its MI at k. Then, or after
-    an error on either thread, the indices left are drained, and taking
-    ``busy``, which the helper holds while it works on this call, waits for
-    the shuffle it may still be computing; the first error is raised here."""
-    global _jobs
+    This thread and a helper thread started for this call run shuffles at
+    once (the BLAS loops release the GIL), so concurrent bounds each get a
+    helper of their own. Each thread takes the next index k and draws its
+    permutation under ``draw``, so draw k is shuffle k, and stores its MI at
+    k. Then, or after an error on either thread, the indices left are
+    drained and the helper is joined; the first error is raised here."""
     _, outputs, index = _mi_plan(inputs, outputs)
     out_min, out_max = float(outputs.min()), float(outputs.max())
-    if _jobs is None:
-        from queue import SimpleQueue
-        _jobs = SimpleQueue()
-        threading.Thread(target=_serve, args=(_jobs,), name="tcsim-stats",
-                         daemon=True).start()
     rng = np.random.default_rng(seed)
     mis = [0.0] * shuffles
     todo = iter(range(shuffles))
-    draw, busy, errors = threading.Lock(), threading.Lock(), []
+    draw, errors = threading.Lock(), []
 
     def work():
         while True:
@@ -272,20 +248,19 @@ def zero_leakage_bound(inputs, outputs, shuffles: int = 100, seed: int = 0, *,
                 pass
 
     def help_out():
-        with busy:
-            try:
-                work()
-            except BaseException as exc:  # raised on the calling thread below
-                errors.append(exc)
-                drain()
+        try:
+            work()
+        except BaseException as exc:  # raised on the calling thread below
+            errors.append(exc)
+            drain()
 
-    _jobs.put(help_out)
+    helper = threading.Thread(target=help_out, name="tcsim-stats", daemon=True)
+    helper.start()
     try:
         work()
     finally:
         drain()
-        with busy:
-            pass
+        helper.join()
     if errors:
         raise errors[0]
     mean = float(np.mean(mis))

@@ -257,6 +257,7 @@ class TestCli:
                                       "analyze zero grid points",
                                       "analyze one grid point",
                                       "analyze negative seed",
+                                      "analyze short row", "analyze long row",
                                       "config is a directory", "config not utf-8",
                                       "run out is a file", "run out under a file",
                                       "analyze out is a directory",
@@ -316,7 +317,11 @@ class TestCli:
             good = "iteration,input,output\n0,a,1.0\n1,a,2.0\n2,b,3.0\n3,b,5.0\n"
             rows = {"analyze one symbol": "iteration,input,output\n0,a,1.0\n1,a,2.0\n",
                     "analyze missing column": "iteration,output\n0,1.0\n1,2.0\n",
-                    "analyze bad output": "iteration,input,output\n0,a,1.0\n1,b,x\n"}
+                    "analyze bad output": "iteration,input,output\n0,a,1.0\n1,b,x\n",
+                    "analyze short row": "iteration,input,output\n0,a,1.0\n1,b\n"
+                                         "2,a,3.0\n3,b,4.0\n",
+                    "analyze long row": "iteration,input,output\n0,a,1.0,9\n"
+                                        "1,a,2.0\n2,b,3.0\n3,b,5.0\n"}
             flags = {"analyze zero shuffles": ["--shuffles", "0"],
                      "analyze one shuffle": ["--shuffles", "1"],
                      "analyze zero grid points": ["--grid-points", "0"],
@@ -331,6 +336,8 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("config error: ")
         assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+        if case.endswith(" row"):
+            assert ("line 3" if case == "analyze short row" else "line 2") in captured.err
         assert not out.exists()  # nothing written, or what was written removed
         assert existing.read_text() == "keep\n"
         # no staging directory left beside the output

@@ -315,9 +315,16 @@ def _wait_for_exit(pid: int, timeout: float = 60.0) -> int:
     raise AssertionError(f"child {pid} did not exit within {timeout} s")
 
 
+def _assert_no_helper_left(threads_before):
+    """No helper thread outlives the bound that started it."""
+    assert threading.active_count() == threads_before
+    assert not [t for t in threading.enumerate() if t.name == "tcsim-stats"]
+
+
 class TestHelperThread:
     """A bound's shuffles are run on the calling thread and one helper
-    thread; the bits must be those of one thread alone."""
+    thread, started and joined by the bound; the bits must be those of one
+    thread alone."""
 
     def test_concurrent_verdicts_equal_serial_ones(self):
         cases = [BOUND_CASES[c] for c in ("int symbols, unequal groups",
@@ -365,10 +372,12 @@ class TestHelperThread:
                 raise FloatingPointError("injected")
             return real(*args)
 
+        threads_before = threading.active_count()
         monkeypatch.setattr(stats, "_mi_bits", mi_bits)
         with pytest.raises(FloatingPointError, match="injected"):
             zero_leakage_bound(inputs, outputs, shuffles=40, seed=7)
         after_return = dict(runs)
+        _assert_no_helper_left(threads_before)
         time.sleep(0.2)  # a thread left running would start more shuffles
         monkeypatch.undo()
         assert runs == after_return
@@ -420,14 +429,14 @@ class TestHelperThread:
         assert b.shuffle_mis == ref_mis
         assert b.bound_bits == ref_bound
 
-    def test_many_verdicts_start_at_most_one_thread(self):
+    def test_no_helper_thread_outlives_a_bound(self):
         before = threading.active_count()
         inputs, outputs = BOUND_CASES["ties"]
         for seed in range(20):
             leak_verdict(inputs, outputs, shuffles=3, seed=seed)
-        assert threading.active_count() <= before + 1
+        _assert_no_helper_left(before)
 
-    def test_forked_child_gets_its_own_helper(self):
+    def test_forked_child_verdict_has_the_parents_bits_and_leaves_one_thread(self):
         inputs, outputs = BOUND_CASES["int symbols, unequal groups"]
         parent = _bits(leak_verdict(inputs, outputs, shuffles=10, seed=5))
         read, write = os.pipe()
@@ -448,7 +457,7 @@ class TestHelperThread:
         assert _wait_for_exit(pid) == 0
         bits, threads = ast.literal_eval(text)
         assert bits == parent
-        assert threads == 2  # the child's main thread and a new helper
+        assert threads == 1  # the child's main thread; its helper was joined
 
 
 # Signed zeros are left out: -0.0 and 0.0 tie in a sort, so which one a
