@@ -83,7 +83,8 @@ class SampleSet:
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
             for row in reader:
-                if None in row or None in row.values():  # a long or short row
+                # DictReader keys a long row's extras, and fills a short row, with None
+                if None in row or None in row.values():
                     raise ValueError(f"line {reader.line_num}: field count differs "
                                      f"from the header's {len(reader.fieldnames)}")
                 inputs.append(row["input"])

@@ -436,7 +436,7 @@ class TestHelperThread:
             leak_verdict(inputs, outputs, shuffles=3, seed=seed)
         _assert_no_helper_left(before)
 
-    def test_forked_child_verdict_has_the_parents_bits_and_leaves_one_thread(self):
+    def test_forked_child_verdict_has_parent_bits_and_leaves_one_thread(self):
         inputs, outputs = BOUND_CASES["int symbols, unequal groups"]
         parent = _bits(leak_verdict(inputs, outputs, shuffles=10, seed=5))
         read, write = os.pipe()
