@@ -18,7 +18,8 @@ better in at least nine tenths of the pairs (ties count for neither side),
 the medians differ, in the better direction, by more than the distance
 between the parent's quartiles, the change fails no more operations than
 the parent, and, with ``--held-out``, the change is also better in one more
-pair on that seed. The output file is rewritten after every pair, so an
+pair on that seed. The same rule on unscaled wall seconds is recorded
+beside it as ``claim.unscaled``, ungated. The output file is rewritten after every pair, so an
 interrupted run keeps what it measured. Nothing under either checkout is
 written except by perfbench itself.
 """
@@ -139,29 +140,55 @@ def summarise_unscaled(pairs: list[dict]) -> dict:
     return summary
 
 
-def claim_verdict(pairs: list[dict], metric: str, direction: str,
-                  held: dict | None = None) -> dict:
-    """The claim rule: nine tenths of the pairs won, a median difference
-    beyond the parent's interquartile range, no more failed operations than
-    the parent, and the held-out pair ``held``, if any, won too."""
+def pair_rule(pairs: list[dict], metric: str, direction: str) -> tuple[dict, bool]:
+    """Pairs won, median difference and the parent's interquartile range of
+    ``metric``, and whether nine tenths of the pairs were won and the
+    medians differ, in the better direction, by more than that range."""
     parent = [p["parent"][metric] for p in pairs]
     change = [p["change"][metric] for p in pairs]
     wins = sum(better(c, p, direction) for c, p in zip(change, parent))
     q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
     diff = statistics.median(change) - statistics.median(parent)
     gain = -diff if direction == "lower" else diff
+    return ({"change_better_pairs": wins, "pairs": len(pairs),
+             "median_difference": round(diff, 4), "parent_iqr": round(q3 - q1, 4)},
+            wins >= math.ceil(0.9 * len(pairs)) and gain > q3 - q1)
+
+
+def claim_verdict(pairs: list[dict], metric: str, direction: str,
+                  held: dict | None = None) -> dict:
+    """The claim rule: nine tenths of the pairs won, a median difference
+    beyond the parent's interquartile range, no more failed operations than
+    the parent, and the held-out pair ``held``, if any, won too."""
+    verdict, met = pair_rule(pairs, metric, direction)
     runs = pairs + ([held] if held else [])
-    failed = {side: sum(p[side]["failed"] for p in runs) for side in SIDES}
-    met = (wins >= math.ceil(0.9 * len(pairs)) and gain > q3 - q1
-           and failed["change"] <= failed["parent"])
-    verdict = {"change_better_pairs": wins, "pairs": len(pairs),
-               "median_difference": round(diff, 4), "parent_iqr": round(q3 - q1, 4),
-               "failed": failed}
+    failed = verdict["failed"] = {side: sum(p[side]["failed"] for p in runs)
+                                  for side in SIDES}
+    met = met and failed["change"] <= failed["parent"]
     if held is not None:
         held["change_better"] = better(held["change"][metric], held["parent"][metric],
                                        direction)
         verdict["held_out_seed"] = held
         met = met and held["change_better"]
+    return {**verdict, "met": met}
+
+
+def unscaled_verdict(pairs: list[dict], held: dict | None = None) -> dict | None:
+    """The claim rule applied to unscaled wall seconds, over the pairs in
+    which both sides report them; None below two such pairs. It carries no
+    gate: it shows whether a claimed gain holds in host seconds, since a
+    change can also move the speed scale."""
+    def has_wall(pair):
+        return all(pair[side].get("wall_s") is not None for side in SIDES)
+
+    kept = [p for p in pairs if has_wall(p)]
+    if len(kept) < 2:
+        return None
+    verdict, met = pair_rule(kept, "wall_s", "lower")
+    if held is not None and has_wall(held):
+        verdict["held_out_change_better"] = better(
+            held["change"]["wall_s"], held["parent"]["wall_s"], "lower")
+        met = met and verdict["held_out_change_better"]
     return {**verdict, "met": met}
 
 
@@ -228,9 +255,10 @@ def main(argv=None) -> int:
         held = None
         if args.held_out is not None:
             held = run_pair(dirs, workload, args.held_out, True)
-        verdict = claim_verdict(record["workloads"][workload]["pairs"], metric,
-                                metrics[metric]["better"], held)
-        record["claim"] = {"workload": workload, "metric": metric, **verdict}
+        pairs = record["workloads"][workload]["pairs"]
+        verdict = claim_verdict(pairs, metric, metrics[metric]["better"], held)
+        record["claim"] = {"workload": workload, "metric": metric, **verdict,
+                           "unscaled": unscaled_verdict(pairs, held)}
         save()
     return 0
 

@@ -79,16 +79,25 @@ class SampleSet:
 
     @classmethod
     def from_csv(cls, path) -> "SampleSet":
+        """Samples from a CSV whose header names ``input`` and ``output`` (in
+        any order, the last of a repeated name counting). Every row has the
+        header's field count; blank lines are skipped. Rows are read one at a
+        time."""
         inputs, outputs = [], []
         with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            column = {name: i for i, name in enumerate(header)}
+            at_input, at_output = column["input"], column["output"]
+            width = len(header)
             for row in reader:
-                # DictReader keys a long row's extras, and fills a short row, with None
-                if None in row or None in row.values():
+                if len(row) != width:
+                    if not row:
+                        continue
                     raise ValueError(f"line {reader.line_num}: field count differs "
-                                     f"from the header's {len(reader.fieldnames)}")
-                inputs.append(row["input"])
-                outputs.append(float(row["output"]))
+                                     f"from the header's {width}")
+                inputs.append(row[at_input])
+                outputs.append(float(row[at_output]))
         return cls(inputs, np.array(outputs), metadata={"source": str(path)})
 
 

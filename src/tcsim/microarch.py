@@ -101,6 +101,19 @@ class LatencyModel:
         return self.overrides.get(resource, self.default)
 
 
+def _cascades(ways: dict[int, bool], head: list[int], nways: int) -> bool:
+    """Whether each resident tag ``head[i]`` of a distinct group sits at an
+    LRU rank below ``len(ways) - nways + i``, so that the misses before its
+    turn evict it: then every line of the group misses."""
+    rank = {tag: r for r, tag in enumerate(ways)}
+    bar = len(ways) - nways
+    for i, tag in enumerate(head):
+        r = rank.get(tag)
+        if r is not None and r >= bar + i:
+            return False
+    return True
+
+
 class CacheState:
     """One set-associative resource: one insertion-ordered dict per set,
     mapping tag to dirty bit, with the LRU line first and the MRU line last.
@@ -118,18 +131,22 @@ class CacheState:
     order and nothing is written, so every line hits and the set does not
     change. Streaming: the group's tags are distinct and none of its first
     ``ways`` tags is resident, so every line misses (a later tag can only
-    have been resident in an entry that ``ways`` earlier misses pushed out);
-    the set becomes the last ``ways`` entries of (old entries, then the
-    group, dirty iff written), and every dirty entry dropped costs one
-    write-back. An empty set is the simplest streaming case. Walk: anything
-    else goes through ``access`` line by line. At a hierarchy level only the
-    lines that missed every level above reach: a group that all its lines
-    reach follows the rules, one that some reach is walked, accessing those
-    alone, and one that none reach keeps its state. At the observed level
-    every line, reaching or not, is looked up in its place just before its
-    turn. Levels share no state, sets are independent and latencies are
-    ints, so this leaves the latency and the state that accessing the lines
-    in probe order leaves.
+    have been resident in an entry that ``ways`` earlier misses pushed out).
+    In a single cache's window a resident one may cascade out first: each
+    miss evicts the LRU entry, so tag ``i`` (from 0) misses if it sits at an
+    LRU rank (from 0) below ``len(set) - ways + i``, and when each resident
+    one does, the group streams too. The set becomes the last ``ways``
+    entries of (old entries, then the group, dirty iff written), a resident
+    group tag being among the old entries dropped, and every dirty entry
+    dropped costs one write-back. An empty set is the simplest streaming
+    case. Walk: anything else goes through ``access`` line by line. At a
+    hierarchy level only the lines that missed every level above reach: a
+    group that all its lines reach follows the rules, one that some reach
+    is walked, accessing those alone, and one that none reach keeps its
+    state. At the observed level every line, reaching or not, is looked up
+    in its place just before its turn. Levels share no state, sets are
+    independent and latencies are ints, so this leaves the latency and the
+    state that accessing the lines in probe order leaves.
     """
 
     def __init__(self, geometry: CacheGeometry, params: LatencyParams, name: str = ""):
@@ -225,7 +242,9 @@ class CacheState:
                     hits.extend(positions)
                 continue
             else:
-                streaming = distinct and ways.keys().isdisjoint(tags if n <= nways else tags[:nways])
+                head = tags if n <= nways else tags[:nways]
+                streaming = distinct and (ways.keys().isdisjoint(head) or
+                                          hits is None and _cascades(ways, head, nways))
             if streaming:
                 latency += n * miss
                 if not ways:

@@ -33,6 +33,7 @@ than with each estimate's densities split.
 
 from __future__ import annotations
 
+import contextvars
 import math
 import threading
 from dataclasses import dataclass, field
@@ -133,6 +134,20 @@ def _mi_plan(inputs, outputs):
     return symbols, outputs, index
 
 
+# The plan ``leak_verdict`` built, with the very inputs and outputs objects
+# it was built from; per thread and context, set only while a verdict runs.
+_verdict_plan = contextvars.ContextVar("tcsim_verdict_plan", default=None)
+
+
+def _planned(inputs, outputs):
+    """``_mi_plan(inputs, outputs)``, taken from the running verdict when it
+    was built from these same objects."""
+    shared = _verdict_plan.get()
+    if shared is not None and shared[0] is inputs and shared[1] is outputs:
+        return shared[2]
+    return _mi_plan(inputs, outputs)
+
+
 def _cache_aligned(values: np.ndarray) -> np.ndarray:
     """A float64 copy of ``values`` whose data starts on a 64-byte boundary."""
     buf = np.empty(len(values) + 8)
@@ -201,7 +216,7 @@ def estimate_mi(inputs, outputs, *, grid_points: int = 4096,
     with negligible density are skipped; the ratio f_i/f is bounded above by
     the inverse prior, so the integrand is well conditioned.
     """
-    symbols, outputs, index = _mi_plan(inputs, outputs)
+    symbols, outputs, index = _planned(inputs, outputs)
     mi, bands, lo, hi = _mi_bits([outputs[i] for i in index],
                                  float(outputs.min()), float(outputs.max()),
                                  grid_points, eps)
@@ -224,7 +239,7 @@ def zero_leakage_bound(inputs, outputs, shuffles: int = 100, seed: int = 0, *,
     permutation under ``draw``, so draw k is shuffle k, and stores its MI at
     k. Then, or after an error on either thread, the indices left are
     drained and the helper is joined; the first error is raised here."""
-    _, outputs, index = _mi_plan(inputs, outputs)
+    _, outputs, index = _planned(inputs, outputs)
     out_min, out_max = float(outputs.min()), float(outputs.max())
     rng = np.random.default_rng(seed)
     mis = [0.0] * shuffles
@@ -270,9 +285,16 @@ def zero_leakage_bound(inputs, outputs, shuffles: int = 100, seed: int = 0, *,
 
 def leak_verdict(inputs, outputs, shuffles: int = 100, seed: int = 0, *,
                  grid_points: int = 4096, eps: float = 1e-6) -> LeakVerdict:
-    m = estimate_mi(inputs, outputs, grid_points=grid_points, eps=eps)
-    m0 = zero_leakage_bound(inputs, outputs, shuffles, seed,
-                            grid_points=grid_points, eps=eps)
+    """M against M0 on one dataset, validated and indexed by symbol once:
+    ``estimate_mi`` and ``zero_leakage_bound`` give what they give when
+    called alone, and take the shared plan from ``_planned``."""
+    token = _verdict_plan.set((inputs, outputs, _mi_plan(inputs, outputs)))
+    try:
+        m = estimate_mi(inputs, outputs, grid_points=grid_points, eps=eps)
+        m0 = zero_leakage_bound(inputs, outputs, shuffles, seed,
+                                grid_points=grid_points, eps=eps)
+    finally:
+        _verdict_plan.reset(token)
     return LeakVerdict(m.value_bits > m0.bound_bits, m, m0)
 
 

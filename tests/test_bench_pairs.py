@@ -110,3 +110,23 @@ def test_unscaled_wall_pairs_won_skip_ties_and_missing_values():
     for p, (parent, change) in zip(ps, walls):
         p["parent"]["wall_s"], p["change"]["wall_s"] = parent, change
     assert bench_pairs.summarise_unscaled(ps)["wall_s"]["change_better_pairs"] == 1
+
+
+def test_unscaled_claim_rule_skips_missing_walls_and_reads_the_held_out_pair():
+    ps = pairs(PARENT, FASTER)
+    for p, wall in zip(ps, PARENT):
+        p["parent"]["wall_s"], p["change"]["wall_s"] = wall * 1.2, wall * 1.2 - 0.2
+    ps[9]["change"]["wall_s"] = None  # a run without its summary line
+    held = {"seed": 12, "parent": {**run(1.40), "wall_s": 1.70},
+            "change": {**run(1.20), "wall_s": 1.75}}
+    v = bench_pairs.unscaled_verdict(ps, held)
+    assert v["pairs"] == 9 and v["change_better_pairs"] == 9
+    assert v["median_difference"] == -0.2
+    parent_walls = sorted(w * 1.2 for w in PARENT[:9])
+    assert v["parent_iqr"] == round(parent_walls[6] - parent_walls[2], 4)
+    assert v["held_out_change_better"] is False and not v["met"]
+    held["change"]["wall_s"] = 1.50
+    assert bench_pairs.unscaled_verdict(ps, held)["met"]
+    # the scaled claim is decided without it
+    assert bench_pairs.claim_verdict(ps, "run_s", "lower", held)["met"]
+    assert bench_pairs.unscaled_verdict(ps[:1]) is None

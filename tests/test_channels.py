@@ -231,6 +231,40 @@ class TestReproducibilityAndNoise:
         assert back.inputs == ss.inputs
         assert np.array_equal(back.outputs, ss.outputs)
 
+    def test_csv_round_trip_keeps_every_float_bit(self, tmp_path):
+        noisy = np.random.default_rng(5).normal(300.0, 7.0, 40)
+        outputs = np.concatenate([[5e-324, 1.7976931348623157e308, -0.0, 0.0], noisy])
+        ss = SampleSet([str(i % 3) for i in range(len(outputs))], outputs)
+        path = tmp_path / "samples.csv"
+        ss.to_csv(path)
+        back = SampleSet.from_csv(path)
+        assert back.inputs == ss.inputs
+        assert back.outputs.tobytes() == ss.outputs.tobytes()
+
+    def test_csv_blank_lines_and_column_order(self, tmp_path):
+        plain = tmp_path / "plain.csv"
+        plain.write_text("iteration,input,output\n0,a,1.5\n1,b,2.25\n2,a,-3e-7\n")
+        blank = tmp_path / "blank.csv"
+        blank.write_text("iteration,input,output\n\n0,a,1.5\n1,b,2.25\n\n\n2,a,-3e-7\n\n")
+        reordered = tmp_path / "reordered.csv"
+        reordered.write_text("output,input,iteration\n1.5,a,0\n2.25,b,1\n-3e-7,a,2\n")
+        want = SampleSet.from_csv(plain)
+        assert want.inputs == ["a", "b", "a"]
+        for path in (blank, reordered):
+            got = SampleSet.from_csv(path)
+            assert got.inputs == want.inputs
+            assert got.outputs.tobytes() == want.outputs.tobytes()
+
+    def test_csv_rows_must_have_the_headers_field_count(self, tmp_path):
+        path = tmp_path / "samples.csv"
+        for text, line in (("input,output\n\na,1.0\nb\n", 4),
+                           ("input,output\na,1.0,2.0\n", 2),
+                           ("input,output\na,1.0\n \n", 3)):  # a space is a field
+            path.write_text(text)
+            with pytest.raises(ValueError, match=f"^line {line}: field count differs "
+                                                 "from the header's 2$"):
+                SampleSet.from_csv(path)
+
     def test_run_channel_dispatch(self):
         ss = run_channel(HASWELL, spec("tlb", "raw", iterations=30))
         assert ss.metadata["resource"] == "tlb"

@@ -175,6 +175,28 @@ class TestCli:
         record = json.loads(capsys.readouterr().out)
         assert math.isfinite(record["m_bits"]) and record["m_bits"] >= 0
 
+    def test_analyze_skips_blank_lines_and_takes_columns_in_any_order(self, tmp_path,
+                                                                      capsys):
+        rng = np.random.default_rng(3)
+        rows = [(i, "ab"[i % 2], repr(100.0 + 5.0 * (i % 2) + rng.normal()))
+                for i in range(60)]
+        texts = {
+            "plain": ["iteration,input,output"] + [f"{i},{s},{o}" for i, s, o in rows],
+            # blank lines at the start, between rows and at the end
+            "blank": ["iteration,input,output", ""]
+            + [f"{i},{s},{o}" + "\n" * (i % 3 == 0) for i, s, o in rows] + [""],
+            "reordered": ["output,input,iteration"] + [f"{o},{s},{i}" for i, s, o in rows],
+        }
+        records = {}
+        for name, lines in texts.items():
+            path = tmp_path / f"{name}.csv"
+            path.write_text("\n".join(lines) + "\n")
+            assert main(["analyze", str(path), "--shuffles", "20"]) == 0
+            record = json.loads(capsys.readouterr().out)
+            assert record.pop("source") == str(path)
+            records[name] = record
+        assert records["blank"] == records["plain"] == records["reordered"]
+
     def test_switch_cost_verb(self, capsys):
         assert main(["switch-cost", "haswell", "protected"]) == 0
         out = capsys.readouterr().out
@@ -258,6 +280,7 @@ class TestCli:
                                       "analyze one grid point",
                                       "analyze negative seed",
                                       "analyze short row", "analyze long row",
+                                      "analyze empty file", "analyze header only",
                                       "config is a directory", "config not utf-8",
                                       "run out is a file", "run out under a file",
                                       "analyze out is a directory",
@@ -321,7 +344,9 @@ class TestCli:
                     "analyze short row": "iteration,input,output\n0,a,1.0\n1,b\n"
                                          "2,a,3.0\n3,b,4.0\n",
                     "analyze long row": "iteration,input,output\n0,a,1.0,9\n"
-                                        "1,a,2.0\n2,b,3.0\n3,b,5.0\n"}
+                                        "1,a,2.0\n2,b,3.0\n3,b,5.0\n",
+                    "analyze empty file": "",
+                    "analyze header only": "iteration,input,output\n"}
             flags = {"analyze zero shuffles": ["--shuffles", "0"],
                      "analyze one shuffle": ["--shuffles", "1"],
                      "analyze zero grid points": ["--grid-points", "0"],

@@ -386,16 +386,20 @@ class TestStreaming:
     # every case probes one set of a twin cache line by line too, and the
     # probed cache's ``access`` fails if called, so the set must stream
 
-    def probe_both(self, ways, before, tags, write):
+    def probe_both(self, ways, before, tags, write, level=True):
+        # ``level``: probe as a hierarchy level does, collecting hits and
+        # missing lines; else as a single cache's window
         c, seq = (small_cache(sets=4, ways=ways) for _ in range(2))
         for tag, w in before:
             c.access(tag * 64, tag * 64, w)
             seq.access(tag * 64, tag * 64, w)
         want = sum(seq.access(t * 64, t * 64, write) for t in tags)
         c.access = no_walk
-        positions, hits, missing = list(range(len(tags))), [], []
+        positions = list(range(len(tags)))
+        hits, missing = ([], []) if level else (None, None)
         assert c.probe_groups([(0, tags, True, positions)], write, hits, None, missing) == want
-        assert hits == [] and missing == positions
+        if level:
+            assert hits == [] and missing == positions
         assert c.snapshot() == seq.snapshot()
         assert c._occupied == occupied_sets(c) == seq._occupied
         return want, c.snapshot()[0]
@@ -419,6 +423,25 @@ class TestStreaming:
         assert latency == 4 * PARAMS.miss_cycles + 3 * PARAMS.writeback_cycles_per_line
         assert final == [(12, True), (16, True)]
 
+    def test_resident_head_tags_cascade_out(self):
+        # a full set, LRU first: 4, 8 (dirty), 12, 16. Line 4 (rank 0) is the
+        # group's second tag and line 8 (rank 1) its third: the miss before
+        # each pushes it out, so every line misses
+        before = [(4, False), (8, True), (12, False), (16, False)]
+        latency, final = self.probe_both(4, before, [20, 4, 8, 24], False, level=False)
+        assert latency == 4 * PARAMS.miss_cycles + PARAMS.writeback_cycles_per_line
+        assert final == [(20, False), (4, False), (8, False), (24, False)]
+
+    def test_resident_tag_reached_in_time_walks(self):
+        # line 8 sits at rank 1, the group's second tag: one miss pushes out
+        # only line 4, so line 8 hits and the set must be walked
+        c = small_cache(sets=4, ways=4)
+        for tag in (4, 8, 12, 16):
+            c.access(tag * 64, tag * 64)
+        c.access = no_walk
+        with pytest.raises(AssertionError, match="walked"):
+            c.probe_groups([(0, [20, 8, 24, 28], True, [0, 1, 2, 3])])
+
     def test_resident_head_or_repeats_walk(self):
         c = small_cache(sets=4, ways=2)
         c.access(4 * 64, 4 * 64)
@@ -426,6 +449,52 @@ class TestStreaming:
         for tags, distinct in (([0, 4], True), ([8, 8], False)):
             with pytest.raises(AssertionError, match="walked"):
                 c.probe_groups([(0, tags, distinct, [0, 1])])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(WINDOW_SHAPES), st.data())
+def test_cascade_shaped_sets_match_sequential_access(shape, data):
+    # the prime&probe thrash: a window of about ``ways`` lines per set
+    # primes its sets, then foreign fills, re-touches of some window lines
+    # and writes reshape them before the next probe, so resident window
+    # lines sit at every LRU rank. Latency and state must equal the per-line
+    # ``access`` loop, and a set whose lines all miss there must stream,
+    # calling ``access`` for none of them.
+    sets, ways = shape
+    n_ways = data.draw(st.integers(max(1, ways - 1), ways + 1))
+    n_sets = data.draw(st.integers(1, sets))
+    window = [w * sets + s for w in range(n_ways) for s in range(n_sets)]
+    foreign = st.builds(lambda k, s: k * sets + s,
+                        st.integers(n_ways, n_ways + 2 * ways), st.integers(0, n_sets - 1))
+    ops = data.draw(st.lists(st.one_of(
+        st.tuples(st.just("probe"), st.just(0), st.booleans()),
+        st.tuples(st.just("fill"), foreign, st.booleans()),
+        st.tuples(st.just("retouch"), st.sampled_from(window), st.booleans())),
+        min_size=1, max_size=20))
+    grouped, sequential = (small_cache(sets, ways) for _ in range(2))
+    groups = grouped.group([(line * 64, line * 64) for line in window])
+    walked = []
+    access = grouped.access
+
+    def tracked(vaddr, paddr, write=False):
+        walked.append(grouped.locate(vaddr, paddr)[0])
+        return access(vaddr, paddr, write)
+
+    for op, line, write in [("probe", 0, data.draw(st.booleans()))] + ops:
+        if op == "probe":
+            latencies = [sequential.access(x * 64, x * 64, write) for x in window]
+            walked.clear()
+            grouped.access = tracked
+            assert grouped.probe_groups(groups, write) == sum(latencies)
+            del grouped.access
+            all_missed = {s for s, _, _, positions in groups
+                          if all(latencies[p] != PARAMS.hit_cycles for p in positions)}
+            assert all_missed.isdisjoint(walked)
+        else:
+            assert grouped.access(line * 64, line * 64, write) == \
+                sequential.access(line * 64, line * 64, write)
+        assert grouped.snapshot() == sequential.snapshot()
+        assert grouped._occupied == occupied_sets(grouped) == sequential._occupied
 
 
 # scaled-down platforms, 64-byte lines and 512-byte pages: (sets, ways,

@@ -243,6 +243,42 @@ class TestZeroLeakageBound:
         assert not v.leak
 
 
+class TestSharedPlan:
+    """A verdict validates and indexes its dataset by symbol once, and M and
+    M0 read that plan: each must equal what it is when computed alone."""
+
+    @pytest.mark.parametrize("symbols", [2, 4, 16])
+    def test_verdict_equals_separate_calls(self, symbols):
+        rng = np.random.default_rng(symbols)
+        codes = rng.integers(0, symbols, 40 * symbols)
+        inputs = [str(c) for c in codes]  # as read from a samples CSV
+        outputs = 300.0 + 4.0 * (codes % 3) + rng.normal(0.0, 2.0, len(codes))
+        v = leak_verdict(inputs, outputs, shuffles=20, seed=11, grid_points=1024)
+        assert v.m == estimate_mi(inputs, outputs, grid_points=1024)
+        assert v.m0 == zero_leakage_bound(inputs, outputs, 20, 11, grid_points=1024)
+        assert v.leak == (v.m.value_bits > v.m0.bound_bits)
+
+    def test_one_plan_per_verdict_and_only_for_its_dataset(self, monkeypatch):
+        inputs, outputs = gaussian_mixture_dataset(2, 1.0, 200, seed=6)
+        other = gaussian_mixture_dataset(3, 2.0, 150, seed=9)
+        alone = estimate_mi(*other)
+        plans, nested = [], []
+        real_plan = stats._mi_plan
+        monkeypatch.setattr(stats, "_mi_plan",
+                            lambda *a: plans.append(1) or real_plan(*a))
+
+        def estimate(*a, **k):  # an estimate of another dataset inside the verdict
+            nested.append(estimate_mi(*other))
+            return estimate_mi(*a, **k)
+
+        monkeypatch.setattr(stats, "estimate_mi", estimate)
+        leak_verdict(inputs, outputs, shuffles=10, seed=1)
+        assert len(plans) == 2  # the verdict's own, and the other dataset's
+        assert nested == [alone]
+        estimate_mi(inputs, outputs)  # outside a verdict a call plans alone
+        assert len(plans) == 3
+
+
 def _bound_cases() -> dict:
     """Datasets for the bit-equality checks against the regrouping reference."""
     rng = np.random.default_rng(4242)
