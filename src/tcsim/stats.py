@@ -19,7 +19,7 @@ arithmetic on the same values, so the densities keep their bits.
 
 A dataset is validated and grouped by symbol once; an output permutation
 only changes which values each symbol's index array picks, so every shuffle
-reuses the grouping.
+reuses the grouping, and a verdict hands it to both M and the bound.
 
 The statistics use up to two cores: a bound's shuffles are shared, a whole
 shuffle at a time, between the calling thread and a helper thread that the
