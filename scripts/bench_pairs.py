@@ -19,9 +19,9 @@ the medians differ, in the better direction, by more than the distance
 between the parent's quartiles, the change fails no more operations than
 the parent, and, with ``--held-out``, the change is also better in one more
 pair on that seed. The same rule on unscaled wall seconds is recorded
-beside it as ``claim.unscaled``, ungated. The output file is rewritten after every pair, so an
-interrupted run keeps what it measured. Nothing under either checkout is
-written except by perfbench itself.
+beside it as ``claim.unscaled``, ungated. The output file is rewritten
+after every pair, so an interrupted run keeps what it measured. Nothing
+under either checkout is written except by perfbench itself.
 """
 
 from __future__ import annotations
