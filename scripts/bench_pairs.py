@@ -4,7 +4,8 @@
         --seeds S [S ...] --out BENCH_N.json [--claim WORKLOAD:METRIC]
         [--held-out SEED] [--purpose TEXT]
 
-Both directories are git checkouts; the record names the commit of each.
+Both directories are git checkouts; the record names the commit of each
+and its ``src_lines``, the total that ``wc -l src/tcsim/*.py`` prints.
 Pair i runs ``perfbench/run.py --workload W --seed S_i --trace 0`` once in
 each checkout, from that checkout's root, one run at a time, for
 perfbench's own default run length. The parent runs first in odd pairs
@@ -49,6 +50,12 @@ def revision(checkout: Path) -> str:
     if proc.returncode != 0:
         raise SystemExit(f"{checkout}: not a git checkout: {proc.stderr.strip()}")
     return proc.stdout.strip()
+
+
+def src_lines(checkout: Path) -> int:
+    """The newlines in ``checkout``'s ``src/tcsim/*.py``, which ``wc -l`` totals."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (checkout / "src" / "tcsim").glob("*.py"))
 
 
 def run_once(checkout: Path, workload: str, seed: int) -> dict:
@@ -221,6 +228,7 @@ def main(argv=None) -> int:
         "command": "python3 perfbench/run.py --workload W --seed S --trace 0",
         "parent": revision(dirs["parent"]),
         "change": revision(dirs["change"]),
+        "src_lines": {side: src_lines(dirs[side]) for side in SIDES},
         "sides": "parent: the parent commit's files; change: this commit's files; "
                  "each in its own checkout directory, run from its root",
         "pairing": "pair i uses the i-th seed on both sides; odd i runs the parent first, "

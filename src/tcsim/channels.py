@@ -229,9 +229,8 @@ def _kernel(profile, spec, alphabet, rng, build_kwargs):
     bad = set(alphabet) - set(SYSCALLS)
     if bad:
         raise ValueError(f"unknown syscalls {sorted(bad)}")
-    system = build_scenario(profile, spec.scenario, **build_kwargs)
-    sim = system.sim
-    cache = sim.machine.caches[system.partitioned_cache]
+    sim = build_scenario(profile, spec.scenario, **build_kwargs).sim
+    cache = sim.machine.caches[profile.partitioned_cache]
     pairs = sim.alloc_buffer(RECEIVER, cache.geometry.ways,
                              _first_colour(sim, RECEIVER))
 
@@ -437,9 +436,8 @@ def run_llc_side_channel(profile: PlatformProfile, spec: ChannelSpec,
     alone: every other probe of a primed set hits all its ways and reads the
     baseline.
     """
-    system = build_scenario(profile, spec.scenario, **build_kwargs)
-    sim = system.sim
-    llc_name = "llc" if "llc" in sim.machine.caches else system.partitioned_cache
+    sim = build_scenario(profile, spec.scenario, **build_kwargs).sim
+    llc_name = "llc" if "llc" in sim.machine.caches else profile.partitioned_cache
     llc = sim.machine.caches[llc_name]
     rng = np.random.default_rng(spec.seed)
     key = rng.integers(0, 2, size=key_bits) if key is None \

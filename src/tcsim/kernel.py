@@ -61,25 +61,6 @@ SHARED_REGION_NAMES = (
 
 
 @dataclass
-class SharedKernelData:
-    """The only kernel state common to all images: one cache line per region,
-    at addresses fixed at boot."""
-
-    regions: dict[str, int]  # name -> physical line address
-
-    @classmethod
-    def at_boot(cls, frames: list[int], line_bytes: int,
-                page_bytes: int) -> "SharedKernelData":
-        per_frame = page_bytes // line_bytes
-        if len(frames) * per_frame < len(SHARED_REGION_NAMES):
-            raise ValueError("not enough boot frames for shared kernel data")
-        addrs = {}
-        for i, name in enumerate(SHARED_REGION_NAMES):
-            addrs[name] = frames[i // per_frame] * page_bytes + (i % per_frame) * line_bytes
-        return cls(addrs)
-
-
-@dataclass
 class KernelImage:
     id: int
     owner: str | None  # domain id; None for the boot image
@@ -217,12 +198,14 @@ class Simulator:
         self.irq_checks = 0
         self.irq_violations = 0
 
-        line = profile.line_bytes
-        shared_frames = partition.allocate(
-            None, math.ceil(len(SHARED_REGION_NAMES) * line / profile.page_bytes))
-        self.shared = SharedKernelData.at_boot(shared_frames, line, profile.page_bytes)
-        # each shared region's line address, in SHARED_REGION_NAMES order
-        self._region_lines = tuple(self.shared.regions[n] for n in SHARED_REGION_NAMES)
+        # each shared region's physical line address: one line per region,
+        # packed into boot frames in SHARED_REGION_NAMES order
+        line, page = profile.line_bytes, profile.page_bytes
+        frames = partition.allocate(None, math.ceil(len(SHARED_REGION_NAMES) * line / page))
+        self.shared_regions = {
+            name: frames[i * line // page] * page + (i * line) % page
+            for i, name in enumerate(SHARED_REGION_NAMES)}
+        self._region_lines = tuple(self.shared_regions.values())
         self.initial_image = self._build_image(
             owner=None, frames=partition.allocate(None, kparams.image_frames),
             is_initial=True)

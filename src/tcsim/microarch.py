@@ -220,9 +220,8 @@ class CacheState:
         A hierarchy level passes ``hits`` to collect the positions of the
         lines that hit, ``reached``, the positions of the lines that reach
         it when some hit above, and at the observed level ``missing`` to
-        collect those absent just before their turn. Without ``hits`` (a
-        single cache's window) a walked set only calls ``access``."""
-        sets, shift = self.sets, self._shift
+        collect those absent just before their turn."""
+        sets = self.sets
         nways, hit, miss, wb = self._ways, self._hit_cycles, self._miss_cycles, self._wb_cycles
         latency = 0
         for set_idx, tags, distinct, positions in groups:
@@ -264,21 +263,18 @@ class CacheState:
                     ways[tag] = write
                 if missing is not None:
                     missing.extend(positions)
-            elif hits is None:  # a single cache's window: nothing to track
-                vaddr = set_idx << shift
-                for tag in tags:
-                    latency += self.access(vaddr, tag << shift, write)
             else:
                 latency += self._walk(set_idx, tags, positions, write, hits, reached, missing)
         return latency
 
     def _walk(self, set_idx: int, tags: list[int], positions: list[int], write: bool,
-              hits: list[int], reached: set[int] | None, missing: list[int] | None) -> int:
+              hits: list[int] | None, reached: set[int] | None, missing: list[int] | None) -> int:
         """The walk rule on set ``set_idx``: ``access`` in order each line
         that ``reached`` holds (all when None), collecting the hits'
-        positions, after a ``lookup`` of every line when ``missing`` collects
-        the absent ones. Returns the latency. ``vaddr`` gives a virtually
-        indexed cache the set; a physically indexed one takes it from the tag."""
+        positions when ``hits`` is given, after a ``lookup`` of every line
+        when ``missing`` collects the absent ones. Returns the latency.
+        ``vaddr`` gives a virtually indexed cache the set; a physically
+        indexed one takes it from the tag."""
         shift = self._shift
         vaddr = set_idx << shift
         hit_cycles = self._hit_cycles
@@ -290,7 +286,7 @@ class CacheState:
             if reached is None or pos in reached:
                 cycles = self.access(vaddr, paddr, write)
                 latency += cycles
-                if cycles == hit_cycles:
+                if hits is not None and cycles == hit_cycles:
                     hits.append(pos)
         return latency
 

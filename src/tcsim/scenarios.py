@@ -32,13 +32,11 @@ RECEIVER = "d1"
 
 @dataclass
 class ScenarioSystem:
+    """A built two-domain system and the scenario it was built as; its
+    platform profile, with the partitioned cache, is ``sim.profile``."""
+
     sim: Simulator
     scenario: str
-    profile: PlatformProfile
-
-    @property
-    def partitioned_cache(self) -> str:
-        return self.profile.partitioned_cache
 
 
 def split_colours(total: int, split: tuple[int, int]) -> tuple[set[int], set[int]]:
@@ -103,4 +101,4 @@ def build_scenario(profile: PlatformProfile, scenario: str, *,
         pad = pad_for(sim, irq_margin_pct) if pad_cycles == "auto" else int(pad_cycles)
         if pad > 0:
             sim.cfg = replace(sim.cfg, pad_cycles=pad)
-    return ScenarioSystem(sim, scenario, profile)
+    return ScenarioSystem(sim, scenario)

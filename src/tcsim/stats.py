@@ -12,14 +12,14 @@ kernel, which is numerically indistinguishable from direct summation here
 (the grid step is far below any bandwidth) and fast enough to pay for the 100
 shuffle re-estimates. The test suite cross-checks it against a direct
 Gaussian-sum density. The convolution is most of a verdict's time: one BLAS
-dot product per grid point, each reading the whole reversed kernel. That
-kernel is therefore handed over in a buffer that starts on a 64-byte cache
-line, where wide vector loads do not straddle two lines; it is the same
-arithmetic on the same values, so the densities keep their bits.
+dot product per grid point, each reading the whole kernel. That kernel is
+therefore handed over in a buffer that starts on a 64-byte cache line, where
+wide vector loads do not straddle two lines; it is the same arithmetic on
+the same values, so the densities keep their bits.
 
-A dataset is validated and grouped by symbol once; an output permutation
-only changes which values each symbol's index array picks, so every shuffle
-reuses the grouping, and a verdict hands it to both M and the bound.
+A dataset is validated and grouped by symbol once per estimate or bound; an
+output permutation only changes which values each symbol's index array
+picks, so every shuffle reuses the grouping.
 
 The statistics use up to two cores: a bound's shuffles are shared, a whole
 shuffle at a time, between the calling thread and a helper thread that the
@@ -33,7 +33,6 @@ than with each estimate's densities split.
 
 from __future__ import annotations
 
-import contextvars
 import math
 import threading
 from dataclasses import dataclass, field
@@ -134,20 +133,6 @@ def _mi_plan(inputs, outputs):
     return symbols, outputs, index
 
 
-# The plan ``leak_verdict`` built, with the very inputs and outputs objects
-# it was built from; per thread and context, set only while a verdict runs.
-_verdict_plan = contextvars.ContextVar("tcsim_verdict_plan", default=None)
-
-
-def _planned(inputs, outputs):
-    """``_mi_plan(inputs, outputs)``, taken from the running verdict when it
-    was built from these same objects."""
-    shared = _verdict_plan.get()
-    if shared is not None and shared[0] is inputs and shared[1] is outputs:
-        return shared[2]
-    return _mi_plan(inputs, outputs)
-
-
 def _cache_aligned(values: np.ndarray) -> np.ndarray:
     """A float64 copy of ``values`` whose data starts on a 64-byte boundary."""
     buf = np.empty(len(values) + 8)
@@ -163,13 +148,12 @@ def _binned_density(samples: np.ndarray, h: float, lo: float, step: float,
     The kernel is cut at 4 bandwidths, and at the grid's length: a kernel
     longer than the grid would make the "same"-mode convolution longer too.
 
-    ``np.convolve(hist, kernel)`` is ``np.correlate(hist, kernel[::-1])``
-    with the reversed kernel copied into a fresh heap buffer, which is only
-    16-byte aligned and lands wherever heap history puts it. Here the
-    reversed copy starts on a cache line instead. The BLAS dot products are
-    the same calls on the same values, their summation order does not depend
-    on alignment, and the capped kernel is never longer than the histogram,
-    so neither call swaps its operands: the bits equal ``np.convolve``'s."""
+    The kernel is exactly symmetric (``np.arange`` negates exactly), so
+    ``np.convolve(hist, kernel)`` equals ``np.correlate`` with it as it is,
+    here from a copy that starts on a 64-byte cache line: the same BLAS dot
+    products on the same values, summed in an order alignment does not
+    change. The capped kernel is never longer than the histogram, so neither
+    call swaps its operands: the bits equal ``np.convolve``'s."""
     pos = (samples - lo) / step
     floor = np.floor(pos)
     left = np.clip(floor.astype(int), 0, points - 1)
@@ -181,7 +165,7 @@ def _binned_density(samples: np.ndarray, h: float, lo: float, step: float,
     t = np.arange(-radius, radius + 1) * step
     kernel = np.exp(-0.5 * (t / h) ** 2)
     kernel /= kernel.sum()
-    dens = np.correlate(hist, _cache_aligned(kernel[::-1]), mode="same")
+    dens = np.correlate(hist, _cache_aligned(kernel), mode="same")
     return dens / (len(samples) * step)
 
 
@@ -216,7 +200,7 @@ def estimate_mi(inputs, outputs, *, grid_points: int = 4096,
     with negligible density are skipped; the ratio f_i/f is bounded above by
     the inverse prior, so the integrand is well conditioned.
     """
-    symbols, outputs, index = _planned(inputs, outputs)
+    symbols, outputs, index = _mi_plan(inputs, outputs)
     mi, bands, lo, hi = _mi_bits([outputs[i] for i in index],
                                  float(outputs.min()), float(outputs.max()),
                                  grid_points, eps)
@@ -239,7 +223,7 @@ def zero_leakage_bound(inputs, outputs, shuffles: int = 100, seed: int = 0, *,
     permutation under ``draw``, so draw k is shuffle k, and stores its MI at
     k. Then, or after an error on either thread, the indices left are
     drained and the helper is joined; the first error is raised here."""
-    _, outputs, index = _planned(inputs, outputs)
+    _, outputs, index = _mi_plan(inputs, outputs)
     out_min, out_max = float(outputs.min()), float(outputs.max())
     rng = np.random.default_rng(seed)
     mis = [0.0] * shuffles
@@ -285,16 +269,10 @@ def zero_leakage_bound(inputs, outputs, shuffles: int = 100, seed: int = 0, *,
 
 def leak_verdict(inputs, outputs, shuffles: int = 100, seed: int = 0, *,
                  grid_points: int = 4096, eps: float = 1e-6) -> LeakVerdict:
-    """M against M0 on one dataset, validated and indexed by symbol once:
-    ``estimate_mi`` and ``zero_leakage_bound`` give what they give when
-    called alone, and take the shared plan from ``_planned``."""
-    token = _verdict_plan.set((inputs, outputs, _mi_plan(inputs, outputs)))
-    try:
-        m = estimate_mi(inputs, outputs, grid_points=grid_points, eps=eps)
-        m0 = zero_leakage_bound(inputs, outputs, shuffles, seed,
-                                grid_points=grid_points, eps=eps)
-    finally:
-        _verdict_plan.reset(token)
+    """M against M0 on one dataset: a leak iff M exceeds the bound."""
+    m = estimate_mi(inputs, outputs, grid_points=grid_points, eps=eps)
+    m0 = zero_leakage_bound(inputs, outputs, shuffles, seed,
+                            grid_points=grid_points, eps=eps)
     return LeakVerdict(m.value_bits > m0.bound_bits, m, m0)
 
 

@@ -315,13 +315,13 @@ def step_numbers(trace) -> list[int]:
 
 def reference_domain_switch(sim, next_domain: str) -> SwitchTrace:
     """``Simulator.domain_switch`` as the step sequence defines it: each
-    region looked up by name in ``sim.shared.regions`` and accessed through
+    region looked up by name in ``sim.shared_regions`` and accessed through
     the data path, step costs and totals summed from the steps, and the IRQ
     invariant evaluated after every step."""
     kp = sim.kparams
 
     def region(name, write=False):
-        addr = sim.shared.regions[name]
+        addr = sim.shared_regions[name]
         return sim.machine.data_path.access(addr, addr, write)
 
     prev_image = sim.current_image()

@@ -130,3 +130,13 @@ def test_unscaled_claim_rule_skips_missing_walls_and_reads_the_held_out_pair():
     # the scaled claim is decided without it
     assert bench_pairs.claim_verdict(ps, "run_s", "lower", held)["met"]
     assert bench_pairs.unscaled_verdict(ps[:1]) is None
+
+
+def test_src_lines_totals_what_wc_counts(tmp_path):
+    package = tmp_path / "src" / "tcsim"
+    (package / "sub").mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\ny = 2\n")
+    (package / "b.py").write_text("z = 3\n\nno final newline")
+    (package / "notes.txt").write_text("not\ncounted\n")
+    (package / "sub" / "c.py").write_text("not counted either\n")
+    assert bench_pairs.src_lines(tmp_path) == 4

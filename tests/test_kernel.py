@@ -52,9 +52,9 @@ class TestSplitColours:
 class TestSharedData:
     def test_region_enumeration(self):
         sim = protected()
-        assert len(sim.shared.regions) == len(SHARED_REGION_NAMES) == 11
+        assert len(sim.shared_regions) == len(SHARED_REGION_NAMES) == 11
         line = HASWELL.line_bytes
-        addrs = sorted(sim.shared.regions.values())
+        addrs = sorted(sim.shared_regions.values())
         assert all(a % line == 0 for a in addrs)
         assert len(set(addrs)) == len(addrs)
 
@@ -211,14 +211,14 @@ class TestDomainSwitch:
             l1d.access(i * 64, i * 64, True)
         sim.domain_switch(RECEIVER)
         line = l1d.geometry.line_bytes
-        shared_tags = {addr // line for addr in sim.shared.regions.values()}
+        shared_tags = {addr // line for addr in sim.shared_regions.values()}
         assert all(tag in shared_tags for ways in l1d.sets for tag in ways)
 
     def test_prefetch_makes_shared_data_resident(self):
         sim = protected()
         sim.domain_switch(RECEIVER)
         machine = sim.machine
-        for addr in sim.shared.regions.values():
+        for addr in sim.shared_regions.values():
             assert machine.data_path.levels[0].lookup(addr, addr)
             first = machine.data_path.access(addr, addr)
             assert first == machine.latency.params("l1d").hit_cycles
