@@ -19,8 +19,10 @@ better in at least nine tenths of the pairs (ties count for neither side),
 the medians differ, in the better direction, by more than the distance
 between the parent's quartiles, the change fails no more operations than
 the parent, and, with ``--held-out``, the change is also better in one more
-pair on that seed. The same rule on unscaled wall seconds is recorded
-beside it as ``claim.unscaled``, ungated. The output file is rewritten
+pair on that seed. For a ``run_s`` claim the same rule on unscaled wall
+seconds is recorded beside it as ``claim.unscaled``, ungated; any other
+claim records null there, as wall seconds time only the run. The output
+file is rewritten
 after every pair, so an interrupted run keeps what it measured. Nothing
 under either checkout is written except by perfbench itself.
 """
@@ -180,11 +182,16 @@ def claim_verdict(pairs: list[dict], metric: str, direction: str,
     return {**verdict, "met": met}
 
 
-def unscaled_verdict(pairs: list[dict], held: dict | None = None) -> dict | None:
+def unscaled_verdict(pairs: list[dict], metric: str,
+                     held: dict | None = None) -> dict | None:
     """The claim rule applied to unscaled wall seconds, over the pairs in
-    which both sides report them; None below two such pairs. It carries no
-    gate: it shows whether a claimed gain holds in host seconds, since a
-    change can also move the speed scale."""
+    which both sides report them; None unless ``metric`` is ``run_s`` (wall
+    seconds are its unscaled form and time nothing else) or below two such
+    pairs. It carries no gate: it shows whether a claimed gain holds in host
+    seconds, since a change can also move the speed scale."""
+    if metric != "run_s":
+        return None
+
     def has_wall(pair):
         return all(pair[side].get("wall_s") is not None for side in SIDES)
 
@@ -266,7 +273,7 @@ def main(argv=None) -> int:
         pairs = record["workloads"][workload]["pairs"]
         verdict = claim_verdict(pairs, metric, metrics[metric]["better"], held)
         record["claim"] = {"workload": workload, "metric": metric, **verdict,
-                           "unscaled": unscaled_verdict(pairs, held)}
+                           "unscaled": unscaled_verdict(pairs, metric, held)}
         save()
     return 0
 

@@ -9,15 +9,3 @@ zero-leakage bound.
 """
 
 __version__ = "0.1.0"
-
-from tcsim.microarch import CacheGeometry, LatencyParams, LatencyModel, colour_count
-from tcsim.colouring import ColourPartition
-
-__all__ = [
-    "__version__",
-    "CacheGeometry",
-    "LatencyParams",
-    "LatencyModel",
-    "colour_count",
-    "ColourPartition",
-]

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -26,6 +26,7 @@ import numpy as np
 from tcsim.kernel import Simulator
 from tcsim.microarch import CacheState, colour_count
 from tcsim.profiles import PlatformProfile
+from tcsim.samples import SampleSet
 from tcsim.scenarios import RECEIVER, SENDER, build_scenario
 
 SYSCALLS = ("Signal", "SetPriority", "Poll", "Idle")
@@ -52,53 +53,6 @@ class ChannelSpec:
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-
-
-@dataclass
-class SampleSet:
-    """Channel measurements: one (input, output) pair per sample."""
-
-    inputs: list
-    outputs: np.ndarray
-    metadata: dict = field(default_factory=dict)
-    extra: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.outputs = np.asarray(self.outputs, dtype=float)
-        if len(self.inputs) != len(self.outputs):
-            raise ValueError("inputs and outputs must have equal length")
-        if not np.all(np.isfinite(self.outputs)):
-            raise ValueError("outputs must be finite")
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["iteration", "input", "output"])
-            for i, (inp, out) in enumerate(zip(self.inputs, self.outputs)):
-                w.writerow([i, inp, repr(float(out))])
-
-    @classmethod
-    def from_csv(cls, path) -> "SampleSet":
-        """Samples from a CSV whose header names ``input`` and ``output`` (in
-        any order, the last of a repeated name counting). Every row has the
-        header's field count; blank lines are skipped. Rows are read one at a
-        time."""
-        inputs, outputs = [], []
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, [])
-            column = {name: i for i, name in enumerate(header)}
-            at_input, at_output = column["input"], column["output"]
-            width = len(header)
-            for row in reader:
-                if len(row) != width:
-                    if not row:
-                        continue
-                    raise ValueError(f"line {reader.line_num}: field count differs "
-                                     f"from the header's {width}")
-                inputs.append(row[at_input])
-                outputs.append(float(row[at_output]))
-        return cls(inputs, np.array(outputs), metadata={"source": str(path)})
 
 
 def _noise(rng: np.random.Generator, sigma: float, n: int) -> np.ndarray:
@@ -350,20 +304,26 @@ CHANNELS = {
     "flush_latency": Channel(_flush_latency, _dirty_lines, draws=2, extra=("online",)),
     "interrupt": Channel(_interrupt, lambda profile, symbols: ("no", "yes"), draws=2),
 }
+# every channel a config may run: the sample channels and the LLC side channel
+CHANNEL_NAMES = (*CHANNELS, "llc_side")
 
 
-def run_channel(profile: PlatformProfile, spec: ChannelSpec, **build_kwargs) -> SampleSet:
+def run_channel(profile: PlatformProfile, spec: ChannelSpec, *, schedule=None,
+                **build_kwargs) -> SampleSet:
     """Run one channel of ``CHANNELS``. Every iteration, warmup included,
     switches to the sender, sends its symbol, switches to the receiver and
-    measures; rows after the warmup are recorded. (The cross-core side
-    channel has its own entry point and result type.)"""
+    measures; rows after the warmup are recorded. ``schedule``, if given,
+    replaces the drawn alphabet indices, one per iteration, warmup included;
+    the draw still happens, so every later draw is unchanged. (The
+    cross-core side channel has its own entry point and result type.)"""
     channel = CHANNELS.get(spec.channel_kind)
     if channel is None:
         raise ValueError(f"unknown channel kind {spec.channel_kind!r}")
     alphabet = spec.input_alphabet or channel.alphabet(profile, symbols=4)
     rng = np.random.default_rng(spec.seed)
     total = spec.warmup + spec.iterations
-    schedule = rng.integers(0, len(alphabet), size=total)
+    drawn = rng.integers(0, len(alphabet), size=total)
+    schedule = drawn if schedule is None else schedule
     sim, send, measure, meta = channel.setup(profile, spec, alphabet, rng, build_kwargs)
     noise = _noise(rng, spec.noise_sigma, channel.draws * total)
     inputs, columns = [], [[] for _ in range(1 + len(channel.extra))]

@@ -7,6 +7,9 @@ Verbs:
   switch-cost P S         print the switch-cost table for profile P, scenario S
 
 Exit codes: 0 success, 2 configuration or input error, 3 pad overrun.
+
+Each verb imports the simulator layers it runs, so ``analyze`` loads only
+the configuration, the samples and the statistics.
 """
 
 from __future__ import annotations
@@ -17,14 +20,9 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from tcsim.channels import SampleSet
-from tcsim.colouring import PoolExhausted
-from tcsim.config import (MIN_GRID_POINTS, MIN_SHUFFLES, ConfigError,
-                          load_config, parse_config)
-from tcsim.harness import measure_switch_costs, profile_summary, run_scenario
-from tcsim.kernel import PadOverrun
-from tcsim.profiles import BUILTIN_PROFILES, get_profile
-from tcsim.scenarios import SCENARIOS
+from tcsim.config import (MIN_GRID_POINTS, MIN_SHUFFLES, SCENARIOS, ConfigError,
+                          PadOverrun, load_config, parse_config)
+from tcsim.samples import SampleSet
 from tcsim.stats import (DegenerateAlphabet, TooFewSamples, leak_verdict,
                          report_record)
 
@@ -47,6 +45,9 @@ def resolve_config(name: str):
 
 
 def cmd_run(args) -> int:
+    from tcsim.colouring import PoolExhausted
+    from tcsim.harness import run_scenario
+
     cfg = resolve_config(args.config)
     try:
         report = run_scenario(cfg, args.out)
@@ -105,6 +106,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_profiles(_args) -> int:
+    from tcsim.harness import profile_summary
+    from tcsim.profiles import BUILTIN_PROFILES, get_profile
+
     for name in sorted(BUILTIN_PROFILES):
         summary = profile_summary(get_profile(name))
         print(f"{name}: partitioned cache = {summary['partitioned_cache']}, "
@@ -118,6 +122,9 @@ def cmd_profiles(_args) -> int:
 
 
 def cmd_switch_cost(args) -> int:
+    from tcsim.harness import measure_switch_costs
+    from tcsim.profiles import get_profile
+
     try:
         profile = get_profile(args.profile)
     except KeyError as exc:

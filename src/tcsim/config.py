@@ -10,11 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from tcsim.channels import CHANNELS
-from tcsim.profiles import get_profile
-from tcsim.scenarios import RECEIVER, SCENARIOS, SENDER
-
-CHANNEL_NAMES = (*CHANNELS, "llc_side")
+SCENARIOS = ("raw", "full_flush", "protected")
 # the shuffle bound needs a sample sd; the KDE grid needs room for a kernel
 MIN_SHUFFLES = 2
 MIN_GRID_POINTS = 16
@@ -24,6 +20,12 @@ MAX_FRAMES = 1 << 20
 
 class ConfigError(ValueError):
     """Configuration problem, with file/line/key context where available."""
+
+
+class PadOverrun(RuntimeError):
+    """The natural switch cost exceeded the configured pad; the configuration
+    promised a worst-case latency it cannot keep, so this surfaces instead of
+    being silently absorbed."""
 
 
 def _parse_bool(text: str) -> bool:
@@ -176,6 +178,11 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
 
 
 def _validate(cfg: RunConfig, source: str):
+    # the registries load the simulator, which analysing a CSV never needs
+    from tcsim.channels import CHANNEL_NAMES
+    from tcsim.profiles import get_profile
+    from tcsim.scenarios import RECEIVER, SENDER
+
     try:
         get_profile(cfg.profile)
     except KeyError as exc:

@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass, field
 
 from tcsim.colouring import ColourPartition, PoolExhausted
+from tcsim.config import PadOverrun
 from tcsim.microarch import Machine
 from tcsim.profiles import PlatformProfile
 
@@ -37,12 +38,6 @@ class InvalidSource(InvalidImage):
 
 class CannotDestroyInitial(RuntimeError):
     """The boot kernel image must survive so a runnable kernel always exists."""
-
-
-class PadOverrun(RuntimeError):
-    """The natural switch cost exceeded the configured pad; the configuration
-    promised a worst-case latency it cannot keep, so this surfaces instead of
-    being silently absorbed."""
 
 
 SHARED_REGION_NAMES = (

@@ -18,11 +18,10 @@ import math
 from dataclasses import dataclass, replace
 
 from tcsim.colouring import ColourPartition
+from tcsim.config import SCENARIOS
 from tcsim.kernel import KernelParams, Simulator, SwitchConfig
 from tcsim.microarch import colour_count
 from tcsim.profiles import PlatformProfile
-
-SCENARIOS = ("raw", "full_flush", "protected")
 
 ON_CORE_RESOURCES = ("l1d", "l1i", "tlb", "btb", "bhb")
 

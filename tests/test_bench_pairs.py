@@ -1,6 +1,7 @@
 """The claim rule of scripts/bench_pairs.py."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
@@ -119,17 +120,47 @@ def test_unscaled_claim_rule_skips_missing_walls_and_reads_the_held_out_pair():
     ps[9]["change"]["wall_s"] = None  # a run without its summary line
     held = {"seed": 12, "parent": {**run(1.40), "wall_s": 1.70},
             "change": {**run(1.20), "wall_s": 1.75}}
-    v = bench_pairs.unscaled_verdict(ps, held)
+    v = bench_pairs.unscaled_verdict(ps, "run_s", held)
     assert v["pairs"] == 9 and v["change_better_pairs"] == 9
     assert v["median_difference"] == -0.2
     parent_walls = sorted(w * 1.2 for w in PARENT[:9])
     assert v["parent_iqr"] == round(parent_walls[6] - parent_walls[2], 4)
     assert v["held_out_change_better"] is False and not v["met"]
     held["change"]["wall_s"] = 1.50
-    assert bench_pairs.unscaled_verdict(ps, held)["met"]
+    assert bench_pairs.unscaled_verdict(ps, "run_s", held)["met"]
     # the scaled claim is decided without it
     assert bench_pairs.claim_verdict(ps, "run_s", "lower", held)["met"]
-    assert bench_pairs.unscaled_verdict(ps[:1]) is None
+    assert bench_pairs.unscaled_verdict(ps[:1], "run_s") is None
+
+
+def test_unscaled_verdict_only_for_a_run_s_claim(tmp_path, monkeypatch):
+    """Wall seconds time the run alone, so a claim on any other metric
+    records ``"unscaled": null`` rather than a verdict on run wall time."""
+    def fake_pair(dirs, workload, seed, parent_first):
+        side = lambda setup, wall: {"run_s": 1.40, "setup_s": setup,  # noqa: E731
+                                    "peak_rss_mib": 40.0, "attempted": 3, "failed": 0,
+                                    "correct": True, "golden": "match",
+                                    "wall_s": wall, "speed_scale": 1.0}
+        return {"seed": seed, "parent": side(0.160 + seed / 1000, 1.7),
+                "change": side(0.125 + seed / 1000, 1.5)}
+
+    monkeypatch.setattr(bench_pairs, "run_pair", fake_pair)
+    monkeypatch.setattr(bench_pairs, "revision", lambda checkout: checkout.name)
+    for side in bench_pairs.SIDES:
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(
+        (SCRIPT.parents[1] / "BENCHMARK.json").read_text())
+    out = tmp_path / "bench.json"
+    argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--workloads", "leak-stats",
+            "--seeds", *map(str, range(1, 11)), "--held-out", "11", "--out", str(out)]
+    assert bench_pairs.main([*argv, "--claim", "leak-stats:setup_s"]) == 0
+    claim = json.loads(out.read_text())["claim"]
+    assert claim["met"] and claim["unscaled"] is None
+    # the same walls judged for a run_s claim, which the scaled rule rejects
+    assert bench_pairs.main([*argv, "--claim", "leak-stats:run_s"]) == 0
+    claim = json.loads(out.read_text())["claim"]
+    assert not claim["met"] and claim["unscaled"]["met"]
+    assert claim["unscaled"]["held_out_change_better"]
 
 
 def test_src_lines_totals_what_wc_counts(tmp_path):

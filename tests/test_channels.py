@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from tcsim import channels
-from tcsim.channels import (CHANNELS, ChannelSpec, SampleSet, run_channel,
+from tcsim.channels import (CHANNEL_NAMES, CHANNELS, ChannelSpec, SampleSet, run_channel,
                             run_llc_side_channel)
-from tcsim.config import CHANNEL_NAMES
 from tcsim.harness import noise_sigma_for
 from tcsim.profiles import get_profile
 from tcsim.scenarios import build_scenario

@@ -14,8 +14,9 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
+from tcsim.channels import CHANNEL_NAMES
 from tcsim.cli import builtin_config_names, main
-from tcsim.config import _SCHEMA, CHANNEL_NAMES, ConfigError, parse_config
+from tcsim.config import _SCHEMA, ConfigError, parse_config
 from tcsim.harness import (measure_colour_overhead, measure_switch_costs,
                            run_scenario)
 from tcsim.profiles import get_profile
