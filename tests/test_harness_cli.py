@@ -370,10 +370,50 @@ class TestCli:
         assert {p.name for p in tmp_path.iterdir()} <= {
             "existing", "bad.cfg", "latin.cfg", "samples.csv"}
 
-    def test_console_script_installed(self):
-        proc = subprocess.run([sys.executable, "-m", "tcsim.cli", "profiles"],
+    @pytest.mark.parametrize("case", ["profiles", "run", "pad overrun", "analyze bad csv",
+                                      "switch-cost profile"])
+    def test_console_script_installed(self, case, tmp_path):
+        """The exit-code contract holds in a fresh interpreter too, where
+        each verb imports its layers itself: a failure is one line."""
+        code = {"pad overrun": 3, "analyze bad csv": 2, "switch-cost profile": 2}.get(case, 0)
+        cfg_path, samples = tmp_path / "bad.cfg", tmp_path / "samples.csv"
+        cfg_path.write_text(MINI + "\n[switch]\npad_cycles = 10\n")
+        samples.write_text("iteration,input,output\n0,a,1.0\n1,b,x\n")
+        argv = {"profiles": ["profiles"],
+                "run": ["run", "haswell-overheads", "-o", str(tmp_path / "out")],
+                "pad overrun": ["run", str(cfg_path), "-o", str(tmp_path / "out")],
+                "analyze bad csv": ["analyze", str(samples)],
+                "switch-cost profile": ["switch-cost", "nope", "raw"]}[case]
+        proc = subprocess.run([sys.executable, "-m", "tcsim.cli", *argv],
                               capture_output=True, text=True)
-        assert proc.returncode == 0
+        assert proc.returncode == code
+        if code:
+            prefix = "pad overrun: " if code == 3 else "config error: "
+            assert proc.stderr.startswith(prefix) and proc.stderr.count("\n") == 1
+            assert proc.stdout == ""
+        else:
+            assert proc.stderr == ""
+
+    def test_analyze_loads_no_simulator_module(self, tmp_path):
+        """Importing the CLI and config, and analysing a CSV, load only the
+        configuration, samples and statistics. It runs in a fresh interpreter,
+        as this one has imported every module already."""
+        samples = tmp_path / "samples.csv"
+        samples.write_text("iteration,input,output\n" + "".join(
+            f"{i},{'ab'[i % 2]},{100.0 + 5 * (i % 2) + i % 7}\n" for i in range(60)))
+        script = (
+            "import json, sys\n"
+            "import tcsim.cli, tcsim.config\n"
+            "names = ['tcsim.' + n for n in ('microarch', 'colouring', 'kernel', 'profiles',"
+            " 'scenarios', 'channels', 'harness')]\n"
+            "loaded = lambda: [n for n in names if n in sys.modules]\n"
+            "imported = loaded()\n"
+            "code = tcsim.cli.main(['analyze', sys.argv[1], '--shuffles', '20'])\n"
+            "print(json.dumps([imported, code, loaded()]))\n")
+        proc = subprocess.run([sys.executable, "-c", script, str(samples)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == [[], 0, []]
 
 
 class TestLlcSideHarness:

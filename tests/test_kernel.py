@@ -306,6 +306,31 @@ def test_switch_matches_per_step_irq_reference(scenario, ops):
     assert fast.machine.predictor.bhb == ref.machine.predictor.bhb
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["haswell", "sabre"]), st.sampled_from(["full_flush", "protected"]),
+       _SWITCH_OPS)
+def test_kernel_switch_stays_within_its_worst_case(profile, scenario, ops):
+    """From any state the ops reach, a kernel switch's natural cost is within
+    worst_case_switch_cost(), so an auto pad never overruns. Each switch is
+    checked, and then one away and one back with the pad removed."""
+    sim = build_scenario(get_profile(profile), scenario).sim
+    worst = sim.worst_case_switch_cost()
+    naturals = []
+
+    def switch(sim, domain):
+        trace = Simulator.domain_switch(sim, domain)
+        naturals.append(trace.natural_cycles)
+        return trace
+
+    for op in ops:
+        _apply_switch_op(sim, switch, op)
+    sim.cfg = replace(sim.cfg, pad_cycles=0)
+    home = sim.current_domain
+    assert switch(sim, RECEIVER if home == SENDER else SENDER).kernel_switch
+    assert switch(sim, home).kernel_switch
+    assert max(naturals) <= worst
+
+
 class TestSyscall:
     def test_idle_touches_nothing(self):
         sim = raw()
