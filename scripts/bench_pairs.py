@@ -22,9 +22,9 @@ the parent, and, with ``--held-out``, the change is also better in one more
 pair on that seed. For a ``run_s`` claim the same rule on unscaled wall
 seconds is recorded beside it as ``claim.unscaled``, ungated; any other
 claim records null there, as wall seconds time only the run. The output
-file is rewritten
-after every pair, so an interrupted run keeps what it measured. Nothing
-under either checkout is written except by perfbench itself.
+file is rewritten after every pair, so an interrupted run keeps what it
+measured. Nothing under either checkout is written except by perfbench
+itself.
 """
 
 from __future__ import annotations
@@ -182,16 +182,11 @@ def claim_verdict(pairs: list[dict], metric: str, direction: str,
     return {**verdict, "met": met}
 
 
-def unscaled_verdict(pairs: list[dict], metric: str,
-                     held: dict | None = None) -> dict | None:
+def unscaled_verdict(pairs: list[dict], held: dict | None = None) -> dict | None:
     """The claim rule applied to unscaled wall seconds, over the pairs in
-    which both sides report them; None unless ``metric`` is ``run_s`` (wall
-    seconds are its unscaled form and time nothing else) or below two such
-    pairs. It carries no gate: it shows whether a claimed gain holds in host
-    seconds, since a change can also move the speed scale."""
-    if metric != "run_s":
-        return None
-
+    which both sides report them; None below two such pairs. It carries no
+    gate: it shows whether a claimed gain holds in host seconds, since a
+    change can also move the speed scale."""
     def has_wall(pair):
         return all(pair[side].get("wall_s") is not None for side in SIDES)
 
@@ -272,8 +267,9 @@ def main(argv=None) -> int:
             held = run_pair(dirs, workload, args.held_out, True)
         pairs = record["workloads"][workload]["pairs"]
         verdict = claim_verdict(pairs, metric, metrics[metric]["better"], held)
+        unscaled = unscaled_verdict(pairs, held) if metric == "run_s" else None
         record["claim"] = {"workload": workload, "metric": metric, **verdict,
-                           "unscaled": unscaled_verdict(pairs, metric, held)}
+                           "unscaled": unscaled}
         save()
     return 0
 

@@ -308,22 +308,18 @@ CHANNELS = {
 CHANNEL_NAMES = (*CHANNELS, "llc_side")
 
 
-def run_channel(profile: PlatformProfile, spec: ChannelSpec, *, schedule=None,
-                **build_kwargs) -> SampleSet:
+def run_channel(profile: PlatformProfile, spec: ChannelSpec, **build_kwargs) -> SampleSet:
     """Run one channel of ``CHANNELS``. Every iteration, warmup included,
     switches to the sender, sends its symbol, switches to the receiver and
-    measures; rows after the warmup are recorded. ``schedule``, if given,
-    replaces the drawn alphabet indices, one per iteration, warmup included;
-    the draw still happens, so every later draw is unchanged. (The
-    cross-core side channel has its own entry point and result type.)"""
+    measures; rows after the warmup are recorded. (The cross-core side
+    channel has its own entry point and result type.)"""
     channel = CHANNELS.get(spec.channel_kind)
     if channel is None:
         raise ValueError(f"unknown channel kind {spec.channel_kind!r}")
     alphabet = spec.input_alphabet or channel.alphabet(profile, symbols=4)
     rng = np.random.default_rng(spec.seed)
     total = spec.warmup + spec.iterations
-    drawn = rng.integers(0, len(alphabet), size=total)
-    schedule = drawn if schedule is None else schedule
+    schedule = rng.integers(0, len(alphabet), size=total)
     sim, send, measure, meta = channel.setup(profile, spec, alphabet, rng, build_kwargs)
     noise = _noise(rng, spec.noise_sigma, channel.draws * total)
     inputs, columns = [], [[] for _ in range(1 + len(channel.extra))]
