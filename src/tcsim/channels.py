@@ -237,7 +237,7 @@ def _interrupt(profile, spec, alphabet, rng, build_kwargs):
         raise ValueError("interrupt channel alphabet is {no, yes}")
     sim = build_scenario(profile, spec.scenario, **build_kwargs).sim
     irq = 1
-    sim.irqs.ensure(irq)
+    sim.irqs.masked.setdefault(irq, sim.irqs.partition_irqs)
     if sim.cfg.partition_irqs:
         sim.set_irq_owner(irq, sim.domains[SENDER].kernel_image)
     slice_cycles = sim.domains[RECEIVER].timeslice_cycles
@@ -255,10 +255,10 @@ def _interrupt(profile, spec, alphabet, rng, build_kwargs):
         rows = [(base,)]
         if armed and irq in sim.irqs.unmasked():
             offset = phases[it]
-            sim.irqs.ensure(irq).masked = True  # pending until sender acks
+            sim.irqs.masked[irq] = True  # pending until sender acks
             rows = [(offset,), (base - offset - handler,)]
         if armed and not sim.cfg.partition_irqs:
-            sim.irqs.ensure(irq).masked = False  # sender acks in its next slice
+            sim.irqs.masked[irq] = False  # sender acks in its next slice
         return rows
 
     return sim, send, measure, {"slice_cycles": slice_cycles, "period": period}

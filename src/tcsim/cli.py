@@ -20,8 +20,8 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from tcsim.config import (MIN_GRID_POINTS, MIN_SHUFFLES, SCENARIOS, ConfigError,
-                          PadOverrun, load_config, parse_config)
+from tcsim.config import (SCENARIOS, ConfigError, PadOverrun, RunConfig, check_range,
+                          load_config, parse_config, range_text)
 from tcsim.samples import SampleSet
 from tcsim.stats import (DegenerateAlphabet, TooFewSamples, leak_verdict,
                          report_record)
@@ -72,11 +72,8 @@ def print_cells(report: dict) -> None:
 
 
 def cmd_analyze(args) -> int:
-    if args.shuffles < MIN_SHUFFLES:
-        raise ConfigError(f"--shuffles must be >= {MIN_SHUFFLES}, got {args.shuffles}")
-    if args.grid_points < MIN_GRID_POINTS:
-        raise ConfigError(
-            f"--grid-points must be >= {MIN_GRID_POINTS}, got {args.grid_points}")
+    check_range("shuffles", args.shuffles, "--shuffles")
+    check_range("grid_points", args.grid_points, "--grid-points")
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     try:
@@ -149,11 +146,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="measure leakage of a samples CSV")
     p.add_argument("samples", help="CSV with iteration,input,output columns")
-    p.add_argument("--shuffles", type=int, default=100,
-                   help=f"zero-leakage bound trials (>= {MIN_SHUFFLES})")
+    p.add_argument("--shuffles", type=int, default=RunConfig.shuffles,
+                   help=f"zero-leakage bound trials ({range_text('shuffles')})")
     p.add_argument("--seed", type=int, default=0, help="shuffle seed (>= 0)")
-    p.add_argument("--grid-points", type=int, default=4096,
-                   help=f"KDE integration grid points (>= {MIN_GRID_POINTS})")
+    p.add_argument("--grid-points", type=int, default=RunConfig.grid_points,
+                   help=f"KDE integration grid points ({range_text('grid_points')})")
     p.add_argument("-o", "--out", default=None, help="also write the record here")
     p.set_defaults(fn=cmd_analyze)
 

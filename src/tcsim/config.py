@@ -1,21 +1,16 @@
 """Experiment configuration: flat key=value sections, strictly validated.
 
 Unknown sections or keys are errors (fail fast, with line numbers), as are
-malformed values. Every tunable that affects results lives here and is echoed
-into the report.
+malformed and out-of-range values. Every tunable that affects results lives
+here and is echoed into the report. Each key is declared once, on its
+``RunConfig`` field; the schema, the echo and the range checks derive from it.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 SCENARIOS = ("raw", "full_flush", "protected")
-# the shuffle bound needs a sample sd; the KDE grid needs room for a kernel
-MIN_SHUFFLES = 2
-MIN_GRID_POINTS = 16
-# every scenario build holds each page number of the pool: 4 GiB of 4 KiB pages
-MAX_FRAMES = 1 << 20
 
 
 class ConfigError(ValueError):
@@ -59,86 +54,88 @@ def _parse_irq_owners(text: str) -> tuple:
     return tuple(pairs)
 
 
+def _parse_names(text: str) -> tuple:
+    return tuple(_parse_list(text))
+
+
+def _key(section: str, default, parse=int, lo=None, hi=None, key=None):
+    """Declare a config key on its ``RunConfig`` field: its [section], its
+    name where it is not the field's, its default, the parser of its value
+    text, and the closed range ``lo..hi`` its value must lie in (``None``:
+    open on that side)."""
+    return field(default=default, metadata={
+        "section": section, "key": key, "parse": parse, "lo": lo, "hi": hi})
+
+
 @dataclass
 class RunConfig:
-    """Parsed experiment configuration with defaults."""
+    """Parsed experiment configuration with defaults. Each field but
+    ``raw_text`` is a config key, declared by ``_key``."""
 
-    profile: str = "haswell"
-    # [domains]
-    colour_split: tuple = (50, 50)
-    frames: int = 4096
-    # [switch]
-    timeslice_cycles: int = 200_000
-    pad_cycles: object = "auto"
-    irq_margin_pct: float = 5.0
-    irq_owners: tuple = ()
-    # [channels]
-    channels: tuple = ()
-    scenarios: tuple = SCENARIOS
-    iterations: int = 1200
-    warmup: int = 8
-    seed: int = 1
-    noise_sigma_pct: float = 2.0
-    symbols: int = 4
-    llc_key_bits: int = 64
-    llc_key_seed: int = 48
-    switch_cost_table: bool = True
-    colour_overhead: bool = False
-    overhead_shares: tuple = (0.5, 0.75, 1.0)
-    overhead_working_set_kib: int = 256
-    # [stats]
-    shuffles: int = 100
-    grid_points: int = 4096
-    matrix_bins: int = 64
-    kde_eps: float = 1e-6
+    profile: str = _key("platform", "haswell", str)
+    colour_split: tuple = _key(
+        "domains", (50, 50), lambda s: tuple(int(x) for x in _parse_list(s)))
+    # every scenario build holds each page number of the pool: 4 GiB of 4 KiB pages
+    frames: int = _key("domains", 4096, lo=1024, hi=1 << 20)
+    timeslice_cycles: int = _key("switch", 200_000, lo=1)
+    pad_cycles: object = _key("switch", "auto", _parse_pad)
+    # larger margins overflow the auto pad
+    irq_margin_pct: float = _key("switch", 5.0, float, lo=0, hi=10**6)
+    irq_owners: tuple = _key("switch", (), _parse_irq_owners)
+    channels: tuple = _key("channels", (), _parse_names, key="run")
+    scenarios: tuple = _key("channels", SCENARIOS, _parse_names)
+    iterations: int = _key("channels", 1200, lo=1, hi=1 << 22)
+    warmup: int = _key("channels", 8, lo=0, hi=1 << 22)
+    seed: int = _key("channels", 1)
+    # larger noise overflows the KDE grid
+    noise_sigma_pct: float = _key("channels", 2.0, float, lo=0, hi=10**6)
+    symbols: int = _key("channels", 4, lo=2, hi=16)
+    llc_key_bits: int = _key("channels", 64, lo=1, hi=1 << 12)
+    llc_key_seed: int = _key("channels", 48, lo=0)
+    switch_cost_table: bool = _key("channels", True, _parse_bool)
+    colour_overhead: bool = _key("channels", False, _parse_bool)
+    overhead_shares: tuple = _key(
+        "channels", (0.5, 0.75, 1.0), lambda s: tuple(float(x) for x in _parse_list(s)))
+    overhead_working_set_kib: int = _key("channels", 256, lo=1, hi=1 << 14)
+    # the shuffle bound needs a sample sd; the KDE grid needs room for a kernel
+    shuffles: int = _key("stats", 100, lo=2, hi=1 << 16)
+    grid_points: int = _key("stats", 4096, lo=16, hi=1 << 16)
+    matrix_bins: int = _key("stats", 64, lo=2, hi=1 << 16)
+    # larger bandwidths overflow the KDE grid
+    kde_eps: float = _key("stats", 1e-6, float, hi=1e300)
     raw_text: str = ""
 
     def echo(self) -> dict:
         out = {}
-        for f in fields(self):
-            if f.name == "raw_text":
-                continue
+        for f in _KEYS:
             v = getattr(self, f.name)
             out[f.name] = list(v) if isinstance(v, tuple) else v
         return out
 
 
-_SCHEMA = {
-    "platform": {
-        "profile": ("profile", str),
-    },
-    "domains": {
-        "colour_split": ("colour_split", lambda s: tuple(int(x) for x in _parse_list(s))),
-        "frames": ("frames", int),
-    },
-    "switch": {
-        "timeslice_cycles": ("timeslice_cycles", int),
-        "pad_cycles": ("pad_cycles", _parse_pad),
-        "irq_margin_pct": ("irq_margin_pct", float),
-        "irq_owners": ("irq_owners", _parse_irq_owners),
-    },
-    "channels": {
-        "run": ("channels", lambda s: tuple(_parse_list(s))),
-        "scenarios": ("scenarios", lambda s: tuple(_parse_list(s))),
-        "iterations": ("iterations", int),
-        "warmup": ("warmup", int),
-        "seed": ("seed", int),
-        "noise_sigma_pct": ("noise_sigma_pct", float),
-        "symbols": ("symbols", int),
-        "llc_key_bits": ("llc_key_bits", int),
-        "llc_key_seed": ("llc_key_seed", int),
-        "switch_cost_table": ("switch_cost_table", _parse_bool),
-        "colour_overhead": ("colour_overhead", _parse_bool),
-        "overhead_shares": ("overhead_shares", lambda s: tuple(float(x) for x in _parse_list(s))),
-        "overhead_working_set_kib": ("overhead_working_set_kib", int),
-    },
-    "stats": {
-        "shuffles": ("shuffles", int),
-        "grid_points": ("grid_points", int),
-        "matrix_bins": ("matrix_bins", int),
-        "kde_eps": ("kde_eps", float),
-    },
-}
+# every field but raw_text, in declaration order
+_KEYS = tuple(f for f in fields(RunConfig) if f.metadata)
+# {section: {key: (field name, parser)}}, sections and keys in field order
+_SCHEMA: dict = {}
+for _f in _KEYS:
+    _SCHEMA.setdefault(_f.metadata["section"], {})[_f.metadata["key"] or _f.name] = (
+        _f.name, _f.metadata["parse"])
+
+
+def range_text(name: str) -> str:
+    """The range declared for the ``RunConfig`` field ``name``, as text."""
+    meta = RunConfig.__dataclass_fields__[name].metadata
+    lo, hi = meta["lo"], meta["hi"]
+    return f">= {lo}" if hi is None else f"<= {hi}" if lo is None else f"in {lo}..{hi}"
+
+
+def check_range(name: str, value, label: str):
+    """Raise ``ConfigError`` unless ``value`` lies in the range declared for
+    the ``RunConfig`` field ``name``; ``label`` names the value in the message."""
+    meta = RunConfig.__dataclass_fields__[name].metadata
+    lo, hi = meta["lo"], meta["hi"]
+    if not ((lo is None or lo <= value) and (hi is None or value <= hi)):
+        raise ConfigError(f"{label} must be {range_text(name)}, got {value}")
 
 
 def parse_config(text: str, source: str = "<config>") -> RunConfig:
@@ -205,33 +202,13 @@ def _validate(cfg: RunConfig, source: str):
             f" (known: {SENDER}, {RECEIVER})")
     if cfg.pad_cycles != "auto" and cfg.pad_cycles < 0:
         raise ConfigError(f"{source}: pad_cycles must be auto or >= 0, got {cfg.pad_cycles}")
-    if not (math.isfinite(cfg.irq_margin_pct) and cfg.irq_margin_pct >= 0):
-        raise ConfigError(f"{source}: irq_margin_pct must be >= 0, got {cfg.irq_margin_pct}")
-    if not (1024 <= cfg.frames <= MAX_FRAMES):
-        raise ConfigError(f"{source}: frames must be in 1024..{MAX_FRAMES}, got {cfg.frames}")
-    if cfg.timeslice_cycles <= 0:
-        raise ConfigError(f"{source}: timeslice_cycles must be > 0, got {cfg.timeslice_cycles}")
-    if cfg.iterations < 1 or cfg.warmup < 0:
-        raise ConfigError(f"{source}: iterations must be >= 1 and warmup >= 0")
-    if cfg.shuffles < MIN_SHUFFLES or cfg.grid_points < MIN_GRID_POINTS or cfg.matrix_bins < 2:
-        raise ConfigError(f"{source}: invalid stats settings")
-    if not (math.isfinite(cfg.kde_eps) and cfg.kde_eps > 0):
+    if not cfg.kde_eps > 0:
         raise ConfigError(f"{source}: kde_eps must be > 0, got {cfg.kde_eps}")
-    if not (math.isfinite(cfg.noise_sigma_pct) and cfg.noise_sigma_pct >= 0):
-        raise ConfigError(f"{source}: noise_sigma_pct must be finite and >= 0,"
-                          f" got {cfg.noise_sigma_pct}")
-    if cfg.llc_key_bits < 1:
-        raise ConfigError(f"{source}: llc_key_bits must be >= 1, got {cfg.llc_key_bits}")
-    if cfg.llc_key_seed < 0:
-        raise ConfigError(f"{source}: llc_key_seed must be >= 0, got {cfg.llc_key_seed}")
-    if not (2 <= cfg.symbols <= 16):
-        raise ConfigError(f"{source}: symbols must be in 2..16")
     for s in cfg.overhead_shares:
         if not (0 < s <= 1):
             raise ConfigError(f"{source}: overhead shares must be in (0, 1]")
-    if cfg.overhead_working_set_kib <= 0:
-        raise ConfigError(f"{source}: overhead_working_set_kib must be > 0,"
-                          f" got {cfg.overhead_working_set_kib}")
+    for f in _KEYS:
+        check_range(f.name, getattr(cfg, f.name), f"{source}: {f.name}")
 
 
 def load_config(path) -> RunConfig:

@@ -62,14 +62,6 @@ class KernelImage:
     code_lines: list[int]
     frames: list[int]  # page numbers: code, then data, then stack
     owned_irqs: set[int] = field(default_factory=set)
-    is_initial: bool = False
-
-
-@dataclass
-class Thread:
-    name: str
-    domain: str
-    suspended: bool = False
 
 
 @dataclass
@@ -77,8 +69,8 @@ class Domain:
     id: str
     kernel_image: int
     timeslice_cycles: int
-    threads: list[Thread] = field(default_factory=list)
     next_vpage: int = 0x1000  # per-domain virtual bump allocator
+    suspended: bool = False  # its kernel image was destroyed under it
 
 
 @dataclass(frozen=True)
@@ -138,35 +130,26 @@ class SwitchTrace:
     total_elapsed: int
 
 
-@dataclass
-class IrqState:
-    masked: bool = True
-
-
 class IrqController:
-    """Mask state and image ownership of device interrupts. The preemption
+    """Mask state of device interrupts; images own them. The preemption
     timer is implicit and always deliverable."""
 
     def __init__(self, partition_irqs: bool):
+        # without partitioning, a device IRQ is live until masked: a new
+        # IRQ's entry is ``masked.setdefault(irq, partition_irqs)``
         self.partition_irqs = partition_irqs
-        self.irqs: dict[int, IrqState] = {}
-
-    def ensure(self, irq: int) -> IrqState:
-        if irq not in self.irqs:
-            # without partitioning, unowned device IRQs are live by default
-            self.irqs[irq] = IrqState(masked=self.partition_irqs)
-        return self.irqs[irq]
+        self.masked: dict[int, bool] = {}
 
     def mask_owned(self, image: KernelImage):
         for irq in image.owned_irqs:
-            self.ensure(irq).masked = True
+            self.masked[irq] = True
 
     def unmask_owned(self, image: KernelImage):
         for irq in image.owned_irqs:
-            self.ensure(irq).masked = False
+            self.masked[irq] = False
 
     def unmasked(self) -> set[int]:
-        return {irq for irq, st in self.irqs.items() if not st.masked}
+        return {irq for irq, masked in self.masked.items() if not masked}
 
 
 class Simulator:
@@ -202,19 +185,18 @@ class Simulator:
             for i, name in enumerate(SHARED_REGION_NAMES)}
         self._region_lines = tuple(self.shared_regions.values())
         self.initial_image = self._build_image(
-            owner=None, frames=partition.allocate(None, kparams.image_frames),
-            is_initial=True)
+            owner=None, frames=partition.allocate(None, kparams.image_frames))
         self.current_domain: str | None = None
 
     # -- images ----------------------------------------------------------
 
-    def _build_image(self, owner, frames, is_initial=False) -> KernelImage:
+    def _build_image(self, owner, frames) -> KernelImage:
         page = self.profile.page_bytes
         line = self.profile.line_bytes
         code = [f * page + i for f in frames[:self.kparams.code_frames]
                 for i in range(0, page, line)]
         image = KernelImage(id=self._next_image_id, owner=owner, code_lines=code,
-                            frames=list(frames), is_initial=is_initial)
+                            frames=list(frames))
         self._next_image_id += 1
         self.images[image.id] = image
         return image
@@ -236,21 +218,20 @@ class Simulator:
         return image.id
 
     def destroy_kernel(self, image_id: int):
-        """Suspend the image's threads onto the initial kernel, return its
+        """Suspend the image's domains onto the initial kernel, return its
         frames to the pool they came from, and orphan its IRQs."""
         if image_id not in self.images:
             raise InvalidImage(f"no kernel image {image_id}")
         image = self.images[image_id]
-        if image.is_initial:
+        if image is self.initial_image:
             raise CannotDestroyInitial("the boot kernel image is undestroyable")
         for dom in self.domains.values():
             if dom.kernel_image == image_id:
-                for t in dom.threads:
-                    t.suspended = True
+                dom.suspended = True
                 dom.kernel_image = self.initial_image.id
         self.partition.release(image.owner, image.frames)
         for irq in list(image.owned_irqs):
-            self.irqs.ensure(irq).masked = self.irqs.partition_irqs
+            self.irqs.masked[irq] = self.irqs.partition_irqs
         image.owned_irqs.clear()
         del self.images[image_id]
 
@@ -260,8 +241,7 @@ class Simulator:
         for img in self.images.values():
             img.owned_irqs.discard(irq)
         self.images[image_id].owned_irqs.add(irq)
-        st = self.irqs.ensure(irq)
-        st.masked = True if self.cfg.partition_irqs else st.masked
+        self.irqs.masked[irq] = self.cfg.partition_irqs or self.irqs.masked.get(irq, False)
 
     # -- domains and memory ------------------------------------------------
 
@@ -270,9 +250,7 @@ class Simulator:
         # mappings from sharing tags while preserving set congruence
         base_vpage = 0x1000 + len(self.domains) * (1 << 20)
         dom = Domain(domain_id, self.initial_image.id,
-                     timeslice_cycles or self.timeslice_cycles,
-                     threads=[Thread(f"{domain_id}.t0", domain_id)],
-                     next_vpage=base_vpage)
+                     timeslice_cycles or self.timeslice_cycles, next_vpage=base_vpage)
         self.domains[domain_id] = dom
         if self.current_domain is None:
             self.current_domain = domain_id

@@ -4,9 +4,11 @@ import errno
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -16,11 +18,12 @@ from hypothesis import strategies as st
 
 from tcsim.channels import CHANNEL_NAMES
 from tcsim.cli import builtin_config_names, main
-from tcsim.config import _SCHEMA, ConfigError, parse_config
+from tcsim.config import _SCHEMA, ConfigError, RunConfig, parse_config
 from tcsim.harness import (measure_colour_overhead, measure_switch_costs,
                            run_scenario)
 from tcsim.profiles import get_profile
 
+README = Path(__file__).resolve().parents[1] / "README.md"
 HASWELL = get_profile("haswell")
 
 MINI = """
@@ -86,6 +89,83 @@ class TestConfigParsing:
         assert cfg.irq_owners == ((5, "d0"), (9, "d1"))
         with pytest.raises(ConfigError, match="irq:domain"):
             parse_config("[switch]\nirq_owners = 5\n")
+
+
+# (value text, parsed value) per config key: every value in range and none
+# of them the key's default
+NON_DEFAULT = {
+    "profile": ("sabre", "sabre"),
+    "colour_split": ("25, 75", (25, 75)),
+    "frames": ("2048", 2048),
+    "timeslice_cycles": ("5000", 5000),
+    "pad_cycles": ("100000", 100000),
+    "irq_margin_pct": ("10", 10.0),
+    "irq_owners": ("5:d0, 9:d1", ((5, "d0"), (9, "d1"))),
+    "run": ("bhb, kernel", ("bhb", "kernel")),
+    "scenarios": ("raw", ("raw",)),
+    "iterations": ("30", 30),
+    "warmup": ("2", 2),
+    "seed": ("-7", -7),
+    "noise_sigma_pct": ("0.5", 0.5),
+    "symbols": ("8", 8),
+    "llc_key_bits": ("16", 16),
+    "llc_key_seed": ("3", 3),
+    "switch_cost_table": ("false", False),
+    "colour_overhead": ("true", True),
+    "overhead_shares": ("0.25, 1.0", (0.25, 1.0)),
+    "overhead_working_set_kib": ("64", 64),
+    "shuffles": ("20", 20),
+    "grid_points": ("512", 512),
+    "matrix_bins": ("16", 16),
+    "kde_eps": ("0.001", 0.001),
+}
+RANGED = [f for f in fields(RunConfig)
+          if f.metadata and (f.metadata["lo"], f.metadata["hi"]) != (None, None)]
+
+
+class TestConfigSchema:
+    """Each RunConfig field is the one declaration of its config key."""
+
+    def test_every_field_is_one_schema_key(self):
+        attrs = [attr for keys in _SCHEMA.values() for attr, _ in keys.values()]
+        assert sorted(attrs) == sorted(f.name for f in fields(RunConfig)
+                                       if f.name != "raw_text")
+
+    def test_echo_names_every_field(self):
+        assert list(RunConfig().echo()) == [f.name for f in fields(RunConfig)
+                                            if f.name != "raw_text"]
+
+    def test_every_key_parses_to_its_value(self):
+        assert sorted(NON_DEFAULT) == sorted(k for keys in _SCHEMA.values() for k in keys)
+        text = "".join(f"[{section}]\n" + "".join(
+            f"{key} = {NON_DEFAULT[key][0]}\n" for key in keys)
+            for section, keys in _SCHEMA.items())
+        cfg, default = parse_config(text), RunConfig()
+        for keys in _SCHEMA.values():
+            for key, (attr, _) in keys.items():
+                assert getattr(cfg, attr) == NON_DEFAULT[key][1] != getattr(default, attr)
+
+    @pytest.mark.parametrize("f", RANGED, ids=lambda f: f.name)
+    def test_range_is_closed(self, f):
+        lo, hi = f.metadata["lo"], f.metadata["hi"]
+        line = f"[{f.metadata['section']}]\n{f.name} = {{}}\n"
+        for edge, outside in ((lo, lo is not None and lo - 1), (hi, hi is not None and hi * 2)):
+            if edge is not None:
+                assert getattr(parse_config(line.format(edge)), f.name) == edge
+                with pytest.raises(ConfigError, match=f"{f.name} must be "):
+                    parse_config(line.format(outside))
+
+    def test_readme_example_names_every_key(self):
+        block = re.search(r"```ini\n(.*?)```", README.read_text(), re.S).group(1)
+        sections, section = {}, None
+        for line in block.splitlines():
+            line = line.split("#", 1)[0].strip()
+            if line.startswith("["):
+                section = sections.setdefault(line[1:-1], [])
+            elif line:
+                section.append(line.split("=", 1)[0].strip())
+        assert sections == {s: list(keys) for s, keys in _SCHEMA.items()}
+        parse_config(block)
 
 
 class TestHarness:
@@ -273,6 +353,10 @@ class TestCli:
                                       "negative noise", "negative key seed",
                                       "zero timeslice", "negative timeslice",
                                       "too many frames", "too few frames",
+                                      "huge iterations", "huge warmup", "huge shuffles",
+                                      "huge grid points", "huge matrix bins",
+                                      "huge key bits", "huge overhead working set",
+                                      "huge kde eps", "huge irq margin", "huge noise",
                                       "switch-cost profile",
                                       "analyze missing csv", "analyze one symbol",
                                       "analyze missing column", "analyze bad output",
@@ -280,13 +364,22 @@ class TestCli:
                                       "analyze zero grid points",
                                       "analyze one grid point",
                                       "analyze negative seed",
+                                      "analyze huge shuffles", "analyze huge grid points",
                                       "analyze short row", "analyze long row",
                                       "analyze empty file", "analyze header only",
                                       "config is a directory", "config not utf-8",
                                       "run out is a file", "run out under a file",
                                       "analyze out is a directory",
                                       "analyze out in a missing directory"])
-    def test_bad_input_exits_2_with_one_line(self, case, tmp_path, capsys):
+    def test_bad_input_exits_2_with_one_line(self, case, tmp_path, capsys, monkeypatch):
+        if "huge" in case:
+            # an oversized value is rejected at parse time: nothing of its
+            # size is ever allocated or run
+            def unreached(*args, **kwargs):
+                raise AssertionError(f"{case} reached a run")
+
+            monkeypatch.setattr("tcsim.harness.run_scenario", unreached)
+            monkeypatch.setattr("tcsim.cli.leak_verdict", unreached)
         configs = {
             "unknown profile": MINI.replace("profile = haswell", "profile = nope"),
             "unknown irq owner": MINI + "\n[switch]\nirq_owners = 5:d7\n",
@@ -314,6 +407,20 @@ class TestCli:
             "too few frames": MINI.replace("run = bhb", "run = kernel")
                                   .replace("raw, protected", "full_flush")
             + "\n[domains]\nframes = 1024\n",
+            "huge iterations": MINI.replace("iterations = 60", "iterations = 1000000000000"),
+            "huge warmup": MINI + "warmup = 1000000000000\n",
+            "huge shuffles": MINI + "\n[stats]\nshuffles = 1000000000000\n",
+            "huge grid points": MINI + "\n[stats]\ngrid_points = 100000000000\n",
+            "huge matrix bins": MINI + "\n[stats]\nmatrix_bins = 100000000000\n",
+            "huge key bits": MINI.replace("run = bhb", "run = llc_side")
+            + "llc_key_bits = 1000000000000\n",
+            "huge overhead working set": MINI + "colour_overhead = true\n"
+                                                "overhead_working_set_kib = 1000000000000\n",
+            # the KDE grid [min - 3h, max + 3h] of noise-free data overflows
+            "huge kde eps": MINI + "noise_sigma_pct = 0\n[stats]\nkde_eps = 1e308\n",
+            # the auto pad overflows
+            "huge irq margin": MINI + "\n[switch]\nirq_margin_pct = 1e307\n",
+            "huge noise": MINI + "noise_sigma_pct = 1.7e308\n",
             "run out is a file": MINI,
             "run out under a file": MINI,
         }
@@ -352,7 +459,9 @@ class TestCli:
                      "analyze one shuffle": ["--shuffles", "1"],
                      "analyze zero grid points": ["--grid-points", "0"],
                      "analyze one grid point": ["--grid-points", "1"],
-                     "analyze negative seed": ["--seed", "-1"]}
+                     "analyze negative seed": ["--seed", "-1"],
+                     "analyze huge shuffles": ["--shuffles", "1000000000000"],
+                     "analyze huge grid points": ["--grid-points", "100000000000"]}
             samples = tmp_path / "samples.csv"
             samples.write_text(rows.get(case, good))
             argv = ["analyze", str(samples), *flags.get(case, []),

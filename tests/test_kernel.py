@@ -113,7 +113,7 @@ class TestIrqOwnership:
 
     def test_unassigned_irq_never_unmasked_when_partitioned(self):
         sim = protected()
-        sim.irqs.ensure(9)
+        sim.irqs.masked.setdefault(9, sim.irqs.partition_irqs)
         for _ in range(4):
             sim.domain_switch(RECEIVER)
             sim.domain_switch(SENDER)
@@ -137,7 +137,7 @@ class TestIrqOwnership:
 
     def test_unowned_unmasked_irq_violates_every_step_until_overrun(self):
         sim = build_scenario(HASWELL, "protected", pad_cycles=10).sim
-        sim.irqs.ensure(9).masked = False  # owned by no image
+        sim.irqs.masked[9] = False  # owned by no image
         with pytest.raises(PadOverrun):
             sim.domain_switch(RECEIVER)
         # steps 1-9 ran before the pad check raised; each counts once
@@ -146,7 +146,7 @@ class TestIrqOwnership:
     def test_unmasked_irq_of_next_image_violates_until_the_domain_changes(self):
         sim = protected()
         sim.set_irq_owner(4, sim.domains[RECEIVER].kernel_image)
-        sim.irqs.ensure(4).masked = False  # unmasked while the sender runs
+        sim.irqs.masked[4] = False  # unmasked while the sender runs
         sim.domain_switch(RECEIVER)
         # steps 1-4 run on the sender's image, steps 5-12 on the receiver's
         assert (sim.irq_checks, sim.irq_violations) == (12, 4)
@@ -269,7 +269,7 @@ def _apply_switch_op(sim, switch, op):
         except PadOverrun as e:
             outcome = str(e)
     elif op[0] in ("unmask", "mask"):
-        sim.irqs.ensure(op[1]).masked = op[0] == "mask"
+        sim.irqs.masked[op[1]] = op[0] == "mask"
     elif op[0] == "own":
         sim.set_irq_owner(op[1], sim.domains[op[2]].kernel_image)
     elif op[0] == "pad":
@@ -371,7 +371,7 @@ class TestDestroy:
         after = Counter(pool_pages(sim.partition, SENDER))
         assert after == expected
         assert sim.domains[SENDER].kernel_image == sim.initial_image.id
-        assert all(t.suspended for t in sim.domains[SENDER].threads)
+        assert sim.domains[SENDER].suspended
 
     def test_destroy_then_clone_again(self):
         sim = protected()
