@@ -62,10 +62,10 @@ def _noise(rng: np.random.Generator, sigma: float, n: int) -> np.ndarray:
 # -- probe windows ------------------------------------------------------------
 
 def _virtual_window(sim: Simulator, domain: str, cache: CacheState,
-                    window_sets: int) -> list[list[int]]:
+                    window_sets: int) -> list[int]:
     """Addresses for `ways` lines in each of the first ``window_sets`` sets of
-    a virtually indexed resource, built on an aligned frameless mapping.
-    Returned as [way][set] in probe order."""
+    a virtually indexed resource, built on an aligned frameless mapping, in
+    probe order (way by way)."""
     geo = cache.geometry
     span = geo.sets * geo.line_bytes
     pages = math.ceil(geo.ways * span / sim.profile.page_bytes)
@@ -73,19 +73,8 @@ def _virtual_window(sim: Simulator, domain: str, cache: CacheState,
     base = sim.alloc_vpages(domain, pages + align)
     base = (base + align * sim.profile.page_bytes - 1) // (align * sim.profile.page_bytes) \
         * (align * sim.profile.page_bytes)
-    return [[base + way * span + s * geo.line_bytes for s in range(window_sets)]
-            for way in range(geo.ways)]
-
-
-def _physical_window(sim: Simulator, domain: str, cache: CacheState,
-                     colour: int | None) -> list[list[int]]:
-    """Addresses for `ways` frames of one colour of the partitioned cache:
-    every line of each frame, giving ways x lines_per_page set coverage."""
-    geo = cache.geometry
-    per = sim.profile.lines_per_page
-    pairs = sim.alloc_buffer(domain, geo.ways, colour)
-    frames = [pairs[i * per:(i + 1) * per] for i in range(geo.ways)]
-    return [[pa for _, pa in frame] for frame in frames]
+    return [base + way * span + s * geo.line_bytes
+            for way in range(geo.ways) for s in range(window_sets)]
 
 
 def _first_colour(sim: Simulator, domain: str) -> int:
@@ -97,13 +86,13 @@ def _first_colour(sim: Simulator, domain: str) -> int:
 def probe_window(sim: Simulator, domain: str, resource: str) -> list[int]:
     """The domain's probe window on a resource, its addresses in probe order
     (way by way): the first ``WINDOW_SETS`` sets of a virtually indexed
-    resource, or the domain's first colour of a physically indexed one."""
+    resource, or every line of `ways` frames of the domain's first colour
+    of a physically indexed one, frame by frame."""
     cache = sim.machine.caches[resource]
     if cache.geometry.indexing == "virtual":
-        ways = _virtual_window(sim, domain, cache, WINDOW_SETS)
-    else:
-        ways = _physical_window(sim, domain, cache, _first_colour(sim, domain))
-    return [addr for way in ways for addr in way]
+        return _virtual_window(sim, domain, cache, WINDOW_SETS)
+    pairs = sim.alloc_buffer(domain, cache.geometry.ways, _first_colour(sim, domain))
+    return [pa for _, pa in pairs]
 
 
 def group_window(sim: Simulator, resource: str, lines: list[int]) -> tuple:
@@ -155,6 +144,8 @@ def _bhb(profile, spec, alphabet, rng, build_kwargs):
     """Direction-history channel: the sender trains one conditional branch
     taken or not-taken until the global history saturates; the receiver times
     one congruent taken branch."""
+    if set(alphabet) - {"not_taken", "taken"}:
+        raise ValueError("bhb channel alphabet is {not_taken, taken}")
     sim = build_scenario(profile, spec.scenario, **build_kwargs).sim
     predictor = sim.machine.predictor
     branch = sim.alloc_vpages(SENDER, 1)
@@ -214,10 +205,9 @@ def _flush_latency(profile, spec, alphabet, rng, build_kwargs):
     l1d = sim.machine.caches["l1d"]
     if max(alphabet) > l1d.geometry.lines:
         raise ValueError("dirty-line symbol exceeds L1-D capacity")
-    lines = [addr for way in _virtual_window(sim, SENDER, l1d, l1d.geometry.sets)
-             for addr in way]
+    lines = _virtual_window(sim, SENDER, l1d, l1d.geometry.sets)
     dirtied = {k: l1d.group((a, a) for a in lines[:k]) for k in alphabet}
-    slice_cycles = sim.domains[RECEIVER].timeslice_cycles
+    slice_cycles = sim.timeslice_cycles
 
     def send(k):
         l1d.probe_groups(dirtied[k], True)
@@ -237,10 +227,10 @@ def _interrupt(profile, spec, alphabet, rng, build_kwargs):
         raise ValueError("interrupt channel alphabet is {no, yes}")
     sim = build_scenario(profile, spec.scenario, **build_kwargs).sim
     irq = 1
-    sim.irqs.masked.setdefault(irq, sim.irqs.partition_irqs)
+    sim.irq_masked.setdefault(irq, sim.cfg.partition_irqs)
     if sim.cfg.partition_irqs:
         sim.set_irq_owner(irq, sim.domains[SENDER].kernel_image)
-    slice_cycles = sim.domains[RECEIVER].timeslice_cycles
+    slice_cycles = sim.timeslice_cycles
     period = slice_cycles // 10
     handler = sim.kparams.irq_handler_cycles
     phases = rng.uniform(0.0, period, size=spec.warmup + spec.iterations)
@@ -253,12 +243,12 @@ def _interrupt(profile, spec, alphabet, rng, build_kwargs):
     def measure(it, trace):
         base = slice_cycles - trace.total_elapsed
         rows = [(base,)]
-        if armed and irq in sim.irqs.unmasked():
+        if armed and not sim.irq_masked[irq]:
             offset = phases[it]
-            sim.irqs.masked[irq] = True  # pending until sender acks
+            sim.irq_masked[irq] = True  # pending until sender acks
             rows = [(offset,), (base - offset - handler,)]
         if armed and not sim.cfg.partition_irqs:
-            sim.irqs.masked[irq] = False  # sender acks in its next slice
+            sim.irq_masked[irq] = False  # sender acks in its next slice
         return rows
 
     return sim, send, measure, {"slice_cycles": slice_cycles, "period": period}

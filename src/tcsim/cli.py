@@ -23,8 +23,8 @@ from pathlib import Path
 from tcsim.config import (SCENARIOS, ConfigError, PadOverrun, RunConfig, check_range,
                           load_config, parse_config, range_text)
 from tcsim.samples import SampleSet
-from tcsim.stats import (DegenerateAlphabet, TooFewSamples, leak_verdict,
-                         report_record)
+from tcsim.stats import (DegenerateAlphabet, GridUnbuildable, TooFewSamples,
+                         leak_verdict, report_record)
 
 
 def builtin_config_names() -> list[str]:
@@ -88,7 +88,7 @@ def cmd_analyze(args) -> int:
         verdict = leak_verdict(samples.inputs, samples.outputs,
                                shuffles=args.shuffles, seed=args.seed,
                                grid_points=args.grid_points)
-    except (DegenerateAlphabet, TooFewSamples) as exc:
+    except (DegenerateAlphabet, GridUnbuildable, TooFewSamples) as exc:
         raise ConfigError(f"{args.samples}: {exc}") from None
     record = report_record(verdict)
     record["source"] = str(args.samples)

@@ -25,10 +25,14 @@ from tcsim.kernel import Simulator
 from tcsim.microarch import colour_count
 from tcsim.profiles import PlatformProfile, get_profile
 from tcsim.scenarios import RECEIVER, SENDER, build_scenario
-from tcsim.stats import (DegenerateAlphabet, TooFewSamples, channel_matrix,
-                         leak_verdict, report_record)
+from tcsim.stats import (DegenerateAlphabet, GridUnbuildable, TooFewSamples,
+                         channel_matrix, leak_verdict, report_record)
 
 SWITCH_WORKLOADS = ("idle", "l1d", "l1i", "l2", "llc")
+# rounds of each switch-cost workload; the last is reported, as steady state
+SWITCH_ROUNDS = 6
+# passes of the colour-overhead stream; the first, cold, pass is not counted
+STREAM_PASSES = 4
 
 
 def cell_seed(master: int, channel: str, scenario: str) -> int:
@@ -200,6 +204,8 @@ def _measure(inputs, outputs, cfg: RunConfig, seed: int, cell: str) -> dict:
         raise ConfigError(
             f"cell {cell}: {exc}; raise iterations (now {cfg.iterations}) so that"
             f" every symbol gets at least 2 samples") from None
+    except GridUnbuildable as exc:
+        raise ConfigError(f"cell {cell}: {exc}") from None
     return report_record(verdict)
 
 
@@ -238,9 +244,9 @@ def _switch_workload(sim: Simulator, workload: str):
 
 
 def measure_switch_costs(profile: PlatformProfile, scenario: str,
-                         rounds: int = 6, **build_kwargs) -> dict:
+                         **build_kwargs) -> dict:
     """Cost of switching away from a domain running each receiver workload to
-    an idle domain, per scenario. Reports the steady-state (last round)."""
+    an idle domain, per scenario, in the last of ``SWITCH_ROUNDS`` rounds."""
     out = {}
     for workload in SWITCH_WORKLOADS:
         if workload == "llc" and "llc" not in profile.geometries:
@@ -248,7 +254,7 @@ def measure_switch_costs(profile: PlatformProfile, scenario: str,
         sim = build_scenario(profile, scenario, **build_kwargs).sim
         run = _switch_workload(sim, workload)
         trace = None
-        for _ in range(rounds):
+        for _ in range(SWITCH_ROUNDS):
             sim.domain_switch(RECEIVER)
             run()
             trace = sim.domain_switch(SENDER)
@@ -266,7 +272,7 @@ def flush_cost_table(profile: PlatformProfile) -> dict:
 # -- colouring overhead -------------------------------------------------------
 
 def measure_colour_overhead(profile: PlatformProfile, working_set_bytes: int,
-                            share: float, passes: int = 4) -> float:
+                            share: float) -> float:
     """Slowdown of a streaming read workload when confined to a share of the
     partitioned cache's colours: cycles(share) / cycles(all colours) - 1."""
     if not (0 < share <= 1):
@@ -274,16 +280,15 @@ def measure_colour_overhead(profile: PlatformProfile, working_set_bytes: int,
     geometry = profile.geometries[profile.partitioned_cache]
     colours = colour_count(geometry, profile.page_bytes)
     allowed = max(1, math.floor(colours * share))
-    full = _stream_cycles(profile, working_set_bytes, colours, passes)
-    restricted = _stream_cycles(profile, working_set_bytes, allowed, passes)
+    full = _stream_cycles(profile, working_set_bytes, colours, colours)
+    restricted = _stream_cycles(profile, working_set_bytes, colours, allowed)
     return restricted / full - 1.0
 
 
 def _stream_cycles(profile: PlatformProfile, working_set_bytes: int,
-                   allowed_colours: int, passes: int) -> int:
+                   colours: int, allowed_colours: int) -> int:
+    """Cycles of the warm passes over ``allowed_colours`` of ``colours``."""
     machine = profile.build_machine()
-    geometry = profile.geometries[profile.partitioned_cache]
-    colours = colour_count(geometry, profile.page_bytes)
     page = profile.page_bytes
     n_pages = math.ceil(working_set_bytes / page)
     # round-robin page frames over the allowed colours
@@ -295,7 +300,7 @@ def _stream_cycles(profile: PlatformProfile, working_set_bytes: int,
     data_path = machine.data_path
     window = data_path.group([(a, a) for a in addrs])
     total = 0
-    for p in range(passes):
+    for p in range(STREAM_PASSES):
         cycles = data_path.probe(window)[0]
         if p > 0:  # skip the cold pass
             total += cycles

@@ -66,9 +66,7 @@ class KernelImage:
 
 @dataclass
 class Domain:
-    id: str
     kernel_image: int
-    timeslice_cycles: int
     next_vpage: int = 0x1000  # per-domain virtual bump allocator
     suspended: bool = False  # its kernel image was destroyed under it
 
@@ -130,28 +128,6 @@ class SwitchTrace:
     total_elapsed: int
 
 
-class IrqController:
-    """Mask state of device interrupts; images own them. The preemption
-    timer is implicit and always deliverable."""
-
-    def __init__(self, partition_irqs: bool):
-        # without partitioning, a device IRQ is live until masked: a new
-        # IRQ's entry is ``masked.setdefault(irq, partition_irqs)``
-        self.partition_irqs = partition_irqs
-        self.masked: dict[int, bool] = {}
-
-    def mask_owned(self, image: KernelImage):
-        for irq in image.owned_irqs:
-            self.masked[irq] = True
-
-    def unmask_owned(self, image: KernelImage):
-        for irq in image.owned_irqs:
-            self.masked[irq] = False
-
-    def unmasked(self) -> set[int]:
-        return {irq for irq, masked in self.masked.items() if not masked}
-
-
 class Simulator:
     """Single-core deterministic simulation state: one machine, one colour
     partition, kernel images, domains and a cycle clock."""
@@ -170,7 +146,10 @@ class Simulator:
         self.domains: dict[str, Domain] = {}
         self.images: dict[int, KernelImage] = {}
         self._next_image_id = 0
-        self.irqs = IrqController(switch_cfg.partition_irqs)
+        # device IRQ mask state (images own IRQs; the timer is implicit and
+        # always deliverable). Unpartitioned, a new IRQ is live until masked:
+        # its entry is ``irq_masked.setdefault(irq, cfg.partition_irqs)``
+        self.irq_masked: dict[int, bool] = {}
         # IRQ-invariant checks made at every switch step when IRQs are
         # partitioned, and how many of them failed
         self.irq_checks = 0
@@ -230,8 +209,8 @@ class Simulator:
                 dom.suspended = True
                 dom.kernel_image = self.initial_image.id
         self.partition.release(image.owner, image.frames)
-        for irq in list(image.owned_irqs):
-            self.irqs.masked[irq] = self.irqs.partition_irqs
+        for irq in image.owned_irqs:
+            self.irq_masked[irq] = self.cfg.partition_irqs
         image.owned_irqs.clear()
         del self.images[image_id]
 
@@ -241,16 +220,15 @@ class Simulator:
         for img in self.images.values():
             img.owned_irqs.discard(irq)
         self.images[image_id].owned_irqs.add(irq)
-        self.irqs.masked[irq] = self.cfg.partition_irqs or self.irqs.masked.get(irq, False)
+        self.irq_masked[irq] = self.cfg.partition_irqs or self.irq_masked.get(irq, False)
 
     # -- domains and memory ------------------------------------------------
 
-    def add_domain(self, domain_id: str, timeslice_cycles: int | None = None) -> Domain:
+    def add_domain(self, domain_id: str) -> Domain:
         # widely separated virtual ranges keep distinct domains' frameless
         # mappings from sharing tags while preserving set congruence
         base_vpage = 0x1000 + len(self.domains) * (1 << 20)
-        dom = Domain(domain_id, self.initial_image.id,
-                     timeslice_cycles or self.timeslice_cycles, next_vpage=base_vpage)
+        dom = Domain(self.initial_image.id, next_vpage=base_vpage)
         self.domains[domain_id] = dom
         if self.current_domain is None:
             self.current_domain = domain_id
@@ -299,10 +277,12 @@ class Simulator:
 
     # -- the domain switch ---------------------------------------------------
 
+    def unmasked_irqs(self) -> set[int]:
+        return {irq for irq, masked in self.irq_masked.items() if not masked}
+
     def check_irq_invariant(self) -> bool:
         """Unmasked device IRQs must all belong to the current image."""
-        owned = self.current_image().owned_irqs
-        return self.irqs.unmasked() <= owned
+        return self.unmasked_irqs() <= self.current_image().owned_irqs
 
     def _count_irq_checks(self, steps: int):
         """Count the IRQ invariant as checked after each of ``steps`` switch
@@ -337,7 +317,7 @@ class Simulator:
                           + access(bitmap, bitmap) + access(decision, decision, True))]
         if kernel_switch:
             cost = kp.mask_cycles + access(irq_table, irq_table, True) + access(irq, irq)
-            self.irqs.mask_owned(prev_image)
+            self.irq_masked.update(dict.fromkeys(prev_image.owned_irqs, True))
             steps.append(StepCost(3, "mask_prev_irqs", cost))
             steps.append(StepCost(4, "stack_switch", kp.stack_switch_cycles))
         cost = (kp.thread_switch_cycles + access(thread, thread, True)
@@ -349,7 +329,7 @@ class Simulator:
         steps.append(StepCost(5, "thread_switch", cost))
         steps.append(StepCost(6, "unlock", kp.unlock_cycles + access(lock, lock, True)))
         if kernel_switch:
-            self.irqs.unmask_owned(next_image)
+            self.irq_masked.update(dict.fromkeys(next_image.owned_irqs, False))
             steps.append(StepCost(7, "unmask_next_irqs",
                                   kp.unmask_cycles + access(irq_table, irq_table, True)))
             flush = self.machine.flush

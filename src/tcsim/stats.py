@@ -50,6 +50,11 @@ class DegenerateAlphabet(ValueError):
     """Fewer than two distinct input symbols in the dataset."""
 
 
+class GridUnbuildable(ValueError):
+    """The KDE grid's step is not a finite positive number: the bandwidths
+    vanish next to the outputs' magnitude, or the grid's span overflows."""
+
+
 def _quantile(ordered: np.ndarray, q: float) -> float:
     """Quantile q of sorted samples, bit-identical to ``np.percentile`` at
     100*q: numpy's linear rule at index (n-1)*q, interpolated in the two
@@ -86,10 +91,6 @@ class MiEstimate:
     clamped: bool = False
     bandwidths: dict = field(default_factory=dict)
     n: int = 0
-
-    @property
-    def value_millibits(self) -> float:
-        return self.value_bits * 1e3
 
 
 @dataclass(frozen=True)
@@ -173,11 +174,16 @@ def _mi_bits(groups: list, out_min: float, out_max: float, grid_points: int,
              eps: float) -> tuple[float, list, float, float]:
     """Unclamped MI of per-symbol output groups whose pooled range is
     [out_min, out_max]: (mi, bandwidths, grid lo, grid hi)."""
-    bands = [silverman_bandwidth(g, eps) for g in groups]
+    with np.errstate(over="ignore", invalid="ignore"):  # the step check reports it
+        bands = [silverman_bandwidth(g, eps) for g in groups]
     h_max = max(bands)
     lo = out_min - 3 * h_max
     hi = out_max + 3 * h_max
     step = (hi - lo) / (grid_points - 1)
+    if not 0 < step < math.inf:
+        raise GridUnbuildable(
+            f"no KDE grid spans outputs {out_min:g}..{out_max:g} with bandwidth"
+            f" {h_max:g}: its step is {step:g}")
     prior = 1.0 / len(groups)
     dens = np.empty((len(groups), grid_points))
     for s, (g, h) in enumerate(zip(groups, bands)):
@@ -303,7 +309,7 @@ def report_record(verdict: LeakVerdict) -> dict:
     m, m0 = verdict.m, verdict.m0
     return {
         "m_bits": m.value_bits,
-        "m_millibits": m.value_millibits,
+        "m_millibits": m.value_bits * 1e3,
         "m0_bits": m0.bound_bits,
         "m0_millibits": m0.bound_bits * 1e3,
         "leak": verdict.leak,

@@ -343,7 +343,8 @@ def reference_domain_switch(sim, next_domain: str) -> SwitchTrace:
     if kernel_switch:
         cost = kp.mask_cycles + region("irq_state_table", write=True) \
             + region("current_irq")
-        sim.irqs.mask_owned(prev_image)
+        for irq in prev_image.owned_irqs:
+            sim.irq_masked[irq] = True
         step(3, "mask_prev_irqs", cost)
         step(4, "stack_switch", kp.stack_switch_cycles)
     cost = kp.thread_switch_cycles \
@@ -356,7 +357,8 @@ def reference_domain_switch(sim, next_domain: str) -> SwitchTrace:
     step(5, "thread_switch", cost)
     step(6, "unlock", kp.unlock_cycles + region("lock_word", write=True))
     if kernel_switch:
-        sim.irqs.unmask_owned(next_image)
+        for irq in next_image.owned_irqs:
+            sim.irq_masked[irq] = False
         step(7, "unmask_next_irqs",
              kp.unmask_cycles + region("irq_state_table", write=True))
         step(8, "flush", sum(sim.machine.flush(r) for r in sim.cfg.flush_targets))

@@ -123,7 +123,7 @@ def test_06_intra_core_suite():
         assert cells["raw"].leak, resource
         assert not cells["full_flush"].leak, resource
         assert not cells["protected"].leak, resource
-        lines.append(f"{resource}:{cells['raw'].m.value_millibits:.0f}mb")
+        lines.append(f"{resource}:{cells['raw'].m.value_bits * 1e3:.0f}mb")
     elapsed = time.monotonic() - t0
     assert elapsed < 300.0
     ok(6, f"six resources leak raw, closed by full flush and protection "

@@ -159,6 +159,12 @@ class TestInterruptChannel:
             run_channel(HASWELL, spec("interrupt", "raw", alphabet=("maybe",)))
 
 
+def test_bhb_alphabet_validated():
+    # any symbol but "taken" would train not-taken, and the channel go dead
+    with pytest.raises(ValueError, match="bhb channel alphabet"):
+        run_channel(HASWELL, spec("bhb", "raw", alphabet=("T", "N")))
+
+
 class TestLlcSideChannel:
     def test_raw_recovery(self):
         r = run_llc_side_channel(HASWELL, spec("llc_side_channel", "raw", seed=48))

@@ -37,6 +37,9 @@ iterations = 60
 seed = 10
 switch_cost_table = false
 """
+NOISE_FREE = (MINI.replace("run = bhb", "run = flush_latency")
+              .replace("raw, protected", "protected").replace("iterations = 60", "iterations = 40")
+              + "noise_sigma_pct = 0\n[switch]\n")
 
 
 class TestConfigParsing:
@@ -357,6 +360,9 @@ class TestCli:
                                       "huge grid points", "huge matrix bins",
                                       "huge key bits", "huge overhead working set",
                                       "huge kde eps", "huge irq margin", "huge noise",
+                                      "huge pad", "huge timeslice",
+                                      "noise-free 1e11 pad grid",
+                                      "noise-free 1e11 timeslice grid",
                                       "switch-cost profile",
                                       "analyze missing csv", "analyze one symbol",
                                       "analyze missing column", "analyze bad output",
@@ -366,6 +372,8 @@ class TestCli:
                                       "analyze negative seed",
                                       "analyze huge shuffles", "analyze huge grid points",
                                       "analyze short row", "analyze long row",
+                                      "analyze zero grid step",
+                                      "analyze overflowing grid",
                                       "analyze empty file", "analyze header only",
                                       "config is a directory", "config not utf-8",
                                       "run out is a file", "run out under a file",
@@ -421,6 +429,13 @@ class TestCli:
             # the auto pad overflows
             "huge irq margin": MINI + "\n[switch]\nirq_margin_pct = 1e307\n",
             "huge noise": MINI + "noise_sigma_pct = 1.7e308\n",
+            "huge pad": MINI + "\n[switch]\npad_cycles = " + "1" + "0" * 54 + "\n",
+            "huge timeslice": MINI + "\n[switch]\ntimeslice_cycles = 1" + "0" * 400 + "\n",
+            # in range, but each symbol's outputs are one value so large that
+            # the KDE grid around it has a zero step
+            "noise-free 1e11 pad grid": NOISE_FREE + "pad_cycles = 100000000000\n",
+            "noise-free 1e11 timeslice grid": NOISE_FREE
+            + "timeslice_cycles = 100000000000\n",
             "run out is a file": MINI,
             "run out under a file": MINI,
         }
@@ -453,6 +468,9 @@ class TestCli:
                                          "2,a,3.0\n3,b,4.0\n",
                     "analyze long row": "iteration,input,output\n0,a,1.0,9\n"
                                         "1,a,2.0\n2,b,3.0\n3,b,5.0\n",
+                    "analyze zero grid step": "input,output\n" + "a,1e15\nb,1e15\n" * 50,
+                    "analyze overflowing grid": "input,output\n"
+                                                + "a,1.7e308\nb,-1.7e308\n" * 50,
                     "analyze empty file": "",
                     "analyze header only": "iteration,input,output\n"}
             flags = {"analyze zero shuffles": ["--shuffles", "0"],

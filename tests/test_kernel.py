@@ -113,11 +113,11 @@ class TestIrqOwnership:
 
     def test_unassigned_irq_never_unmasked_when_partitioned(self):
         sim = protected()
-        sim.irqs.masked.setdefault(9, sim.irqs.partition_irqs)
+        sim.irq_masked.setdefault(9, sim.cfg.partition_irqs)
         for _ in range(4):
             sim.domain_switch(RECEIVER)
             sim.domain_switch(SENDER)
-        assert 9 not in sim.irqs.unmasked()
+        assert 9 not in sim.unmasked_irqs()
 
     def test_mask_subset_invariant_through_switches(self):
         sim = protected()
@@ -137,7 +137,7 @@ class TestIrqOwnership:
 
     def test_unowned_unmasked_irq_violates_every_step_until_overrun(self):
         sim = build_scenario(HASWELL, "protected", pad_cycles=10).sim
-        sim.irqs.masked[9] = False  # owned by no image
+        sim.irq_masked[9] = False  # owned by no image
         with pytest.raises(PadOverrun):
             sim.domain_switch(RECEIVER)
         # steps 1-9 ran before the pad check raised; each counts once
@@ -146,7 +146,7 @@ class TestIrqOwnership:
     def test_unmasked_irq_of_next_image_violates_until_the_domain_changes(self):
         sim = protected()
         sim.set_irq_owner(4, sim.domains[RECEIVER].kernel_image)
-        sim.irqs.masked[4] = False  # unmasked while the sender runs
+        sim.irq_masked[4] = False  # unmasked while the sender runs
         sim.domain_switch(RECEIVER)
         # steps 1-4 run on the sender's image, steps 5-12 on the receiver's
         assert (sim.irq_checks, sim.irq_violations) == (12, 4)
@@ -157,7 +157,7 @@ class TestIrqOwnership:
         sim.set_irq_owner(7, img)
         sim.destroy_kernel(img)
         assert not any(7 in image.owned_irqs for image in sim.images.values())
-        assert 7 not in sim.irqs.unmasked()
+        assert 7 not in sim.unmasked_irqs()
 
 
 class TestDomainSwitch:
@@ -269,7 +269,7 @@ def _apply_switch_op(sim, switch, op):
         except PadOverrun as e:
             outcome = str(e)
     elif op[0] in ("unmask", "mask"):
-        sim.irqs.masked[op[1]] = op[0] == "mask"
+        sim.irq_masked[op[1]] = op[0] == "mask"
     elif op[0] == "own":
         sim.set_irq_owner(op[1], sim.domains[op[2]].kernel_image)
     elif op[0] == "pad":
@@ -286,7 +286,7 @@ def _apply_switch_op(sim, switch, op):
             outcome = [(machine.caches["l1i"].access(a, a), machine.caches["tlb"].access(a, a))
                        for a in lines]
     return (outcome, sim.irq_checks, sim.irq_violations, sim.now,
-            sim.current_domain, sim.irqs.unmasked())
+            sim.current_domain, sim.unmasked_irqs())
 
 
 @settings(max_examples=60, deadline=None)

@@ -20,7 +20,7 @@ from oracles import (analytic_mixture_mi, estimate_density,
                      gaussian_mixture_dataset, percentile_bandwidth,
                      quadrature_kde_mi, reference_bound, reference_mi)
 from tcsim import stats
-from tcsim.stats import (DegenerateAlphabet, TooFewSamples,
+from tcsim.stats import (DegenerateAlphabet, GridUnbuildable, TooFewSamples,
                          _quantile, channel_matrix, estimate_mi, leak_verdict,
                          silverman_bandwidth, zero_leakage_bound)
 
@@ -196,6 +196,18 @@ class TestEstimateMi:
     def test_requires_two_samples_per_symbol(self):
         with pytest.raises(TooFewSamples):
             estimate_mi(["a", "a", "b"], np.array([1.0, 2.0, 3.0]))
+
+    @pytest.mark.parametrize("outputs", [
+        np.full(100, 1e15),  # eps vanishes next to the outputs: a zero step
+        np.tile([1.7e308, -1.7e308], 50),  # the span overflows
+        np.tile([1.7e308, 1.7e308, -1.7e308, -1.7e308], 25),  # and the bandwidths
+    ], ids=["zero step", "infinite span", "infinite bandwidth"])
+    def test_unbuildable_grid_is_named(self, outputs):
+        inputs = ["a", "b"] * 50
+        with pytest.raises(GridUnbuildable, match="no KDE grid spans outputs"):
+            estimate_mi(inputs, outputs)
+        with pytest.raises(GridUnbuildable):
+            zero_leakage_bound(inputs, outputs, shuffles=4)
 
     def test_non_negative_even_on_noise(self):
         for seed in range(10):
