@@ -16,7 +16,6 @@ a SampleSet is reproducible bit-exactly.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -53,6 +52,8 @@ class ChannelSpec:
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
+        if self.warmup < 0:
+            raise ValueError("warmup must be >= 0")
 
 
 def _noise(rng: np.random.Generator, sigma: float, n: int) -> np.ndarray:
@@ -149,7 +150,7 @@ def _bhb(profile, spec, alphabet, rng, build_kwargs):
     sim = build_scenario(profile, spec.scenario, **build_kwargs).sim
     predictor = sim.machine.predictor
     branch = sim.alloc_vpages(SENDER, 1)
-    train = predictor.bhb.history_bits + 8
+    train = predictor.history_bits + 8
 
     def send(symbol):
         for _ in range(train):
@@ -302,7 +303,7 @@ def run_channel(profile: PlatformProfile, spec: ChannelSpec, **build_kwargs) -> 
     """Run one channel of ``CHANNELS``. Every iteration, warmup included,
     switches to the sender, sends its symbol, switches to the receiver and
     measures; rows after the warmup are recorded. (The cross-core side
-    channel has its own entry point and result type.)"""
+    channel has its own entry point, ``run_llc_side_channel``.)"""
     channel = CHANNELS.get(spec.channel_kind)
     if channel is None:
         raise ValueError(f"unknown channel kind {spec.channel_kind!r}")
@@ -333,39 +334,16 @@ def run_channel(profile: PlatformProfile, spec: ChannelSpec, **build_kwargs) -> 
                             for name, column in zip(channel.extra, columns[1:])})
 
 
-@dataclass
-class SideChannelResult:
-    """Cross-core spy trace and the key recovered from it. The trace is
-    sparse: the spy's probe of each of its ``spy_sets`` sets reads
-    ``baseline`` cycles in each of ``quanta`` quanta, except at ``cells``,
-    (set, quantum, latency) in quantum order: the re-probes after a victim
-    miss, each above the baseline."""
-
-    cells: list
-    baseline: int
-    quanta: int
-    spy_sets: int
-    true_key: np.ndarray
-    recovered_key: np.ndarray
-    accuracy: float
-    hot_set: int | None
-    metadata: dict
-
-    def trace_to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["set", "quantum", "latency"])
-            w.writerows(self.cells)
-
-
 GAP_ZERO = 2  # quanta between square touches encoding a 0 bit
 GAP_ONE = 4   # and a 1 bit
 
 
 def run_llc_side_channel(profile: PlatformProfile, spec: ChannelSpec,
                          key_bits: int = 64, key=None,
-                         **build_kwargs) -> SideChannelResult:
-    """Cross-core side channel through the shared last-level cache.
+                         **build_kwargs) -> tuple[list, dict]:
+    """Cross-core side channel through the shared last-level cache. Returns
+    ``(cells, record)``: the spy's trace, and the report's ``llc_side`` cell
+    but its ``trace_csv``.
 
     The victim mimics an exponentiation loop: it touches one fixed "square"
     line and spaces consecutive touches by a short gap for a 0 bit and a long
@@ -381,10 +359,14 @@ def run_llc_side_channel(profile: PlatformProfile, spec: ChannelSpec,
     and only the square's set, so the spy's re-probe is computed there
     alone: every other probe of a primed set hits all its ways and reads the
     baseline.
+
+    The trace is sparse: the spy's probe of each of its ``spy_sets`` sets
+    reads ``baseline_latency`` cycles in each of ``quanta`` quanta, except at
+    the returned cells, (set, quantum, latency) in quantum order: the
+    re-probes after a victim miss, each above the baseline.
     """
     sim = build_scenario(profile, spec.scenario, **build_kwargs).sim
-    llc_name = "llc" if "llc" in sim.machine.caches else profile.partitioned_cache
-    llc = sim.machine.caches[llc_name]
+    llc = sim.machine.data_path.levels[-1]
     rng = np.random.default_rng(spec.seed)
     key = rng.integers(0, 2, size=key_bits) if key is None \
         else np.asarray(key, dtype=int)
@@ -401,7 +383,6 @@ def run_llc_side_channel(profile: PlatformProfile, spec: ChannelSpec,
         touch_quanta.append(touch_quanta[-1] + (GAP_ONE if bit else GAP_ZERO))
     quanta = touch_quanta[-1] + 2
 
-    baseline = llc.geometry.ways * llc.params.hit_cycles
     llc.probe_groups(llc.group((a, a) for lines in spy_lines.values() for a in lines))
     square_set = llc.locate(square_addr, square_addr)[0]
     reprobe = llc.group((a, a) for a in spy_lines.get(square_set, ()))
@@ -412,11 +393,17 @@ def run_llc_side_channel(profile: PlatformProfile, spec: ChannelSpec,
             cells.append((square_set, q, llc.probe_groups(reprobe)))
 
     recovered, hot_set = _decode_trace(cells, key_bits)
-    accuracy = float(np.mean(recovered == key))
-    return SideChannelResult(cells, baseline, quanta, len(spy_lines), key, recovered,
-                             accuracy, hot_set,
-                             _meta(spec, profile, None, key_bits=key_bits,
-                                   gap_zero=GAP_ZERO, gap_one=GAP_ONE))
+    return cells, {
+        "recovery_accuracy": float(np.mean(recovered == key)),
+        "true_key": "".join(str(b) for b in key),
+        "recovered_key": "".join(str(b) for b in recovered),
+        "hot_set": hot_set,
+        "baseline_latency": llc.geometry.ways * llc.params.hit_cycles,
+        "quanta": quanta,
+        "spy_sets": len(spy_lines),
+        "metadata": _meta(spec, profile, None, key_bits=key_bits,
+                          gap_zero=GAP_ZERO, gap_one=GAP_ONE),
+    }
 
 
 def _spy_coverage(sim: Simulator, domain: str, llc: CacheState) -> dict:

@@ -32,8 +32,8 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _parse_list(text: str) -> list[str]:
-    return [p.strip() for p in text.split(",") if p.strip()]
+def _parse_list(text: str) -> tuple:
+    return tuple(p.strip() for p in text.split(",") if p.strip())
 
 
 def _parse_pad(text: str):
@@ -52,10 +52,6 @@ def _parse_irq_owners(text: str) -> tuple:
             raise ValueError(f"expected irq:domain, got {item!r}")
         pairs.append((int(irq), domain.strip()))
     return tuple(pairs)
-
-
-def _parse_names(text: str) -> tuple:
-    return tuple(_parse_list(text))
 
 
 def _key(section: str, default, parse=int, lo=None, hi=None, key=None):
@@ -83,8 +79,8 @@ class RunConfig:
     # larger margins overflow the auto pad
     irq_margin_pct: float = _key("switch", 5.0, float, lo=0, hi=10**6)
     irq_owners: tuple = _key("switch", (), _parse_irq_owners)
-    channels: tuple = _key("channels", (), _parse_names, key="run")
-    scenarios: tuple = _key("channels", SCENARIOS, _parse_names)
+    channels: tuple = _key("channels", (), _parse_list, key="run")
+    scenarios: tuple = _key("channels", SCENARIOS, _parse_list)
     iterations: int = _key("channels", 1200, lo=1, hi=1 << 22)
     warmup: int = _key("channels", 8, lo=0, hi=1 << 22)
     seed: int = _key("channels", 1)
@@ -192,6 +188,11 @@ def _validate(cfg: RunConfig, source: str):
     bad = set(cfg.scenarios) - set(SCENARIOS)
     if bad:
         raise ConfigError(f"{source}: unknown scenarios {sorted(bad)}")
+    for key, names in (("run", cfg.channels), ("scenarios", cfg.scenarios),
+                       ("irq_owners", [irq for irq, _ in cfg.irq_owners])):
+        repeated = sorted({n for n in names if names.count(n) > 1})
+        if repeated:
+            raise ConfigError(f"{source}: {key} names {repeated} more than once")
     if len(cfg.colour_split) != 2 or sum(cfg.colour_split) != 100 or min(cfg.colour_split) <= 0:
         raise ConfigError(
             f"{source}: colour_split must be two positive shares summing to 100,"

@@ -7,6 +7,7 @@ from the master seed, so identical config text yields byte-identical output.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import math
@@ -159,20 +160,14 @@ def _run_cell(profile, cfg: RunConfig, channel: str, scenario: str,
     if channel == "llc_side":
         spec = ChannelSpec("llc_side_channel", scenario, iterations=1,
                            seed=cfg.llc_key_seed)
-        result = run_llc_side_channel(profile, spec, key_bits=cfg.llc_key_bits,
-                                      **build_kwargs)
-        result.trace_to_csv(outdir / f"llc_side_{scenario}_trace.csv")
-        return {
-            "recovery_accuracy": result.accuracy,
-            "true_key": "".join(str(b) for b in result.true_key),
-            "recovered_key": "".join(str(b) for b in result.recovered_key),
-            "hot_set": result.hot_set,
-            "baseline_latency": result.baseline,
-            "quanta": result.quanta,
-            "spy_sets": result.spy_sets,
-            "trace_csv": f"llc_side_{scenario}_trace.csv",
-            "metadata": result.metadata,
-        }
+        cells, record = run_llc_side_channel(profile, spec, key_bits=cfg.llc_key_bits,
+                                             **build_kwargs)
+        trace_csv = f"llc_side_{scenario}_trace.csv"
+        with open(outdir / trace_csv, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["set", "quantum", "latency"])
+            w.writerows(cells)
+        return {**record, "trace_csv": trace_csv}
     spec = ChannelSpec(channel, scenario, iterations=cfg.iterations, seed=seed,
                        input_alphabet=CHANNELS[channel].alphabet(profile, cfg.symbols),
                        noise_sigma=noise_sigma_for(profile, channel, cfg.noise_sigma_pct),

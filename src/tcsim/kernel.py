@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from tcsim.colouring import ColourPartition, PoolExhausted
+from tcsim.colouring import ColourPartition
 from tcsim.config import PadOverrun
 from tcsim.microarch import Machine
 from tcsim.profiles import PlatformProfile
@@ -162,7 +162,6 @@ class Simulator:
         self.shared_regions = {
             name: frames[i * line // page] * page + (i * line) % page
             for i, name in enumerate(SHARED_REGION_NAMES)}
-        self._region_lines = tuple(self.shared_regions.values())
         self.initial_image = self._build_image(
             owner=None, frames=partition.allocate(None, kparams.image_frames))
         self.current_domain: str | None = None
@@ -187,12 +186,7 @@ class Simulator:
         if source_id not in self.images:
             raise InvalidSource(f"no kernel image {source_id}")
         domain = self.domains[owner]
-        n = self.kparams.image_frames
-        pool_size = self.partition.pool_size(owner)
-        if pool_size < n:
-            raise PoolExhausted(
-                f"domain {owner!r} has {pool_size} frames, clone needs {n}")
-        image = self._build_image(owner, self.partition.allocate(owner, n))
+        image = self._build_image(owner, self.partition.allocate(owner, self.kparams.image_frames))
         domain.kernel_image = image.id
         return image.id
 
@@ -266,8 +260,6 @@ class Simulator:
         if domain_id != self.current_domain:
             raise ValueError("syscalls are served for the current domain only")
         count = self.kparams.syscall_footprints[which]
-        if count == 0:
-            return 0
         image = self.images[self.domains[domain_id].kernel_image]
         access = self.machine.data_path.access
         latency = 0
@@ -311,7 +303,7 @@ class Simulator:
         kernel_switch = prev_image.id != next_image.id
         access = self.machine.data_path.access
         (queues, bitmap, decision, irq_table, irq, asid, thread, kernel, idle, fpu,
-         lock) = self._region_lines
+         lock) = self.shared_regions.values()
         steps = [StepCost(1, "lock", kp.lock_cycles + access(lock, lock, True)),
                  StepCost(2, "tick", kp.tick_cycles + access(queues, queues)
                           + access(bitmap, bitmap) + access(decision, decision, True))]
@@ -339,7 +331,7 @@ class Simulator:
             steps.append(StepCost(8, "flush", cost))
             if cfg.prefetch_shared:
                 cost = 0
-                for addr in self._region_lines:
+                for addr in self.shared_regions.values():
                     cost += access(addr, addr)
                 steps.append(StepCost(9, "prefetch_shared", cost))
         natural = total = sum([s.cycles for s in steps])

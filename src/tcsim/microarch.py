@@ -52,8 +52,6 @@ class CacheGeometry:
                 raise ValueError(f"{name} must be a power of two")
         if self.size_bytes % (self.ways * self.line_bytes) != 0:
             raise ValueError("size_bytes not divisible by ways * line_bytes")
-        if not _is_pow2(self.sets):
-            raise ValueError("set count must be a power of two")
 
     @property
     def sets(self) -> int:
@@ -392,36 +390,23 @@ class MemoryHierarchy:
         return latency + (n_lines - hit_lines) * self.memory_cycles, len(missing)
 
 
-@dataclass
-class BhbState:
-    """Global-history direction predictor: shift register XOR-indexed into a
-    table of 2-bit saturating counters, one byte each (values 0-3) in a
-    ``bytearray`` of ``1 << history_bits`` entries, so a reset is one zeroed
-    allocation. Counters start at 0 (strongly not-taken), so the first
-    branch after a flush mispredicts if taken."""
-
-    history_bits: int
-    history: int = 0
-    counters: bytearray = field(init=False)
-
-    def __post_init__(self):
-        self.reset()
-
-    def reset(self):
-        self.history = 0
-        self.counters = bytearray(1 << self.history_bits)
-
-
 class PredictorState:
-    """Branch machinery: a tagged target cache (BTB) plus a BhbState."""
+    """Branch machinery: a tagged target cache (BTB) plus a global-history
+    direction predictor, a shift register XOR-indexed into a table of 2-bit
+    saturating counters, one byte each (values 0-3) in a ``bytearray`` of
+    ``1 << history_bits`` entries, so a reset is one zeroed allocation.
+    Counters start at 0 (strongly not-taken), so the first branch after a
+    flush mispredicts if taken."""
 
-    def __init__(self, btb: CacheState, bhb: BhbState, mispredict_cycles: int,
+    def __init__(self, btb: CacheState, history_bits: int, mispredict_cycles: int,
                  bhb_flush_base: int = 0):
         self.btb = btb
-        self.bhb = bhb
+        self.history_bits = history_bits
+        self.history = 0
+        self.counters = bytearray(1 << history_bits)
         self.mispredict_cycles = mispredict_cycles
         self.bhb_flush_base = bhb_flush_base
-        self._history_mask = (1 << bhb.history_bits) - 1
+        self._history_mask = (1 << history_bits) - 1
 
     def touch(self, branch_addr: int, taken: bool) -> int:
         """Execute one branch: look the target up in the BTB and predict the
@@ -443,9 +428,8 @@ class PredictorState:
         """Predict each branch's direction from its 2-bit counter, then
         saturate the counter towards the outcome and shift the outcome into
         the history. Returns the total mispredict penalty."""
-        bhb = self.bhb
-        counters = bhb.counters
-        history = bhb.history
+        counters = self.counters
+        history = self.history
         mask = self._history_mask
         wrong = 0
         for addr in branches:
@@ -458,11 +442,12 @@ class PredictorState:
             elif counter > 0:
                 counters[idx] = counter - 1
             history = ((history << 1) | taken) & mask
-        bhb.history = history
+        self.history = history
         return wrong * self.mispredict_cycles
 
     def flush_bhb(self) -> int:
-        self.bhb.reset()
+        self.history = 0
+        self.counters = bytearray(1 << self.history_bits)
         return self.bhb_flush_base
 
 
@@ -484,9 +469,8 @@ class Machine:
         for name in CACHE_NAMES:
             if name in geometries:
                 self.caches[name] = CacheState(geometries[name], latency.params(name), name)
-        bhb = BhbState(bhb_history_bits)
         self.predictor = PredictorState(
-            self.caches["btb"], bhb, latency.mispredict_cycles,
+            self.caches["btb"], bhb_history_bits, latency.mispredict_cycles,
             bhb_flush_base=latency.params("bhb").flush_base_cycles)
         shared_tail = [self.caches[n] for n in ("l2", "llc") if n in self.caches]
         self.data_path = MemoryHierarchy([self.caches["l1d"]] + shared_tail, latency.memory_cycles)

@@ -96,10 +96,9 @@ class MiEstimate:
 @dataclass(frozen=True)
 class ZeroLeakageBound:
     """Upper 95% bound on MI estimates of dependence-free shuffles of the
-    dataset: mean + 1.645 * sd over ``shuffle_count`` trials."""
+    dataset: mean + 1.645 * sd over the ``shuffle_mis`` trials."""
 
     bound_bits: float
-    shuffle_count: int
     shuffle_mis: tuple
     mean: float
     sd: float
@@ -270,7 +269,7 @@ def zero_leakage_bound(inputs, outputs, shuffles: int = 100, seed: int = 0, *,
         raise errors[0]
     mean = float(np.mean(mis))
     sd = float(np.std(mis, ddof=1)) if shuffles > 1 else 0.0
-    return ZeroLeakageBound(mean + Z_95 * sd, shuffles, tuple(mis), mean, sd, seed)
+    return ZeroLeakageBound(mean + Z_95 * sd, tuple(mis), mean, sd, seed)
 
 
 def leak_verdict(inputs, outputs, shuffles: int = 100, seed: int = 0, *,
@@ -317,7 +316,7 @@ def report_record(verdict: LeakVerdict) -> dict:
         "bandwidths": m.bandwidths,
         "grid": {"lo": m.grid_lo, "hi": m.grid_hi, "points": m.grid_points},
         "clamped": m.clamped,
-        "shuffles": m0.shuffle_count,
+        "shuffles": len(m0.shuffle_mis),
         "shuffle_seed": m0.seed,
         "shuffle_mean_bits": m0.mean,
         "shuffle_sd_bits": m0.sd,

@@ -159,6 +159,17 @@ class TestInterruptChannel:
             run_channel(HASWELL, spec("interrupt", "raw", alphabet=("maybe",)))
 
 
+@pytest.mark.parametrize("counts, message", [
+    ({"iterations": 0}, "iterations must be >= 1"),
+    ({"warmup": -3, "iterations": 40}, "warmup must be >= 0"),
+    ({"warmup": -5, "iterations": 2}, "warmup must be >= 0")])
+def test_spec_rejects_out_of_range_counts(counts, message):
+    # a negative warmup would record fewer samples than the iterations the
+    # metadata states, or ask numpy for a negative-length schedule
+    with pytest.raises(ValueError, match=message):
+        ChannelSpec("l1d", "raw", **counts)
+
+
 def test_bhb_alphabet_validated():
     # any symbol but "taken" would train not-taken, and the channel go dead
     with pytest.raises(ValueError, match="bhb channel alphabet"):
@@ -167,41 +178,41 @@ def test_bhb_alphabet_validated():
 
 class TestLlcSideChannel:
     def test_raw_recovery(self):
-        r = run_llc_side_channel(HASWELL, spec("llc_side_channel", "raw", seed=48))
-        assert r.accuracy >= 0.9
-        assert r.hot_set is not None
+        _, r = run_llc_side_channel(HASWELL, spec("llc_side_channel", "raw", seed=48))
+        assert r["recovery_accuracy"] >= 0.9
+        assert r["hot_set"] is not None
 
     def test_protected_recovery_near_half(self):
-        r = run_llc_side_channel(HASWELL, spec("llc_side_channel", "protected",
-                                               seed=48))
-        assert abs(r.accuracy - 0.5) <= 0.05
-        assert r.hot_set is None
+        _, r = run_llc_side_channel(HASWELL, spec("llc_side_channel", "protected",
+                                                  seed=48))
+        assert abs(r["recovery_accuracy"] - 0.5) <= 0.05
+        assert r["hot_set"] is None
 
     def test_all_zero_key_decodes_all_zeros(self):
-        r = run_llc_side_channel(HASWELL, spec("llc_side_channel", "raw", seed=48),
-                                 key=np.zeros(64, dtype=int))
-        assert r.recovered_key.sum() == 0
-        assert r.accuracy == 1.0
+        _, r = run_llc_side_channel(HASWELL, spec("llc_side_channel", "raw", seed=48),
+                                    key=np.zeros(64, dtype=int))
+        assert r["recovered_key"] == "0" * 64
+        assert r["recovery_accuracy"] == 1.0
 
     def test_raw_recovers_key_bit_for_bit(self):
-        r = run_llc_side_channel(HASWELL, spec("llc_side_channel", "raw", seed=48))
-        assert np.array_equal(r.recovered_key, r.true_key)
+        _, r = run_llc_side_channel(HASWELL, spec("llc_side_channel", "raw", seed=48))
+        assert r["recovered_key"] == r["true_key"]
 
     def test_trace_rows_baseline_except_hot(self):
         # every listed cell is a hot probe of the victim's set, one per
         # victim touch; every other probe reads the baseline
-        r = run_llc_side_channel(HASWELL, spec("llc_side_channel", "raw", seed=48))
-        assert {s for s, _, _ in r.cells} == {r.hot_set}
-        assert len(r.cells) == len(r.true_key) + 1
-        quanta = [q for _, q, _ in r.cells]
-        assert quanta == sorted(set(quanta)) and quanta[-1] < r.quanta
-        assert all(latency > r.baseline for _, _, latency in r.cells)
-        assert r.hot_set < HASWELL.geometries["llc"].sets and r.spy_sets > 1
+        cells, r = run_llc_side_channel(HASWELL, spec("llc_side_channel", "raw", seed=48))
+        assert {s for s, _, _ in cells} == {r["hot_set"]}
+        assert len(cells) == len(r["true_key"]) + 1
+        quanta = [q for _, q, _ in cells]
+        assert quanta == sorted(set(quanta)) and quanta[-1] < r["quanta"]
+        assert all(latency > r["baseline_latency"] for _, _, latency in cells)
+        assert r["hot_set"] < HASWELL.geometries["llc"].sets and r["spy_sets"] > 1
 
     def test_protected_trace_flat(self):
-        r = run_llc_side_channel(HASWELL, spec("llc_side_channel", "protected",
-                                               seed=48))
-        assert r.cells == [] and r.spy_sets > 0
+        cells, r = run_llc_side_channel(HASWELL, spec("llc_side_channel", "protected",
+                                                      seed=48))
+        assert cells == [] and r["spy_sets"] > 0
 
     def test_decode_ties_go_to_the_lowest_set_and_short_traces_guess(self):
         # two sets equally hot: the lower one decodes; gaps 4, 2 are 1, 0
@@ -212,8 +223,8 @@ class TestLlcSideChannel:
         assert hot_set is None and list(bits) == [0, 0, 0]
 
     def test_sabre_llc_is_l2(self):
-        r = run_llc_side_channel(SABRE, spec("llc_side_channel", "raw", seed=48))
-        assert r.accuracy >= 0.9
+        _, r = run_llc_side_channel(SABRE, spec("llc_side_channel", "raw", seed=48))
+        assert r["recovery_accuracy"] >= 0.9
 
 
 class TestReproducibilityAndNoise:

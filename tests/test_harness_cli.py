@@ -349,6 +349,8 @@ class TestCli:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["mini.cfg", "out"]
 
     @pytest.mark.parametrize("case", ["unknown profile", "unknown irq owner",
+                                      "repeated channel", "repeated scenario",
+                                      "repeated irq",
                                       "negative pad", "negative irq margin",
                                       "zero kde eps", "empty overhead working set",
                                       "too few iterations", "negative key bits",
@@ -391,6 +393,10 @@ class TestCli:
         configs = {
             "unknown profile": MINI.replace("profile = haswell", "profile = nope"),
             "unknown irq owner": MINI + "\n[switch]\nirq_owners = 5:d7\n",
+            # each would run a cell more than once, or give an IRQ two owners
+            "repeated channel": MINI.replace("run = bhb", "run = bhb, bhb"),
+            "repeated scenario": MINI.replace("raw, protected", "raw, protected, raw"),
+            "repeated irq": MINI + "\n[switch]\nirq_owners = 5:d0, 5:d1\n",
             "negative pad": MINI + "\n[switch]\npad_cycles = -5\n",
             "negative irq margin": MINI + "\n[switch]\nirq_margin_pct = -50\n",
             "zero kde eps": MINI + "\n[stats]\nkde_eps = 0\n",

@@ -86,6 +86,18 @@ class TestClone:
         with pytest.raises(PoolExhausted):
             sim.clone_kernel(sim.initial_image.id, SENDER)
 
+    def test_clone_one_frame_short_takes_nothing(self):
+        # a clone is all or nothing: one frame short of an image, the
+        # sender's pool, the images and the sender's kernel stay as they were
+        sim = build_scenario(HASWELL, "protected", frames=1024).sim
+        left = sim.kparams.image_frames - 1
+        sim.partition.allocate(SENDER, sim.partition.pool_size(SENDER) - left)
+        images, image_id = dict(sim.images), sim.domains[SENDER].kernel_image
+        with pytest.raises(PoolExhausted):
+            sim.clone_kernel(sim.initial_image.id, SENDER)
+        assert sim.partition.pool_size(SENDER) == left
+        assert sim.images == images and sim.domains[SENDER].kernel_image == image_id
+
     def test_clone_requires_valid_source(self):
         sim = protected()
         with pytest.raises(InvalidSource):
@@ -303,7 +315,8 @@ def test_switch_matches_per_step_irq_reference(scenario, ops):
     for name, cache in fast.machine.caches.items():
         assert cache.snapshot() == ref.machine.caches[name].snapshot()
         assert cache._occupied == ref.machine.caches[name]._occupied
-    assert fast.machine.predictor.bhb == ref.machine.predictor.bhb
+    fast_p, ref_p = fast.machine.predictor, ref.machine.predictor
+    assert (fast_p.history, fast_p.counters) == (ref_p.history, ref_p.counters)
 
 
 @settings(max_examples=60, deadline=None)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from oracles import (ReferenceGshare, ReferenceLru, dirty_line_count,
                      resident_everywhere, resident_line_count,
                      two_bit_counter_reference)
-from tcsim.microarch import (BhbState, CacheGeometry, CacheState, LatencyModel,
+from tcsim.microarch import (CacheGeometry, CacheState, LatencyModel,
                              LatencyParams, Machine, MemoryHierarchy,
                              PredictorState, colour_count)
 from tcsim.profiles import get_profile
@@ -584,9 +584,9 @@ def test_btb_window_matches_reference_gshare(history_bits, before, branches, dat
     # single branches and BTB flushes, so every set case is reached
     btb = CacheState(CacheGeometry(8 * 2 * 4, 2, 4, "virtual"),
                      LatencyParams(1, 10, 0, 16))
-    p = PredictorState(btb, BhbState(history_bits), mispredict_cycles=20)
+    p = PredictorState(btb, history_bits, mispredict_cycles=20)
     touched = PredictorState(CacheState(btb.geometry, btb.params),
-                             BhbState(history_bits), mispredict_cycles=20)
+                             history_bits, mispredict_cycles=20)
     ref = ReferenceGshare(history_bits, 8, 2, 4, btb_hit=1, btb_miss=10, mispredict=20)
     addrs = [slot * 4 for slot in branches]
     groups = btb.group([(a, a) for a in addrs])
@@ -605,15 +605,15 @@ def test_btb_window_matches_reference_gshare(history_bits, before, branches, dat
         assert sum(touched.touch(a, True) for a in addrs) == want
         assert p.touch_window(groups, addrs) == want
         assert p.btb.snapshot() == touched.btb.snapshot() == ref.btb.snapshot()
-        assert p.bhb.history == touched.bhb.history == ref.history
-        assert list(p.bhb.counters) == list(touched.bhb.counters) == ref.counter_table()
+        assert p.history == touched.history == ref.history
+        assert list(p.counters) == list(touched.counters) == ref.counter_table()
 
 
 class TestPredictor:
     def make(self, history_bits=6):
         btb_geo = CacheGeometry(64 * 4, 4, 4, "virtual")
         btb = CacheState(btb_geo, LatencyParams(1, 10, 0, 16))
-        return PredictorState(btb, BhbState(history_bits), mispredict_cycles=20,
+        return PredictorState(btb, history_bits, mispredict_cycles=20,
                               bhb_flush_base=8)
 
     def test_saturated_taken_branch_predicts(self):
@@ -643,7 +643,7 @@ class TestPredictor:
             p.touch(0x400, taken=True)
         p.btb.flush()
         assert p.flush_bhb() == 8
-        assert p.bhb.history == 0 and all(c == 0 for c in p.bhb.counters)
+        assert p.history == 0 and all(c == 0 for c in p.counters)
         assert p.touch(0x400, taken=True) == 10 + 20  # btb miss and mispredict
 
 
@@ -656,21 +656,21 @@ def test_predictor_matches_reference_gshare(history_bits, ops):
     # the BTB alone, and the reference forgets its outcomes and counters
     btb = CacheState(CacheGeometry(8 * 2 * 4, 2, 4, "virtual"),
                      LatencyParams(1, 10, 0, 16))
-    p = PredictorState(btb, BhbState(history_bits), mispredict_cycles=20,
+    p = PredictorState(btb, history_bits, mispredict_cycles=20,
                        bhb_flush_base=8)
     ref = ReferenceGshare(history_bits, 8, 2, 4, btb_hit=1, btb_miss=10, mispredict=20)
     for op in ops:
         if op == "flush":
             assert p.flush_bhb() == 8
             ref.outcomes, ref.counters = [], {}
-            assert len(p.bhb.counters) == 1 << history_bits
-            assert not any(p.bhb.counters)
+            assert len(p.counters) == 1 << history_bits
+            assert not any(p.counters)
         else:
             # latencies 1, 10, 21 and 30 each name one (btb hit, direction) pair
             assert p.touch(op[0] * 4, op[1]) == ref.touch(op[0] * 4, op[1])[0]
         assert p.btb.snapshot() == ref.btb.snapshot()
-        assert p.bhb.history == ref.history
-        assert list(p.bhb.counters) == ref.counter_table()
+        assert p.history == ref.history
+        assert list(p.counters) == ref.counter_table()
 
 
 class TestHierarchy:
