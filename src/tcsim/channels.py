@@ -22,6 +22,7 @@ from typing import Callable
 
 import numpy as np
 
+from tcsim.config import RunConfig
 from tcsim.kernel import Simulator
 from tcsim.microarch import CacheState, colour_count
 from tcsim.profiles import PlatformProfile
@@ -43,11 +44,11 @@ class ChannelSpec:
 
     channel_kind: str
     scenario: str
-    iterations: int = 1200
+    iterations: int = RunConfig.iterations
     seed: int = 1
     input_alphabet: tuple = ()
     noise_sigma: float = 0.0
-    warmup: int = 8
+    warmup: int = RunConfig.warmup
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -307,7 +308,7 @@ def run_channel(profile: PlatformProfile, spec: ChannelSpec, **build_kwargs) -> 
     channel = CHANNELS.get(spec.channel_kind)
     if channel is None:
         raise ValueError(f"unknown channel kind {spec.channel_kind!r}")
-    alphabet = spec.input_alphabet or channel.alphabet(profile, symbols=4)
+    alphabet = spec.input_alphabet or channel.alphabet(profile, RunConfig.symbols)
     rng = np.random.default_rng(spec.seed)
     total = spec.warmup + spec.iterations
     schedule = rng.integers(0, len(alphabet), size=total)
@@ -328,8 +329,10 @@ def run_channel(profile: PlatformProfile, spec: ChannelSpec, **build_kwargs) -> 
                 column.append(value + noise[j])
                 j += 1
     return SampleSet(inputs, np.array(columns[0]),
-                     metadata=_meta(spec, profile, channel.resource,
-                                    alphabet=alphabet, **meta),
+                     metadata=_meta(profile, channel.resource, channel=spec.channel_kind,
+                                    scenario=spec.scenario, seed=spec.seed,
+                                    iterations=spec.iterations, warmup=spec.warmup,
+                                    noise_sigma=spec.noise_sigma, alphabet=alphabet, **meta),
                      extra={name: np.array(column)
                             for name, column in zip(channel.extra, columns[1:])})
 
@@ -338,12 +341,13 @@ GAP_ZERO = 2  # quanta between square touches encoding a 0 bit
 GAP_ONE = 4   # and a 1 bit
 
 
-def run_llc_side_channel(profile: PlatformProfile, spec: ChannelSpec,
-                         key_bits: int = 64, key=None,
+def run_llc_side_channel(profile: PlatformProfile, scenario: str,
+                         seed: int = RunConfig.llc_key_seed,
+                         key_bits: int = RunConfig.llc_key_bits, key=None,
                          **build_kwargs) -> tuple[list, dict]:
     """Cross-core side channel through the shared last-level cache. Returns
     ``(cells, record)``: the spy's trace, and the report's ``llc_side`` cell
-    but its ``trace_csv``.
+    but its ``trace_csv``. ``seed`` draws the key, unless ``key`` is given.
 
     The victim mimics an exponentiation loop: it touches one fixed "square"
     line and spaces consecutive touches by a short gap for a 0 bit and a long
@@ -365,9 +369,9 @@ def run_llc_side_channel(profile: PlatformProfile, spec: ChannelSpec,
     the returned cells, (set, quantum, latency) in quantum order: the
     re-probes after a victim miss, each above the baseline.
     """
-    sim = build_scenario(profile, spec.scenario, **build_kwargs).sim
+    sim = build_scenario(profile, scenario, **build_kwargs).sim
     llc = sim.machine.data_path.levels[-1]
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     key = rng.integers(0, 2, size=key_bits) if key is None \
         else np.asarray(key, dtype=int)
     key_bits = len(key)
@@ -401,8 +405,8 @@ def run_llc_side_channel(profile: PlatformProfile, spec: ChannelSpec,
         "baseline_latency": llc.geometry.ways * llc.params.hit_cycles,
         "quanta": quanta,
         "spy_sets": len(spy_lines),
-        "metadata": _meta(spec, profile, None, key_bits=key_bits,
-                          gap_zero=GAP_ZERO, gap_one=GAP_ONE),
+        "metadata": _meta(profile, None, channel="llc_side", scenario=scenario, seed=seed,
+                          key_bits=key_bits, gap_zero=GAP_ZERO, gap_one=GAP_ONE),
     }
 
 
@@ -450,18 +454,8 @@ def _decode_trace(cells: list, key_bits: int) -> tuple[np.ndarray, int | None]:
     return (gaps > threshold).astype(int), hot_set
 
 
-def _meta(spec: ChannelSpec, profile: PlatformProfile, resource: str | None,
-          **kw) -> dict:
-    meta = {
-        "channel": spec.channel_kind,
-        "resource": resource,
-        "scenario": spec.scenario,
-        "seed": spec.seed,
-        "iterations": spec.iterations,
-        "warmup": spec.warmup,
-        "noise_sigma": spec.noise_sigma,
-        "profile": profile.name,
-    }
-    for k, v in kw.items():
-        meta[k] = list(v) if isinstance(v, (tuple, set)) else v
-    return meta
+def _meta(profile: PlatformProfile, resource: str | None, **kw) -> dict:
+    """A run's sample metadata: its profile, attacked resource and ``kw``,
+    tuples and sets as lists."""
+    return {"profile": profile.name, "resource": resource,
+            **{k: list(v) if isinstance(v, (tuple, set)) else v for k, v in kw.items()}}

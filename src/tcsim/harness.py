@@ -158,10 +158,8 @@ def _run_cell(profile, cfg: RunConfig, channel: str, scenario: str,
               outdir: Path, build_kwargs: dict) -> dict:
     seed = cell_seed(cfg.seed, channel, scenario)
     if channel == "llc_side":
-        spec = ChannelSpec("llc_side_channel", scenario, iterations=1,
-                           seed=cfg.llc_key_seed)
-        cells, record = run_llc_side_channel(profile, spec, key_bits=cfg.llc_key_bits,
-                                             **build_kwargs)
+        cells, record = run_llc_side_channel(profile, scenario, cfg.llc_key_seed,
+                                             cfg.llc_key_bits, **build_kwargs)
         trace_csv = f"llc_side_{scenario}_trace.csv"
         with open(outdir / trace_csv, "w", newline="") as fh:
             w = csv.writer(fh)

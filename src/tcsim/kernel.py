@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 
 from tcsim.colouring import ColourPartition
-from tcsim.config import PadOverrun
+from tcsim.config import PadOverrun, RunConfig
 from tcsim.microarch import Machine
 from tcsim.profiles import PlatformProfile
 
@@ -135,7 +135,7 @@ class Simulator:
     def __init__(self, profile: PlatformProfile, machine: Machine,
                  partition: ColourPartition, switch_cfg: SwitchConfig,
                  kparams: KernelParams = KernelParams(),
-                 timeslice_cycles: int = 200_000):
+                 timeslice_cycles: int = RunConfig.timeslice_cycles):
         self.profile = profile
         self.machine = machine
         self.partition = partition

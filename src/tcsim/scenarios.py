@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, replace
 
 from tcsim.colouring import ColourPartition
-from tcsim.config import SCENARIOS
+from tcsim.config import SCENARIOS, RunConfig
 from tcsim.kernel import KernelParams, Simulator, SwitchConfig
 from tcsim.microarch import colour_count
 from tcsim.profiles import PlatformProfile
@@ -56,9 +56,12 @@ def pad_for(sim: Simulator, margin_pct: float) -> int:
 
 
 def build_scenario(profile: PlatformProfile, scenario: str, *,
-                   frames: int = 4096, colour_split: tuple[int, int] = (50, 50),
-                   timeslice_cycles: int = 200_000, pad_cycles="auto",
-                   irq_margin_pct: float = 5.0, irq_owners: tuple = ()) -> ScenarioSystem:
+                   frames: int = RunConfig.frames,
+                   colour_split: tuple[int, int] = RunConfig.colour_split,
+                   timeslice_cycles: int = RunConfig.timeslice_cycles,
+                   pad_cycles=RunConfig.pad_cycles,
+                   irq_margin_pct: float = RunConfig.irq_margin_pct,
+                   irq_owners: tuple = RunConfig.irq_owners) -> ScenarioSystem:
     """Build a two-domain system for one scenario. ``pad_cycles`` overrides
     the scenario's padding: ``"auto"`` pads protected builds only, to the
     worst case plus ``irq_margin_pct``; a number pads any build to it, and 0

@@ -39,6 +39,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from tcsim.config import RunConfig
+
 Z_95 = 1.645  # one-sided upper 95% quantile of the standard normal
 
 
@@ -66,7 +68,7 @@ def _quantile(ordered: np.ndarray, q: float) -> float:
     return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
 
 
-def silverman_bandwidth(samples: np.ndarray, eps: float = 1e-6) -> float:
+def silverman_bandwidth(samples: np.ndarray, eps: float = RunConfig.kde_eps) -> float:
     """1.06 * min(sd, IQR/1.34) * n^(-1/5); zero-spread input degrades to eps."""
     n = len(samples)
     if n < 2:
@@ -196,8 +198,8 @@ def _mi_bits(groups: list, out_min: float, out_max: float, grid_points: int,
     return mi, bands, lo, hi
 
 
-def estimate_mi(inputs, outputs, *, grid_points: int = 4096,
-                eps: float = 1e-6) -> MiEstimate:
+def estimate_mi(inputs, outputs, *, grid_points: int = RunConfig.grid_points,
+                eps: float = RunConfig.kde_eps) -> MiEstimate:
     """MI in bits between a uniform prior on the observed input symbols and
     the per-symbol output densities, by the rectangle method.
 
@@ -214,8 +216,9 @@ def estimate_mi(inputs, outputs, *, grid_points: int = 4096,
                       n=len(outputs))
 
 
-def zero_leakage_bound(inputs, outputs, shuffles: int = 100, seed: int = 0, *,
-                       grid_points: int = 4096, eps: float = 1e-6) -> ZeroLeakageBound:
+def zero_leakage_bound(inputs, outputs, shuffles: int = RunConfig.shuffles, seed: int = 0, *,
+                       grid_points: int = RunConfig.grid_points,
+                       eps: float = RunConfig.kde_eps) -> ZeroLeakageBound:
     """Destroy input/output dependence by permuting the output column, re-run
     the MI estimate, and repeat; the bound is mean + 1.645*sd of the trials.
 
@@ -272,8 +275,9 @@ def zero_leakage_bound(inputs, outputs, shuffles: int = 100, seed: int = 0, *,
     return ZeroLeakageBound(mean + Z_95 * sd, tuple(mis), mean, sd, seed)
 
 
-def leak_verdict(inputs, outputs, shuffles: int = 100, seed: int = 0, *,
-                 grid_points: int = 4096, eps: float = 1e-6) -> LeakVerdict:
+def leak_verdict(inputs, outputs, shuffles: int = RunConfig.shuffles, seed: int = 0, *,
+                 grid_points: int = RunConfig.grid_points,
+                 eps: float = RunConfig.kde_eps) -> LeakVerdict:
     """M against M0 on one dataset: a leak iff M exceeds the bound."""
     m = estimate_mi(inputs, outputs, grid_points=grid_points, eps=eps)
     m0 = zero_leakage_bound(inputs, outputs, shuffles, seed,
@@ -291,8 +295,7 @@ def channel_matrix(inputs, outputs, bins: int) -> tuple[list, np.ndarray, np.nda
         raise ValueError("bins must be >= 2")
     symbols, outputs, index = _index(inputs, outputs)
     groups = [outputs[i] for i in index]
-    out_all = np.concatenate(groups)
-    lo, hi = float(out_all.min()), float(out_all.max())
+    lo, hi = float(outputs.min()), float(outputs.max())
     if hi <= lo:
         hi = lo + 1.0
     edges = np.linspace(lo, hi, bins + 1)

@@ -168,10 +168,8 @@ def test_08_interrupt_channel():
 
 
 def test_09_llc_side_channel():
-    _, raw = run_llc_side_channel(
-        HASWELL, ChannelSpec("llc_side_channel", "raw", iterations=1, seed=48))
-    _, prot = run_llc_side_channel(
-        HASWELL, ChannelSpec("llc_side_channel", "protected", iterations=1, seed=48))
+    _, raw = run_llc_side_channel(HASWELL, "raw", 48)
+    _, prot = run_llc_side_channel(HASWELL, "protected", 48)
     assert raw["recovery_accuracy"] >= 0.90
     assert abs(prot["recovery_accuracy"] - 0.5) <= 0.05
     ok(9, f"raw key recovery {raw['recovery_accuracy']:.0%}, "

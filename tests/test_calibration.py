@@ -4,6 +4,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+from recorded_host import host_note
+
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location(
     "estimator_calibration", ROOT / "scripts" / "estimator_calibration.py")
@@ -13,4 +15,4 @@ _spec.loader.exec_module(calibration)
 
 def test_accuracy_table_is_the_committed_record():
     record = json.loads((ROOT / "CALIBRATION.json").read_text())
-    assert calibration.accuracy_study() == record["accuracy"]
+    assert calibration.accuracy_study() == record["accuracy"], host_note()

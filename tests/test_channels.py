@@ -178,30 +178,28 @@ def test_bhb_alphabet_validated():
 
 class TestLlcSideChannel:
     def test_raw_recovery(self):
-        _, r = run_llc_side_channel(HASWELL, spec("llc_side_channel", "raw", seed=48))
+        _, r = run_llc_side_channel(HASWELL, "raw", 48)
         assert r["recovery_accuracy"] >= 0.9
         assert r["hot_set"] is not None
 
     def test_protected_recovery_near_half(self):
-        _, r = run_llc_side_channel(HASWELL, spec("llc_side_channel", "protected",
-                                                  seed=48))
+        _, r = run_llc_side_channel(HASWELL, "protected", 48)
         assert abs(r["recovery_accuracy"] - 0.5) <= 0.05
         assert r["hot_set"] is None
 
     def test_all_zero_key_decodes_all_zeros(self):
-        _, r = run_llc_side_channel(HASWELL, spec("llc_side_channel", "raw", seed=48),
-                                    key=np.zeros(64, dtype=int))
+        _, r = run_llc_side_channel(HASWELL, "raw", 48, key=np.zeros(64, dtype=int))
         assert r["recovered_key"] == "0" * 64
         assert r["recovery_accuracy"] == 1.0
 
     def test_raw_recovers_key_bit_for_bit(self):
-        _, r = run_llc_side_channel(HASWELL, spec("llc_side_channel", "raw", seed=48))
+        _, r = run_llc_side_channel(HASWELL, "raw", 48)
         assert r["recovered_key"] == r["true_key"]
 
     def test_trace_rows_baseline_except_hot(self):
         # every listed cell is a hot probe of the victim's set, one per
         # victim touch; every other probe reads the baseline
-        cells, r = run_llc_side_channel(HASWELL, spec("llc_side_channel", "raw", seed=48))
+        cells, r = run_llc_side_channel(HASWELL, "raw", 48)
         assert {s for s, _, _ in cells} == {r["hot_set"]}
         assert len(cells) == len(r["true_key"]) + 1
         quanta = [q for _, q, _ in cells]
@@ -210,8 +208,7 @@ class TestLlcSideChannel:
         assert r["hot_set"] < HASWELL.geometries["llc"].sets and r["spy_sets"] > 1
 
     def test_protected_trace_flat(self):
-        cells, r = run_llc_side_channel(HASWELL, spec("llc_side_channel", "protected",
-                                                      seed=48))
+        cells, r = run_llc_side_channel(HASWELL, "protected", 48)
         assert cells == [] and r["spy_sets"] > 0
 
     def test_decode_ties_go_to_the_lowest_set_and_short_traces_guess(self):
@@ -223,7 +220,7 @@ class TestLlcSideChannel:
         assert hot_set is None and list(bits) == [0, 0, 0]
 
     def test_sabre_llc_is_l2(self):
-        _, r = run_llc_side_channel(SABRE, spec("llc_side_channel", "raw", seed=48))
+        _, r = run_llc_side_channel(SABRE, "raw", 48)
         assert r["recovery_accuracy"] >= 0.9
 
 

@@ -14,6 +14,7 @@ import json
 from pathlib import Path
 
 import pytest
+from recorded_host import host_note
 
 from tcsim.cli import builtin_config_names, resolve_config
 from tcsim.harness import run_scenario
@@ -36,7 +37,7 @@ def fingerprint(name: str, outdir: Path) -> dict:
 @pytest.mark.parametrize("name", builtin_config_names())
 def test_builtin_config_matches_golden(name, tmp_path):
     golden = json.loads(DIGESTS.read_text())
-    assert fingerprint(name, tmp_path) == golden[name]
+    assert fingerprint(name, tmp_path) == golden[name], host_note()
 
 
 def test_every_builtin_config_has_digests():

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from tcsim.channels import CHANNEL_NAMES
 from tcsim.cli import builtin_config_names, main
-from tcsim.config import _SCHEMA, ConfigError, RunConfig, parse_config
+from tcsim.config import _SCHEMA, SCENARIOS, ConfigError, RunConfig, parse_config
 from tcsim.harness import (measure_colour_overhead, measure_switch_costs,
                            run_scenario)
 from tcsim.profiles import get_profile
@@ -285,6 +285,18 @@ class TestCli:
         assert main(["switch-cost", "haswell", "protected"]) == 0
         out = capsys.readouterr().out
         assert "idle" in out and "l1d" in out
+
+    @pytest.mark.parametrize("name", ["haswell", "sabre"])
+    def test_switch_cost_verb_builds_what_run_builds(self, name, tmp_path, capsys):
+        # a config that sets only the profile runs the switch-cost table on
+        # RunConfig's defaults, which the verb and the library default to
+        report = run_scenario(parse_config(f"[platform]\nprofile = {name}\n"), tmp_path)
+        assert list(report["switch_cost_table"]) == list(SCENARIOS)
+        for scenario, table in report["switch_cost_table"].items():
+            assert table == measure_switch_costs(get_profile(name), scenario)
+            assert main(["switch-cost", name, scenario]) == 0
+            rows = capsys.readouterr().out.splitlines()[1:]
+            assert {w: int(c) for w, c in map(str.split, rows)} == table
 
     def test_pad_overrun_exit_code(self, tmp_path):
         # the bhb raw cell completes before the protected cell overruns, yet
