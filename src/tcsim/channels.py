@@ -72,9 +72,8 @@ def _virtual_window(sim: Simulator, domain: str, cache: CacheState,
     span = geo.sets * geo.line_bytes
     pages = math.ceil(geo.ways * span / sim.profile.page_bytes)
     align = max(1, span // sim.profile.page_bytes)
-    base = sim.alloc_vpages(domain, pages + align)
-    base = (base + align * sim.profile.page_bytes - 1) // (align * sim.profile.page_bytes) \
-        * (align * sim.profile.page_bytes)
+    step = align * sim.profile.page_bytes
+    base = -(-sim.alloc_vpages(domain, pages + align) // step) * step  # rounded up to a step
     return [base + way * span + s * geo.line_bytes
             for way in range(geo.ways) for s in range(window_sets)]
 

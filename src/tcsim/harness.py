@@ -246,12 +246,12 @@ def measure_switch_costs(profile: PlatformProfile, scenario: str,
             continue
         sim = build_scenario(profile, scenario, **build_kwargs).sim
         run = _switch_workload(sim, workload)
-        trace = None
         for _ in range(SWITCH_ROUNDS):
             sim.domain_switch(RECEIVER)
             run()
             trace = sim.domain_switch(SENDER)
         out[workload] = trace.total_elapsed
+        del sim, run  # release this system before the next one is built
     return out
 
 
@@ -287,14 +287,9 @@ def _stream_cycles(profile: PlatformProfile, working_set_bytes: int,
     # round-robin page frames over the allowed colours
     frames = [(i // allowed_colours) * colours + (i % allowed_colours)
               for i in range(n_pages)]
-    line = profile.line_bytes
-    per = page // line
+    line, per = profile.line_bytes, profile.lines_per_page
     addrs = [f * page + j * line for f in frames for j in range(per)]
     data_path = machine.data_path
     window = data_path.group([(a, a) for a in addrs])
-    total = 0
-    for p in range(STREAM_PASSES):
-        cycles = data_path.probe(window)[0]
-        if p > 0:  # skip the cold pass
-            total += cycles
-    return total
+    data_path.probe(window)  # the cold pass, not counted
+    return sum(data_path.probe(window)[0] for _ in range(STREAM_PASSES - 1))

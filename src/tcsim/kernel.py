@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 
 from tcsim.colouring import ColourPartition
 from tcsim.config import PadOverrun, RunConfig
@@ -57,9 +58,13 @@ SHARED_REGION_NAMES = (
 
 @dataclass
 class KernelImage:
+    """One kernel image. ``syscall_lines`` is all that ``Simulator.syscall``
+    reads of its code: the physical addresses of its first code lines, in
+    frame order, as many as the largest syscall footprint touches."""
+
     id: int
     owner: str | None  # domain id; None for the boot image
-    code_lines: list[int]
+    syscall_lines: list[int]
     frames: list[int]  # page numbers: code, then data, then stack
     owned_irqs: set[int] = field(default_factory=set)
 
@@ -169,12 +174,11 @@ class Simulator:
     # -- images ----------------------------------------------------------
 
     def _build_image(self, owner, frames) -> KernelImage:
-        page = self.profile.page_bytes
-        line = self.profile.line_bytes
-        code = [f * page + i for f in frames[:self.kparams.code_frames]
-                for i in range(0, page, line)]
-        image = KernelImage(id=self._next_image_id, owner=owner, code_lines=code,
-                            frames=list(frames))
+        page, line, kp = self.profile.page_bytes, self.profile.line_bytes, self.kparams
+        code = (f * page + i for f in frames[:kp.code_frames] for i in range(0, page, line))
+        touched = max(kp.syscall_footprints.values(), default=0)
+        image = KernelImage(id=self._next_image_id, owner=owner,
+                            syscall_lines=list(islice(code, touched)), frames=list(frames))
         self._next_image_id += 1
         self.images[image.id] = image
         return image
@@ -259,13 +263,9 @@ class Simulator:
         fixed code-line footprint in the serving image. Idle touches nothing."""
         if domain_id != self.current_domain:
             raise ValueError("syscalls are served for the current domain only")
-        count = self.kparams.syscall_footprints[which]
-        image = self.images[self.domains[domain_id].kernel_image]
+        lines = self.current_image().syscall_lines[:self.kparams.syscall_footprints[which]]
         access = self.machine.data_path.access
-        latency = 0
-        for a in image.code_lines[:count]:
-            latency += access(a, a)
-        return latency
+        return sum([access(a, a) for a in lines])
 
     # -- the domain switch ---------------------------------------------------
 

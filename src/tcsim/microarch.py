@@ -6,11 +6,12 @@ Replacement is exact LRU and caches are write-back: a write marks the line
 dirty, and dirty lines are charged one write-back each when evicted or
 flushed.
 
-Each cache set is an insertion-ordered dict from tag to dirty bit, LRU first
-and MRU last, so a hit, a fill and an eviction are O(1) dict operations and a
-flush walks only the occupied sets, costing O(resident lines). Accesses and
-branch-predictor touches return a plain int latency; a hit costs exactly
-``hit_cycles``, which is strictly less than any miss.
+A cache holds a dict only for each set a fill has touched, from tag to dirty
+bit in insertion order, LRU first and MRU last, so a hit, a fill and an
+eviction are O(1) dict operations and a flush walks only the occupied sets,
+costing O(resident lines). Accesses and branch-predictor touches return a
+plain int latency; a hit costs exactly ``hit_cycles``, which is strictly
+less than any miss.
 
 A probe window (every line a prime&probe receiver, a switch workload, the
 kernel channel's receiver or the cross-core LLC spy touches, in probe order)
@@ -24,6 +25,7 @@ equal initial states give identical latencies and identical final states.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 
@@ -113,14 +115,16 @@ def _cascades(ways: dict[int, bool], head: list[int], nways: int) -> bool:
 
 
 class CacheState:
-    """One set-associative resource: one insertion-ordered dict per set,
-    mapping tag to dirty bit, with the LRU line first and the MRU line last.
+    """One set-associative resource: ``sets`` maps the index of each set a
+    fill has touched to an insertion-ordered dict from tag to dirty bit, the
+    LRU line first and the MRU line last; an absent set is empty, and
+    ``lookup`` and ``snapshot`` add none.
 
     The tag is the global line number (address // line_bytes), so tags are
     unique within a set by construction. A hit re-inserts its tag at the MRU
     end; a fill into a full set evicts the first (LRU) tag. The indices of
-    non-empty sets are kept in an occupied-set index, so a flush costs
-    O(resident lines) rather than O(sets).
+    non-empty sets are kept in an occupied-set index, and a flush empties
+    those sets in place, so it costs O(resident lines) rather than O(sets).
 
     ``probe_groups``, the one set-wise probe, accesses a grouped window's
     lines set by set, each set's group of lines in probe order by one of
@@ -151,7 +155,7 @@ class CacheState:
         self.geometry = geometry
         self.params = params
         self.name = name
-        self.sets: list[dict[int, bool]] = [{} for _ in range(geometry.sets)]
+        self.sets: defaultdict[int, dict[int, bool]] = defaultdict(dict)
         self._occupied: set[int] = set()
         self._shift = geometry.line_bytes.bit_length() - 1
         self._mask = geometry.sets - 1
@@ -170,8 +174,8 @@ class CacheState:
 
     def lookup(self, vaddr: int, paddr: int) -> bool:
         """Presence check with no state change."""
-        index_addr = vaddr if self._virtual else paddr
-        return (paddr >> self._shift) in self.sets[(index_addr >> self._shift) & self._mask]
+        set_idx = ((vaddr if self._virtual else paddr) >> self._shift) & self._mask
+        return (paddr >> self._shift) in self.sets.get(set_idx, ())
 
     def access(self, vaddr: int, paddr: int, write: bool = False) -> int:
         """One read or write; returns its latency. A hit costs exactly
@@ -223,13 +227,14 @@ class CacheState:
         nways, hit, miss, wb = self._ways, self._hit_cycles, self._miss_cycles, self._wb_cycles
         latency = 0
         for set_idx, tags, distinct, positions in groups:
-            ways = sets[set_idx]
             if reached is not None and not reached.issuperset(positions):
                 if not reached.isdisjoint(positions):
                     latency += self._walk(set_idx, tags, positions, write, hits, reached, missing)
                 elif missing is not None:
+                    ways = sets.get(set_idx, ())
                     missing.extend(p for p, tag in zip(positions, tags) if tag not in ways)
                 continue
+            ways = sets[set_idx]
             n = len(tags)
             if not ways:
                 streaming = distinct
@@ -303,9 +308,9 @@ class CacheState:
         return cost
 
     def snapshot(self) -> list:
-        """Per set, (tag, dirty) pairs from LRU to MRU, for state-equality
-        assertions."""
-        return [list(ways.items()) for ways in self.sets]
+        """Per set of the geometry, (tag, dirty) pairs from LRU to MRU, for
+        state-equality assertions."""
+        return [list(self.sets.get(i, {}).items()) for i in range(self.geometry.sets)]
 
 
 class MemoryHierarchy:
@@ -317,11 +322,11 @@ class MemoryHierarchy:
     plus the hit cost of the level that hit (or the memory cost).
 
     An access walks the levels in order and does at each what
-    ``CacheState.access`` does, inline, until one hits: the levels are
-    distinct caches, so installing at a missed level before asking the next
-    leaves the same state as filling after the walk. A grouped window is
-    read level by level instead (``group``, ``probe``), by the rules in
-    ``CacheState``'s docstring.
+    ``CacheState.access`` does, inline, until one hits, so each missed level
+    holds the set it fills: the levels are distinct caches, so installing at
+    a missed level before asking the next leaves the same state as filling
+    after the walk. A grouped window is read level by level instead
+    (``group``, ``probe``), by the rules in ``CacheState``'s docstring.
     """
 
     def __init__(self, levels: list[CacheState], memory_cycles: int):
@@ -329,7 +334,7 @@ class MemoryHierarchy:
             raise ValueError("hierarchy levels must be distinct caches")
         self.levels = levels
         self.memory_cycles = memory_cycles
-        # what ``access`` reads of every level, gathered once
+        # what ``access`` reads of every level, gathered once; no level rebinds ``sets``
         self._path = [(lvl.sets, lvl._shift, lvl._mask, lvl._virtual, lvl) for lvl in levels]
 
     def access(self, vaddr: int, paddr: int, write: bool = False) -> int:

@@ -309,6 +309,15 @@ def resident_everywhere(hierarchy, vaddr: int, paddr: int) -> bool:
     return all(level.lookup(vaddr, paddr) for level in hierarchy.levels)
 
 
+def reference_code_lines(image, profile, kparams) -> list[int]:
+    """Every code line of a kernel image: the physical address of each line
+    of its first ``kparams.code_frames`` frames, frame by frame. A system
+    call of footprint n touches the first n of them, in this order."""
+    page, line = profile.page_bytes, profile.line_bytes
+    return [f * page + i for f in image.frames[:kparams.code_frames]
+            for i in range(0, page, line)]
+
+
 def step_numbers(trace) -> list[int]:
     return [s.number for s in trace.steps]
 

@@ -9,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (colour_of_frame, pool_pages, pools_cache_disjoint,
-                     reference_domain_switch, step_numbers)
-from tcsim.colouring import PoolExhausted
+                     reference_code_lines, reference_domain_switch, step_numbers)
+from tcsim.colouring import ColourPartition, PoolExhausted
 from tcsim.kernel import (SHARED_REGION_NAMES, CannotDestroyInitial,
                           InvalidImage, InvalidSource, KernelParams, PadOverrun,
-                          Simulator)
+                          Simulator, SwitchConfig)
+from tcsim.microarch import colour_count
 from tcsim.profiles import get_profile
 from tcsim.scenarios import (ON_CORE_RESOURCES, RECEIVER, SENDER, build_scenario,
                              pad_for, split_colours)
@@ -224,7 +225,7 @@ class TestDomainSwitch:
         sim.domain_switch(RECEIVER)
         line = l1d.geometry.line_bytes
         shared_tags = {addr // line for addr in sim.shared_regions.values()}
-        assert all(tag in shared_tags for ways in l1d.sets for tag in ways)
+        assert all(tag in shared_tags for ways in l1d.sets.values() for tag in ways)
 
     def test_prefetch_makes_shared_data_resident(self):
         sim = protected()
@@ -366,6 +367,40 @@ class TestSyscall:
         sim = raw()
         with pytest.raises(ValueError):
             sim.syscall(RECEIVER, "Signal")
+
+    @pytest.mark.parametrize("name", ["haswell", "sabre"])
+    def test_touches_the_first_code_lines_in_order(self, name):
+        # every built-in footprint, one longer than a page, and one longer
+        # than all of an image's code, on the boot image and on a clone
+        profile = get_profile(name)
+        code_lines = KernelParams().code_frames * profile.lines_per_page
+        footprints = {**KernelParams().syscall_footprints,
+                      "Page": profile.lines_per_page + 5, "All": code_lines + 3}
+        kparams = KernelParams(syscall_footprints=footprints)
+        colours = colour_count(profile.geometries[profile.partitioned_cache],
+                               profile.page_bytes)
+        partition = ColourPartition(4096, colours, kparams.image_frames + 1, {SENDER: set()})
+        sim = Simulator(profile, profile.build_machine(), partition, SwitchConfig(), kparams)
+        sim.add_domain(SENDER)
+        data_path = sim.machine.data_path
+        access, touched = data_path.access, []
+
+        def record(vaddr, paddr, write=False):
+            latency = access(vaddr, paddr, write)
+            touched.append(((vaddr, paddr, write), latency))
+            return latency
+
+        data_path.access = record
+        for clone in (False, True):
+            if clone:
+                sim.clone_kernel(sim.initial_image.id, SENDER)
+            lines = reference_code_lines(sim.current_image(), profile, kparams)
+            assert len(lines) == code_lines
+            for which, count in footprints.items():
+                touched.clear()
+                latency = sim.syscall(SENDER, which)
+                assert [a for a, _ in touched] == [(a, a, False) for a in lines[:count]]
+                assert latency == sum(cycles for _, cycles in touched)
 
 
 class TestDestroy:

@@ -10,7 +10,9 @@ from oracles import (ReferenceGshare, ReferenceLru, dirty_line_count,
 from tcsim.microarch import (CacheGeometry, CacheState, LatencyModel,
                              LatencyParams, Machine, MemoryHierarchy,
                              PredictorState, colour_count)
+from tcsim.config import SCENARIOS
 from tcsim.profiles import get_profile
+from tcsim.scenarios import build_scenario
 
 KIB = 1024
 PARAMS = LatencyParams(hit_cycles=4, miss_cycles=12, writeback_cycles_per_line=6,
@@ -122,7 +124,7 @@ class TestAccess:
 
 
 def occupied_sets(cache):
-    return {i for i, ways in enumerate(cache.sets) if ways}
+    return {i for i, ways in cache.sets.items() if ways}
 
 
 @settings(max_examples=60, deadline=None)
@@ -245,6 +247,50 @@ class TestFlush:
         for i in range(k + 1):
             more.access(i * 64, i * 64, True)
         assert more.flush() >= big.flush()
+
+
+class TestSparseSets:
+    """A cache holds a set only once a fill has touched it."""
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_fresh_build_holds_no_llc_set(self, scenario):
+        llc = build_scenario(get_profile("haswell"), scenario).sim.machine.caches["llc"]
+        assert not llc.sets and not llc._occupied
+
+    def test_lookup_adds_no_set(self):
+        c = small_cache(sets=8, ways=2)
+        c.access(0, 0)
+        assert not any(c.lookup(a * 64, a * 64) for a in range(1, 8))
+        assert c.lookup(0, 0) and list(c.sets) == [0]
+
+    def test_observed_probe_adds_no_set_that_no_line_reaches(self):
+        l1, l2 = small_cache(sets=4, ways=2), small_cache(sets=16, ways=2)
+        hierarchy = MemoryHierarchy([l1, l2], memory_cycles=100)
+        for a in (0, 64):  # resident in the L1 alone, so they never reach the L2
+            l1.access(a, a)
+        window = hierarchy.group([(a, a) for a in (0, 64, 384)])
+        _, missing = hierarchy.probe(window, observe=l2)
+        # all three lines were absent from the L2; only line 6's set was filled
+        assert missing == 3 and list(l2.sets) == [6] and l2._occupied == {6}
+
+    def test_flush_leaves_no_occupied_set(self):
+        levels = [small_cache(sets=4, ways=2), small_cache(sets=16, ways=2)]
+        hierarchy = MemoryHierarchy(levels, memory_cycles=100)
+        for a in range(40):
+            hierarchy.access(a * 64, a * 64, a % 2 == 0)
+        for level, path in zip(levels, hierarchy._path):
+            level.flush()
+            assert not any(level.sets.values()) and not level._occupied
+            assert path[0] is level.sets  # emptied in place: the hierarchy reads it still
+        assert hierarchy.access(0, 0) == 100 + sum(lvl.params.miss_cycles for lvl in levels)
+        assert all(lvl.lookup(0, 0) for lvl in levels)
+
+    def test_snapshot_lists_every_set(self):
+        c = small_cache(sets=8, ways=2)
+        assert c.snapshot() == [[]] * 8 and not c.sets
+        c.access(3 * 64, 3 * 64, True)
+        assert c.snapshot() == [[]] * 3 + [[(3, True)]] + [[]] * 4
+        assert list(c.sets) == [3]
 
 
 @settings(max_examples=60, deadline=None)
