@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 from oracles import (ReferenceGshare, ReferenceLru, dirty_line_count,
                      resident_everywhere, resident_line_count,
                      two_bit_counter_reference)
+from tcsim.config import SCENARIOS
 from tcsim.microarch import (CacheGeometry, CacheState, LatencyModel,
                              LatencyParams, Machine, MemoryHierarchy,
                              PredictorState, colour_count)
-from tcsim.config import SCENARIOS
 from tcsim.profiles import get_profile
 from tcsim.scenarios import build_scenario
 
