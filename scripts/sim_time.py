@@ -7,9 +7,10 @@ run in a fresh Python process that imports tcsim from that checkout's
 ``src``. The parent runs first in odd rounds (counting from 1) and the
 change first in even ones. A run executes ``harness.run_scenario`` with the
 leak verdicts stubbed out and sums the ``time.perf_counter`` seconds spent
-in ``run_channel`` and ``measure_switch_costs``: the simulator alone, not
-the imports, the statistics or the CSV writing. A config that perfbench
-runs (``SIM_WORKLOADS`` in the change's ``perfbench/workloads.py``) runs at
+in ``run_channel``, ``run_llc_side_channel``, ``measure_switch_costs`` and
+``measure_colour_overhead``: the simulator alone, not the imports, the
+statistics or the CSV writing. A config that perfbench runs
+(``SIM_WORKLOADS`` in the change's ``perfbench/workloads.py``) runs at
 perfbench's iterations, any other at its own. Per config, the script prints
 each side's median and quartiles, the change's median relative to the
 parent's and the rounds in which the change was faster, then every summary
@@ -52,7 +53,9 @@ def timed(fn):
     return wrapper
 
 harness.run_channel = timed(harness.run_channel)
+harness.run_llc_side_channel = timed(harness.run_llc_side_channel)
 harness.measure_switch_costs = timed(harness.measure_switch_costs)
+harness.measure_colour_overhead = timed(harness.measure_colour_overhead)
 harness._measure = lambda *args, **kwargs: {}
 with tempfile.TemporaryDirectory() as out:
     harness.run_scenario(parse_config(text, name), out)

@@ -23,13 +23,13 @@ from typing import Callable
 import numpy as np
 
 from tcsim.config import RunConfig
-from tcsim.kernel import Simulator
+from tcsim.kernel import KernelParams, Simulator
 from tcsim.microarch import CacheState, colour_count
 from tcsim.profiles import PlatformProfile
 from tcsim.samples import SampleSet
 from tcsim.scenarios import RECEIVER, SENDER, build_scenario
 
-SYSCALLS = ("Signal", "SetPriority", "Poll", "Idle")
+SYSCALLS = tuple(KernelParams().syscall_footprints)
 
 # probed sets per window; kept small enough that a full run of every channel
 # and scenario stays fast, large enough to dominate jitter
@@ -221,14 +221,15 @@ def _flush_latency(profile, spec, alphabet, rng, build_kwargs):
 
 def _interrupt(profile, spec, alphabet, rng, build_kwargs):
     """Interrupt channel: the sender either arms a periodic device interrupt
-    it owns ("yes") or stays quiet ("no"); the receiver records the lengths of
-    its uninterrupted execution intervals. Once the interrupt fires it stays
-    masked until the sender acknowledges it, so a slice is cut at most once."""
+    ("yes") or stays quiet ("no"); the receiver records the lengths of its
+    uninterrupted execution intervals. With IRQs partitioned the sender's
+    image owns the interrupt. The kernel alone decides delivery: an armed
+    interrupt cuts the receiver's slice, once, at a random phase, when
+    ``Simulator.irq_fires`` says it is unmasked there."""
     if set(alphabet) - {"no", "yes"}:
         raise ValueError("interrupt channel alphabet is {no, yes}")
     sim = build_scenario(profile, spec.scenario, **build_kwargs).sim
     irq = 1
-    sim.irq_masked.setdefault(irq, sim.cfg.partition_irqs)
     if sim.cfg.partition_irqs:
         sim.set_irq_owner(irq, sim.domains[SENDER].kernel_image)
     slice_cycles = sim.timeslice_cycles
@@ -243,14 +244,10 @@ def _interrupt(profile, spec, alphabet, rng, build_kwargs):
 
     def measure(it, trace):
         base = slice_cycles - trace.total_elapsed
-        rows = [(base,)]
-        if armed and not sim.irq_masked[irq]:
+        if armed and sim.irq_fires(irq):
             offset = phases[it]
-            sim.irq_masked[irq] = True  # pending until sender acks
-            rows = [(offset,), (base - offset - handler,)]
-        if armed and not sim.cfg.partition_irqs:
-            sim.irq_masked[irq] = False  # sender acks in its next slice
-        return rows
+            return [(offset,), (base - offset - handler,)]
+        return [(base,)]
 
     return sim, send, measure, {"slice_cycles": slice_cycles, "period": period}
 

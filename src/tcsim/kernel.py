@@ -129,13 +129,12 @@ class SwitchTrace:
     steps: list[StepCost]
     kernel_switch: bool
     natural_cycles: int  # steps 1-9, before any padding
-    pad_cycles: int
     total_elapsed: int
 
 
 class Simulator:
     """Single-core deterministic simulation state: one machine, one colour
-    partition, kernel images, domains and a cycle clock."""
+    partition, kernel images and domains."""
 
     def __init__(self, profile: PlatformProfile, machine: Machine,
                  partition: ColourPartition, switch_cfg: SwitchConfig,
@@ -147,13 +146,11 @@ class Simulator:
         self.cfg = switch_cfg
         self.kparams = kparams
         self.timeslice_cycles = timeslice_cycles
-        self.now = 0
         self.domains: dict[str, Domain] = {}
         self.images: dict[int, KernelImage] = {}
         self._next_image_id = 0
         # device IRQ mask state (images own IRQs; the timer is implicit and
-        # always deliverable). Unpartitioned, a new IRQ is live until masked:
-        # its entry is ``irq_masked.setdefault(irq, cfg.partition_irqs)``
+        # always deliverable); ``irq_fires`` reads it
         self.irq_masked: dict[int, bool] = {}
         # IRQ-invariant checks made at every switch step when IRQs are
         # partitioned, and how many of them failed
@@ -218,7 +215,7 @@ class Simulator:
         for img in self.images.values():
             img.owned_irqs.discard(irq)
         self.images[image_id].owned_irqs.add(irq)
-        self.irq_masked[irq] = self.cfg.partition_irqs or self.irq_masked.get(irq, False)
+        self.irq_masked[irq] = self.cfg.partition_irqs or not self.irq_fires(irq)
 
     # -- domains and memory ------------------------------------------------
 
@@ -271,6 +268,12 @@ class Simulator:
 
     def unmasked_irqs(self) -> set[int]:
         return {irq for irq, masked in self.irq_masked.items() if not masked}
+
+    def irq_fires(self, irq: int) -> bool:
+        """Whether device IRQ ``irq`` would be delivered now: it is unmasked.
+        One never entered in the mask table is masked when IRQs are
+        partitioned and live otherwise."""
+        return not self.irq_masked.get(irq, self.cfg.partition_irqs)
 
     def check_irq_invariant(self) -> bool:
         """Unmasked device IRQs must all belong to the current image."""
@@ -347,19 +350,19 @@ class Simulator:
         steps.append(StepCost(12, "return", kp.return_cycles))
         total += kp.return_cycles
         self._count_irq_checks(len(steps) - before)
-        self.now += total
-        return SwitchTrace(steps, kernel_switch, natural, cfg.pad_cycles, total)
+        return SwitchTrace(steps, kernel_switch, natural, total)
 
-    def worst_case_switch_cost(self) -> int:
-        """Conservative bound on the natural (pre-pad) cost of one kernel
-        switch: every step's fixed cost, every shared region missing all the
-        way to memory twice over, and every flush target fully dirty."""
-        kp = self.kparams
-        worst_access = self.machine.worst_case_data_access()
-        fixed = (kp.lock_cycles + kp.tick_cycles + kp.mask_cycles
-                 + kp.stack_switch_cycles + kp.thread_switch_cycles
-                 + kp.unlock_cycles + kp.unmask_cycles)
-        region_accesses = 2 * len(SHARED_REGION_NAMES) + 2
-        flush_worst = sum(self.machine.flush_worst_case(r)
-                          for r in self.cfg.flush_targets)
-        return fixed + region_accesses * worst_access + flush_worst
+
+def worst_case_switch_cost(machine: Machine, kparams: KernelParams,
+                           flush_targets: tuple) -> int:
+    """Conservative bound on the natural (pre-pad) cost of one kernel switch
+    on ``machine`` that flushes ``flush_targets``: every step's fixed cost,
+    every shared region missing all the way to memory twice over, and every
+    flush target fully dirty."""
+    kp = kparams
+    fixed = (kp.lock_cycles + kp.tick_cycles + kp.mask_cycles
+             + kp.stack_switch_cycles + kp.thread_switch_cycles
+             + kp.unlock_cycles + kp.unmask_cycles)
+    region_accesses = 2 * len(SHARED_REGION_NAMES) + 2
+    flush_worst = sum(machine.flush_worst_case(r) for r in flush_targets)
+    return fixed + region_accesses * machine.worst_case_data_access() + flush_worst

@@ -56,4 +56,4 @@ class SampleSet:
                                      f"from the header's {width}")
                 inputs.append(row[at_input])
                 outputs.append(float(row[at_output]))
-        return cls(inputs, np.array(outputs), metadata={"source": str(path)})
+        return cls(inputs, np.array(outputs))

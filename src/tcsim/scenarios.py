@@ -15,11 +15,11 @@ protected  - per-domain clones in disjointly coloured memory, on-core flush
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from tcsim.colouring import ColourPartition
 from tcsim.config import SCENARIOS, RunConfig
-from tcsim.kernel import KernelParams, Simulator, SwitchConfig
+from tcsim.kernel import KernelParams, Simulator, SwitchConfig, worst_case_switch_cost
 from tcsim.microarch import colour_count
 from tcsim.profiles import PlatformProfile
 
@@ -49,9 +49,9 @@ def split_colours(total: int, split: tuple[int, int]) -> tuple[set[int], set[int
     return set(range(first)), set(range(first, total))
 
 
-def pad_for(sim: Simulator, margin_pct: float) -> int:
-    """Auto pad: worst-case natural switch cost plus an interrupt-race margin."""
-    worst = sim.worst_case_switch_cost()
+def pad_for(worst: int, margin_pct: float) -> int:
+    """Auto pad: the worst-case natural switch cost ``worst`` plus an
+    interrupt-race margin of ``margin_pct`` percent."""
     return worst + math.ceil(worst * margin_pct / 100)
 
 
@@ -62,17 +62,18 @@ def build_scenario(profile: PlatformProfile, scenario: str, *,
                    pad_cycles=RunConfig.pad_cycles,
                    irq_margin_pct: float = RunConfig.irq_margin_pct,
                    irq_owners: tuple = RunConfig.irq_owners) -> ScenarioSystem:
-    """Build a two-domain system for one scenario. ``pad_cycles`` overrides
-    the scenario's padding: ``"auto"`` pads protected builds only, to the
-    worst case plus ``irq_margin_pct``; a number pads any build to it, and 0
-    disables padding (the flush-latency channel runs the protected build that
-    way)."""
+    """Build a two-domain system for one scenario, its switch configuration
+    final before the simulator is built. ``pad_cycles`` sets the padding:
+    ``"auto"`` pads protected builds only, to the worst case
+    (``worst_case_switch_cost``) plus ``irq_margin_pct``; a number pads any
+    build to it, and 0 disables padding (the flush-latency channel runs the
+    protected build that way)."""
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}")
     colours = colour_count(profile.geometries[profile.partitioned_cache], profile.page_bytes)
 
-    shares = split_colours(colours, colour_split) if scenario == "protected" \
-        else (set(), set())
+    protected = scenario == "protected"
+    shares = split_colours(colours, colour_split) if protected else (set(), set())
     assignment = dict(zip((SENDER, RECEIVER), shares))
 
     kparams = KernelParams()
@@ -80,13 +81,15 @@ def build_scenario(profile: PlatformProfile, scenario: str, *,
     partition = ColourPartition(frames, colours, kparams.image_frames + 1, assignment)
 
     machine = profile.build_machine()
-    if scenario == "raw":
-        cfg = SwitchConfig()
-    elif scenario == "full_flush":
-        cfg = SwitchConfig(flush_targets=tuple(machine.resource_ids()))
+    flush_targets = {"raw": (), "full_flush": tuple(machine.resource_ids()),
+                     "protected": ON_CORE_RESOURCES}[scenario]
+    if pad_cycles != "auto":
+        pad = int(pad_cycles)
+    elif protected:
+        pad = pad_for(worst_case_switch_cost(machine, kparams, flush_targets), irq_margin_pct)
     else:
-        cfg = SwitchConfig(flush_targets=ON_CORE_RESOURCES, prefetch_shared=True,
-                           partition_irqs=True)
+        pad = 0
+    cfg = SwitchConfig(pad, flush_targets, prefetch_shared=protected, partition_irqs=protected)
 
     sim = Simulator(profile, machine, partition, cfg, kparams, timeslice_cycles)
     for dom in assignment:
@@ -98,9 +101,4 @@ def build_scenario(profile: PlatformProfile, scenario: str, *,
 
     for irq, dom in irq_owners:
         sim.set_irq_owner(irq, sim.domains[dom].kernel_image)
-
-    if scenario == "protected" or (pad_cycles != "auto" and pad_cycles):
-        pad = pad_for(sim, irq_margin_pct) if pad_cycles == "auto" else int(pad_cycles)
-        if pad > 0:
-            sim.cfg = replace(sim.cfg, pad_cycles=pad)
     return ScenarioSystem(sim, scenario)

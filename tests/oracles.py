@@ -382,9 +382,7 @@ def reference_domain_switch(sim, next_domain: str) -> SwitchTrace:
             step(10, "pad", sim.cfg.pad_cycles - natural)
         step(11, "reprogram_timer", kp.timer_cycles)
     step(12, "return", kp.return_cycles)
-    total = sum(s.cycles for s in steps)
-    sim.now += total
-    return SwitchTrace(steps, kernel_switch, natural, sim.cfg.pad_cycles, total)
+    return SwitchTrace(steps, kernel_switch, natural, sum(s.cycles for s in steps))
 
 
 @dataclass(frozen=True)

@@ -158,6 +158,24 @@ class TestInterruptChannel:
         with pytest.raises(ValueError):
             run_channel(HASWELL, spec("interrupt", "raw", alphabet=("maybe",)))
 
+    @pytest.mark.parametrize("owners", [(), ((1, "d0"),), ((1, "d1"),), ((1, "d0"), (2, "d1"))],
+                             ids=["unowned", "d0", "d1", "d0-and-2-d1"])
+    @pytest.mark.parametrize("scenario", ["raw", "full_flush", "protected"])
+    @pytest.mark.parametrize("profile", [HASWELL, SABRE], ids=["haswell", "sabre"])
+    def test_firing_table(self, profile, scenario, owners):
+        """Which builds let an armed interrupt cut the receiver's slice: raw
+        always; full_flush unless the sender's image owns irq 1, which its
+        switch away masks; protected never, as the sender's image owns it
+        whatever the config says. A cut "yes" slice is two rows and every
+        other slice one."""
+        iterations = 40
+        ss = run_channel(profile, spec("interrupt", scenario, iterations=iterations),
+                         irq_owners=owners)
+        cut = scenario == "raw" or (scenario == "full_flush" and (1, "d0") not in owners)
+        yes = ss.inputs.count("yes")
+        assert yes > 0
+        assert len(ss.inputs) - iterations == (yes // 2 if cut else 0)
+
 
 @pytest.mark.parametrize("counts, message", [
     ({"iterations": 0}, "iterations must be >= 1"),

@@ -13,7 +13,7 @@ from oracles import (colour_of_frame, pool_pages, pools_cache_disjoint,
 from tcsim.colouring import ColourPartition, PoolExhausted
 from tcsim.kernel import (SHARED_REGION_NAMES, CannotDestroyInitial,
                           InvalidImage, InvalidSource, KernelParams, PadOverrun,
-                          Simulator, SwitchConfig)
+                          Simulator, SwitchConfig, worst_case_switch_cost)
 from tcsim.microarch import colour_count
 from tcsim.profiles import get_profile
 from tcsim.scenarios import (ON_CORE_RESOURCES, RECEIVER, SENDER, build_scenario,
@@ -25,6 +25,11 @@ L2 = HASWELL.geometries["l2"]
 
 def protected():
     return build_scenario(HASWELL, "protected").sim
+
+
+def worst_of(sim):
+    """The worst-case natural switch cost of ``sim``'s machine and flush."""
+    return worst_case_switch_cost(sim.machine, sim.kparams, sim.cfg.flush_targets)
 
 
 def raw():
@@ -126,11 +131,18 @@ class TestIrqOwnership:
 
     def test_unassigned_irq_never_unmasked_when_partitioned(self):
         sim = protected()
-        sim.irq_masked.setdefault(9, sim.cfg.partition_irqs)
         for _ in range(4):
             sim.domain_switch(RECEIVER)
+            assert not sim.irq_fires(9)
             sim.domain_switch(SENDER)
+            assert not sim.irq_fires(9)
         assert 9 not in sim.unmasked_irqs()
+
+    def test_unassigned_irq_live_when_unpartitioned(self):
+        for sim in (raw(), build_scenario(HASWELL, "full_flush").sim):
+            for domain in (RECEIVER, SENDER):
+                sim.domain_switch(domain)
+                assert sim.irq_fires(9)
 
     def test_mask_subset_invariant_through_switches(self):
         sim = protected()
@@ -286,7 +298,7 @@ def _apply_switch_op(sim, switch, op):
     elif op[0] == "own":
         sim.set_irq_owner(op[1], sim.domains[op[2]].kernel_image)
     elif op[0] == "pad":
-        pad = pad_for(sim, 5.0) if op[1] == "auto" else op[1]
+        pad = pad_for(worst_of(sim), 5.0) if op[1] == "auto" else op[1]
         sim.cfg = replace(sim.cfg, pad_cycles=pad)
     elif op[0] == "branch":
         outcome = machine.predictor.touch(op[1] * 4, op[2])
@@ -298,7 +310,7 @@ def _apply_switch_op(sim, switch, op):
         else:
             outcome = [(machine.caches["l1i"].access(a, a), machine.caches["tlb"].access(a, a))
                        for a in lines]
-    return (outcome, sim.irq_checks, sim.irq_violations, sim.now,
+    return (outcome, sim.irq_checks, sim.irq_violations,
             sim.current_domain, sim.unmasked_irqs())
 
 
@@ -328,7 +340,7 @@ def test_kernel_switch_stays_within_its_worst_case(profile, scenario, ops):
     worst_case_switch_cost(), so an auto pad never overruns. Each switch is
     checked, and then one away and one back with the pad removed."""
     sim = build_scenario(get_profile(profile), scenario).sim
-    worst = sim.worst_case_switch_cost()
+    worst = worst_of(sim)
     naturals = []
 
     def switch(sim, domain):
@@ -446,7 +458,7 @@ class TestWorstCaseBound:
             addr = 0x4000000 + (i * 64)
             l1d.access(addr, addr, True)
         trace = sim.domain_switch(RECEIVER)  # must not overrun
-        assert trace.pad_cycles >= trace.natural_cycles
+        assert sim.cfg.pad_cycles >= trace.natural_cycles
 
     def test_scenario_flush_targets(self):
         for name, shared in (("haswell", {"l2", "llc"}), ("sabre", {"l2"})):
@@ -456,3 +468,33 @@ class TestWorstCaseBound:
             assert set(full) == set(ON_CORE_RESOURCES) | shared
             prot = build_scenario(profile, "protected").sim.cfg.flush_targets
             assert set(prot) == set(ON_CORE_RESOURCES)
+
+
+class TestPadRule:
+    """A system is built with its final switch configuration: ``auto`` pads
+    protected builds to the worst case plus the margin and no other build, a
+    number pads any build to it, and 0 pads none."""
+
+    @pytest.mark.parametrize("name", ["haswell", "sabre"])
+    @pytest.mark.parametrize("scenario", ["raw", "full_flush", "protected"])
+    @pytest.mark.parametrize("pad", ["auto", 0, 12345])
+    def test_built_switch_config(self, name, scenario, pad):
+        profile = get_profile(name)
+        cfg = build_scenario(profile, scenario, pad_cycles=pad, irq_margin_pct=7.5).sim.cfg
+        shared = {"haswell": ("l2", "llc"), "sabre": ("l2",)}[name]
+        targets = {"raw": (), "full_flush": ON_CORE_RESOURCES + shared,
+                   "protected": ON_CORE_RESOURCES}[scenario]
+        assert sorted(cfg.flush_targets) == sorted(targets)
+        assert cfg.prefetch_shared == cfg.partition_irqs == (scenario == "protected")
+        if pad != "auto":
+            assert cfg.pad_cycles == pad
+        elif scenario == "protected":
+            worst = worst_case_switch_cost(profile.build_machine(), KernelParams(), targets)
+            assert cfg.pad_cycles == pad_for(worst, 7.5) > worst
+        else:
+            assert cfg.pad_cycles == 0
+
+    @pytest.mark.parametrize("scenario", ["raw", "protected"])
+    def test_negative_pad_rejected(self, scenario):
+        with pytest.raises(ValueError, match="pad_cycles must be non-negative"):
+            build_scenario(HASWELL, scenario, pad_cycles=-1)

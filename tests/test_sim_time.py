@@ -33,5 +33,11 @@ def test_lengths_map_each_perfbench_config_to_its_iterations():
 
 
 def test_a_timed_run_counts_the_switch_table():
-    # haswell-overheads runs no channel: its simulator time is the switch table
+    # haswell-overheads runs no channel: its simulator time is the switch
+    # table and the colour-overhead streams
     assert sim_time.time_once(ROOT, "haswell-overheads", None) > 0
+
+
+def test_a_timed_run_counts_the_llc_side_channel():
+    # haswell-llc-side runs no sample channel and no switch table
+    assert sim_time.time_once(ROOT, "haswell-llc-side", None) > 0
