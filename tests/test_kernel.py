@@ -27,11 +27,6 @@ def protected():
     return build_scenario(HASWELL, "protected").sim
 
 
-def worst_of(sim):
-    """The worst-case natural switch cost of ``sim``'s machine and flush."""
-    return worst_case_switch_cost(sim.machine, sim.kparams, sim.cfg.flush_targets)
-
-
 def raw():
     return build_scenario(HASWELL, "raw").sim
 
@@ -298,7 +293,8 @@ def _apply_switch_op(sim, switch, op):
     elif op[0] == "own":
         sim.set_irq_owner(op[1], sim.domains[op[2]].kernel_image)
     elif op[0] == "pad":
-        pad = pad_for(worst_of(sim), 5.0) if op[1] == "auto" else op[1]
+        worst = worst_case_switch_cost(sim.machine, sim.kparams, sim.cfg.flush_targets)
+        pad = pad_for(worst, 5.0) if op[1] == "auto" else op[1]
         sim.cfg = replace(sim.cfg, pad_cycles=pad)
     elif op[0] == "branch":
         outcome = machine.predictor.touch(op[1] * 4, op[2])
@@ -340,7 +336,7 @@ def test_kernel_switch_stays_within_its_worst_case(profile, scenario, ops):
     worst_case_switch_cost(), so an auto pad never overruns. Each switch is
     checked, and then one away and one back with the pad removed."""
     sim = build_scenario(get_profile(profile), scenario).sim
-    worst = worst_of(sim)
+    worst = worst_case_switch_cost(sim.machine, sim.kparams, sim.cfg.flush_targets)
     naturals = []
 
     def switch(sim, domain):
